@@ -34,6 +34,7 @@ from .diffop import (
 )
 from .hermite import HermiteExpansion, from_hermite_basis, hermite_poly, hermite_polys, to_hermite_basis
 from .jensen import (
+    DifferenceTable,
     FactoredSpec,
     GammaSeq,
     SeriesSpec,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
+    "DifferenceTable",
     "FALSIFIED",
     "FactoredSpec",
     "GammaSeq",

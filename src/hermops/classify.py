@@ -21,14 +21,14 @@ from typing import Optional, Union
 from . import laguerre as _laguerre
 from .hermite import HermiteExpansion, from_hermite_basis, hermite_polys, to_hermite_basis, validate_alpha
 from .jensen import (
+    DifferenceTable,
     FactoredSpec,
     GammaSeq,
     LPPlusSpec,
     SeriesSpec,
     ratio_sequence,
-    turan_quantity,
 )
-from .diffop import coefficient_polynomial
+from .diffop import build_operator
 from .ratpoly import (
     RatLike,
     RatPoly,
@@ -213,13 +213,12 @@ def coefficient_reality_table(alpha: RatLike, seq: GammaSeq, k_max: int, p: int 
     if a == 0:
         raise ValueError("the reality table needs alpha > 0")
     rows = []
-    for k in range(k_max + 1):
-        q = coefficient_polynomial(a, seq, k, p)
+    for k, q in enumerate(build_operator(a, seq, k_max, p).qpolys):
         if q.is_zero:
             rows.append(RealityRow(k, True, 0, -1))
             continue
         sf = squarefree_part(q)
-        roots = count_real_roots(q)
+        roots = count_real_roots(sf)
         rows.append(RealityRow(k, roots == sf.degree, roots, q.degree))
     return RealityTable(a, p, tuple(rows))
 
@@ -233,11 +232,12 @@ def check_turan_necessity(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0)
     """
     failures = []
     checked = 0
+    op = build_operator(alpha, seq, max(k_max, 0), p)
+    table = DifferenceTable(seq, op.order, p)
     for k in range(2, k_max + 1):
-        q = coefficient_polynomial(alpha, seq, k, p)
-        if is_real_rooted(q):
+        if is_real_rooted(op.qpolys[k]):
             checked += 1
-            t = turan_quantity(seq, k, p)
+            t = table.turan(k)
             if t < 0:
                 failures.append(f"Q_{k} real-rooted but necessity value {t} < 0")
     return CheckReport(

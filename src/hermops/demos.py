@@ -22,7 +22,7 @@ from .diffop import (
     interpolation_poly,
     solve_operator_from_action,
 )
-from .jensen import GammaSeq, finite_difference, ratio_sequence, turan_quantity
+from .jensen import DifferenceTable, GammaSeq, ratio_sequence, turan_quantity
 from .laguerre import LaguerreParam, check_eigen_action, counterexample_demo
 from .ratpoly import RatPoly, count_real_roots, is_real_rooted, rat_str
 from .reporting import CheckReport
@@ -114,9 +114,10 @@ def bessel_demo() -> CheckReport:
     failures = []
     checked = 0
 
+    differences = DifferenceTable(seq, len(BESSEL_DIFFERENCES_REFERENCE) - 1)
     for k, expected in enumerate(BESSEL_DIFFERENCES_REFERENCE):
         checked += 1
-        got = finite_difference(seq, k)
+        got = differences[k]
         if got != expected:
             failures.append(f"difference d_{k}: computed {got}, reference {expected}")
 

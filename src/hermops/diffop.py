@@ -8,11 +8,13 @@ gamma_n * H_n.  The coefficients admit the closed form
              * d_{k-j} * H_{k-2j}(x),
 
 where d_i is the i-th finite difference of the sequence (taken at offset p
-for the shifted variant).  `coefficient_polynomial` implements that formula;
-`solve_operator_from_action` recovers the same coefficients with no formula
-at all, by forward substitution from the diagonal action itself, and serves
-as an independent oracle.  At alpha = 0 the basis degenerates to x^n and the
-coefficients collapse to `standard_coefficient`.
+for the shifted variant).  `build_operator` implements that formula for
+Q_0..Q_K in one pass over one difference table and one list of Hermite
+polynomials, and `coefficient_polynomial` shares its assembly for a single
+Q_k.  `solve_operator_from_action` recovers the same coefficients with no
+formula at all, by forward substitution from the diagonal action itself,
+and serves as an independent oracle.  At alpha = 0 the basis degenerates to
+x^n and the coefficients collapse to `standard_coefficient`.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hermite import hermite_polys, validate_alpha
-from .jensen import GammaSeq, finite_difference
+from .jensen import DifferenceTable, GammaSeq
 from .ratpoly import ONE, RatLike, RatPoly, interpolate, parse_rat, rat, rat_str
 from .reporting import CheckReport
 
@@ -68,22 +70,34 @@ class HermiteDiffOp:
         )
 
 
+def _qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int, ks) -> list:
+    """[Q_k for k in ks] by the closed formula, every k <= order.
+
+    One difference table and one list of Hermite polynomials up to `order`
+    serve every Q_k; each Q_k is summed coefficientwise.
+    """
+    a = validate_alpha(alpha)
+    if order < 0 or p < 0:
+        raise ValueError("k and p must be nonnegative")
+    table = DifferenceTable(seq, order, p)
+    d = [table[i] for i in range(order + 1)]
+    polys = hermite_polys(order, a)
+    out = []
+    for k in ks:
+        coeffs = [Fraction(0)] * (k + 1)
+        for j in range(k // 2 + 1):
+            scale = (-a) ** j * Fraction(1, math.factorial(j) * math.factorial(k - 2 * j)) * d[k - j]
+            if scale:
+                for i, c in enumerate(polys[k - 2 * j].coeffs):
+                    if c:
+                        coeffs[i] += scale * c
+        out.append(RatPoly(coeffs))
+    return out
+
+
 def coefficient_polynomial(alpha: RatLike, seq: GammaSeq, k: int, p: int = 0) -> RatPoly:
     """The k-th coefficient polynomial Q_k for the (p-shifted) sequence."""
-    a = validate_alpha(alpha)
-    if k < 0 or p < 0:
-        raise ValueError("k and p must be nonnegative")
-    polys = hermite_polys(k, a)
-    total = RatPoly()
-    for j in range(k // 2 + 1):
-        scale = (
-            (-a) ** j
-            * Fraction(1, math.factorial(j) * math.factorial(k - 2 * j))
-            * finite_difference(seq, k - j, p)
-        )
-        if scale:
-            total = total + scale * polys[k - 2 * j]
-    return total
+    return _qpolys(alpha, seq, k, p, (k,))[0]
 
 
 def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
@@ -91,18 +105,17 @@ def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
     T[x^n] = gamma_n x^n forces Q_k = d_k / k! * x^k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d = finite_difference(seq, k)
+    d = DifferenceTable(seq, k)[k]
     if d == 0:
         return RatPoly()
     return RatPoly([Fraction(0)] * k + [d / math.factorial(k)])
 
 
 def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> HermiteDiffOp:
-    """Materialize the operator truncated at the given order."""
+    """Materialize the operator truncated at the given order: Q_0..Q_order in one pass."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    qs = tuple(coefficient_polynomial(alpha, seq, k, p) for k in range(order + 1))
-    return HermiteDiffOp(rat(alpha), p, qs)
+    return HermiteDiffOp(rat(alpha), p, tuple(_qpolys(alpha, seq, order, p, range(order + 1))))
 
 
 def apply_operator(op: HermiteDiffOp, f: RatPoly) -> RatPoly:

@@ -14,22 +14,26 @@ Taylor coefficients are rational but whose factored data is not available.
 The quantity driving everything downstream is the k-th forward finite
 difference of the sequence taken at offset p,
 
-    finite_difference(seq, k, p) = sum_n C(k,n) * gamma_(n+p) * (-1)^(k-n),
+    d_(k,p) = sum_n C(k,n) * gamma_(n+p) * (-1)^(k-n),
 
 which equals the reversed Jensen polynomial of the p-shifted sequence
 evaluated at -1, and also equals k! * [x^k] (e^(-x) * phi_p(x)) where phi_p
-generates the shifted sequence.  `difference_via_exp_shift` computes the
-same number through that second route for factored specs, giving an
-independent cross-check.
+generates the shifted sequence.  Every consumer in the package reads these
+numbers from one `DifferenceTable`, which takes adjacent differences of
+gamma_p..gamma_(p+K) once, over the integers.  `finite_difference` (the
+binomial sum) and `difference_via_exp_shift` (the generating-function route,
+for factored specs) compute single entries independently and serve as
+oracles for the table.
 """
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .ratpoly import RatLike, RatPoly, rat, rat_str
+from .ratpoly import RatLike, RatPoly, int_str, rat, rat_str
 from .reporting import CheckReport
 
 SIGN_PATTERNS = (
@@ -62,9 +66,6 @@ class FactoredSpec:
             raise ValueError("sigma must be nonnegative")
         if any(z <= 0 for z in self.zeros):
             raise ValueError("all x_k must be positive")
-
-    def product_coeffs(self) -> list:
-        """Coefficients a_j of prod_k (1 + x/x_k), a polynomial of degree N."""
         out = [Fraction(1)]
         for z in self.zeros:
             nxt = out + [Fraction(0)]
@@ -72,7 +73,11 @@ class FactoredSpec:
             for i, c in enumerate(out):
                 nxt[i + 1] += c * inv
             out = nxt
-        return out
+        object.__setattr__(self, "_product", tuple(out))
+
+    def product_coeffs(self) -> list:
+        """Coefficients a_j of prod_k (1 + x/x_k), a polynomial of degree N."""
+        return list(self._product)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,31 +109,55 @@ def bessel_j0_spec() -> SeriesSpec:
     return SeriesSpec("besselJ0", _factorial_reciprocal)
 
 
-def _exp_half_cosh_gamma(k: int) -> Fraction:
-    # gamma_k = k! * [x^k] e^(x/2) * cosh(sqrt(2x)),
-    # with cosh(sqrt(2x)) = sum_j 2^j x^j / (2j)!.
-    total = Fraction(0)
-    half = Fraction(1, 2)
-    for j in range(k + 1):
-        total += Fraction(2**j, math.factorial(2 * j)) * half ** (k - j) / math.factorial(k - j)
-    return math.factorial(k) * total
+class _ExpHalfCoshRule:
+    """gamma_k = k! * [x^k] e^(x/2) * cosh(sqrt(2x)), memoized.
+
+    phi(x) = e^(x/2) * cosh(sqrt(2x)) satisfies 2x*phi'' + (1 - 2x)*phi' +
+    (x/2 - 3/2)*phi = 0, which on gamma_k gives the three-term recurrence
+
+        (2k + 1) * gamma_(k+1) = (2k + 3/2) * gamma_k - (k/2) * gamma_(k-1),
+
+    with gamma_0 = 1 and gamma_1 = 3/2, so each new term costs O(1).
+    """
+
+    def __init__(self):
+        self._gammas = [Fraction(1), Fraction(3, 2)]
+        self._lock = threading.Lock()
+
+    def __call__(self, k: int) -> Fraction:
+        with self._lock:
+            g = self._gammas
+            while len(g) <= k:
+                n = len(g) - 1
+                g.append(((2 * n + Fraction(3, 2)) * g[n] - Fraction(n, 2) * g[n - 1]) / (2 * n + 1))
+            return g[k]
 
 
 def exp_half_cosh_spec() -> SeriesSpec:
     """gamma_k of e^(x/2) * cosh(sqrt(2x)), a generator with sigma = 1/2 and
     infinitely many zeros; useful as a stress sequence for ratio scans."""
-    return SeriesSpec("exp-half-cosh", _exp_half_cosh_gamma)
+    return SeriesSpec("exp-half-cosh", _ExpHalfCoshRule())
 
 
 def _taylor_sum(c: Fraction, m: int, product_coeffs: list, sigma: Fraction, index: int) -> Fraction:
-    """index! * [x^index] of c * x^m * e^(sigma*x) * (polynomial with product_coeffs)."""
+    """index! * [x^index] of c * x^m * e^(sigma*x) * (polynomial with product_coeffs).
+
+    With k = index - m, sigma = s/t and a_j = A_j/D over one denominator D,
+    this is c * index!/k! * sum_j A_j * k!/(k-j)! * s^(k-j) * t^j / (D * t^k):
+    the sum is an integer, so the value costs one reduction.
+    """
     if index < m:
         return Fraction(0)
     k = index - m
-    total = Fraction(0)
+    s, t = sigma.numerator, sigma.denominator
+    den = math.lcm(*(a.denominator for a in product_coeffs))
+    total = 0
+    falling = 1  # k!/(k-j)!
     for j in range(min(k, len(product_coeffs) - 1) + 1):
-        total += product_coeffs[j] * sigma ** (k - j) / math.factorial(k - j)
-    return math.factorial(index) * c * total
+        a = product_coeffs[j]
+        total += a.numerator * (den // a.denominator) * falling * s ** (k - j) * t**j
+        falling *= k - j
+    return Fraction(c.numerator * math.perm(index, m) * total, c.denominator * den * t**k)
 
 
 def taylor_gamma(phi: LPPlusSpec, k: int) -> Fraction:
@@ -315,7 +344,11 @@ def jensen_reversed(seq: GammaSeq, n: int) -> RatPoly:
 
 
 def finite_difference(seq: GammaSeq, k: int, p: int = 0) -> Fraction:
-    """The k-th forward difference of the sequence at offset p."""
+    """The k-th forward difference of the sequence at offset p, as a binomial sum.
+
+    An O(k) oracle for single entries; the package itself reads differences
+    from `DifferenceTable`.
+    """
     if k < 0 or p < 0:
         raise ValueError("indices must be nonnegative")
     total = Fraction(0)
@@ -325,8 +358,50 @@ def finite_difference(seq: GammaSeq, k: int, p: int = 0) -> Fraction:
     return total
 
 
+class DifferenceTable:
+    """The forward differences d_(k,p) for k = 0..k_max at one offset p.
+
+    gamma_p..gamma_(p+k_max) are read once and scaled to integers over their
+    least common denominator `den`; row 0 is those integers and row k+1 the
+    adjacent differences of row k, so `heads[k]` (the first entry of row k)
+    is d_(k,p) * den.  Indexing gives d_(k,p) as a Fraction.
+    """
+
+    __slots__ = ("heads", "den")
+
+    def __init__(self, seq: GammaSeq, k_max: int, p: int = 0):
+        if k_max < 0 or p < 0:
+            raise ValueError("indices must be nonnegative")
+        gammas = [seq[p + i] for i in range(k_max + 1)]
+        den = math.lcm(*(g.denominator for g in gammas))
+        row = [g.numerator * (den // g.denominator) for g in gammas]
+        heads = []
+        while row:
+            heads.append(row[0])
+            row = list(map(operator.sub, row[1:], row))
+        self.heads = heads
+        self.den = den
+
+    def __getitem__(self, k: int) -> Fraction:
+        return Fraction(self.heads[k], self.den)
+
+    def ratio(self, k: int) -> Optional[Fraction]:
+        """d_k / d_(k-1) for 1 <= k <= k_max, or None when d_(k-1) = 0.
+
+        The common denominator cancels, so the ratio comes straight from the
+        two integer heads.
+        """
+        prev = self.heads[k - 1]
+        return None if prev == 0 else Fraction(self.heads[k], prev)
+
+    def turan(self, k: int) -> Fraction:
+        """d_k^2 + 2*d_k*d_(k-1) for 1 <= k <= k_max."""
+        dk = self[k]
+        return dk * dk + 2 * dk * self[k - 1]
+
+
 def turan_quantity(seq: GammaSeq, k: int, p: int = 0) -> Fraction:
-    """d_k^2 + 2*d_k*d_{k-1} for d_j = finite_difference(seq, j, p).
+    """d_k^2 + 2*d_k*d_{k-1} for the differences d_j = d_(j,p).
 
     Nonnegativity of this expression is a necessary consequence of the
     real-rootedness of the k-th operator coefficient, so a negative value is
@@ -334,9 +409,7 @@ def turan_quantity(seq: GammaSeq, k: int, p: int = 0) -> Fraction:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    dk = finite_difference(seq, k, p)
-    dk1 = finite_difference(seq, k - 1, p)
-    return dk * dk + 2 * dk * dk1
+    return DifferenceTable(seq, k, p).turan(k)
 
 
 def ratio_sequence(seq: GammaSeq, k_max: int, p: int = 0) -> list:
@@ -347,28 +420,23 @@ def ratio_sequence(seq: GammaSeq, k_max: int, p: int = 0) -> list:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    diffs = [finite_difference(seq, k, p) for k in range(k_max + 1)]
-    rows = []
-    for k in range(1, k_max + 1):
-        if diffs[k - 1] == 0:
-            rows.append((k, None))
-        else:
-            rows.append((k, diffs[k] / diffs[k - 1]))
-    return rows
+    table = DifferenceTable(seq, k_max, p)
+    return [(k, table.ratio(k)) for k in range(1, k_max + 1)]
 
 
 def ratio_csv_lines(rows: list) -> list:
     """Render ratio rows as CSV lines `k,num,den,approx`.
 
     `approx` is a 12-significant-digit decimal for display only; undefined
-    entries render as `k,,,NA`.
+    entries render as `k,,,NA`.  Numerators and denominators are written in
+    full at any size.
     """
     lines = ["k,num,den,approx"]
     for k, value in rows:
         if value is None:
             lines.append(f"{k},,,NA")
         else:
-            lines.append(f"{k},{value.numerator},{value.denominator},{float(value):.12g}")
+            lines.append(f"{k},{int_str(value.numerator)},{int_str(value.denominator)},{float(value):.12g}")
     return lines
 
 
@@ -409,7 +477,8 @@ def check_difference_reconstruction(seq: GammaSeq, n_max: int) -> CheckReport:
     transform; it must hold exactly for every sequence.
     """
     failures = []
-    diffs = [finite_difference(seq, k) for k in range(n_max + 1)]
+    table = DifferenceTable(seq, n_max)
+    diffs = [table[k] for k in range(n_max + 1)]
     for n in range(n_max + 1):
         total = sum(math.comb(n, k) * diffs[k] for k in range(n + 1))
         if total != seq[n]:
@@ -421,11 +490,12 @@ def check_shift_recurrence(seq: GammaSeq, k_max: int, p_max: int) -> CheckReport
     """d_{k,p} + d_{k+1,p} = d_{k,p+1} for 2 <= k <= k_max, 0 <= p <= p_max."""
     failures = []
     checked = 0
+    tables = [DifferenceTable(seq, k_max + 1, p) for p in range(p_max + 2)]
     for p in range(p_max + 1):
         for k in range(2, k_max + 1):
             checked += 1
-            lhs = finite_difference(seq, k, p) + finite_difference(seq, k + 1, p)
-            rhs = finite_difference(seq, k, p + 1)
+            lhs = tables[p][k] + tables[p][k + 1]
+            rhs = tables[p + 1][k]
             if lhs != rhs:
                 failures.append(f"shift recurrence fails at k={k}, p={p}: {lhs} != {rhs}")
     return CheckReport(f"shift-recurrence[{seq.name}]", checked, tuple(failures))

@@ -12,7 +12,9 @@ rational factor once the accumulated sign of the pseudo-division multiplier
 is corrected, and integer content is stripped after every step to keep
 coefficient growth polynomial.  Sign variations at -oo/+oo then come from
 leading coefficients alone, which gives the count of distinct real roots on
-the whole line.
+the whole line.  The chain of p and p' ends in gcd(p, p'), a factor common
+to every member, so the count holds for p with repeated roots too and
+needs no squarefree part.
 """
 
 import math
@@ -36,15 +38,35 @@ def rat(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
+def int_str(n: int) -> str:
+    """Decimal digits of n at any size.
+
+    ``str`` refuses ints longer than ``sys.get_int_max_str_digits()`` (4300
+    by default, never below 640), a limit meant for parsing untrusted input.
+    Output of exact results must not stop there, so long values are split
+    at a power of ten and rendered half by half.
+    """
+    if n.bit_length() <= 2000:  # at most 603 digits, under any limit
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(n, 10**half)
+    return int_str(high) + int_str(low).zfill(half)
+
+
 def rat_str(value: RatLike) -> str:
     """Canonical ``"num/den"`` rendering, lowest terms, positive denominator."""
     q = rat(value)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction."""
-    return Fraction(text.strip())
+    """Parse ``"p/q"`` or ``"p"`` into a Fraction; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"invalid rational {text!r}: zero denominator") from None
 
 
 class RatPoly:
@@ -253,22 +275,6 @@ ONE = RatPoly([1])
 X = RatPoly([0, 1])
 
 
-def poly_add(p: RatPoly, q: RatPoly) -> RatPoly:
-    return p + q
-
-
-def poly_mul(p: RatPoly, q: RatPoly) -> RatPoly:
-    return p * q
-
-
-def poly_derivative(p: RatPoly, order: int = 1) -> RatPoly:
-    return p.derivative(order)
-
-
-def poly_eval(p: RatPoly, x0: RatLike) -> Fraction:
-    return p(x0)
-
-
 def from_roots(roots: Iterable[RatLike]) -> RatPoly:
     """The monic polynomial with the given rational roots (with multiplicity)."""
     p = ONE
@@ -387,7 +393,7 @@ def squarefree_part(p: RatPoly) -> RatPoly:
 
 
 def _sturm_chain(coeffs: list) -> list:
-    """Sturm chain of a squarefree primitive integer polynomial."""
+    """Sturm chain of a primitive integer polynomial, ending in gcd(p, p')."""
     chain = [coeffs]
     deriv = _content_strip(_strip([i * c for i, c in enumerate(coeffs)][1:]))
     if deriv:
@@ -417,16 +423,16 @@ def _sign_variations_at_infinity(chain: list, direction: int) -> int:
 def count_real_roots(p: RatPoly) -> int:
     """Number of distinct real roots of p, exactly.
 
-    Multiplicities are collapsed first (the count is taken on the squarefree
-    part), then a Sturm chain over the integers yields the count on the whole
-    real line as V(-oo) - V(+oo).  Raises ValueError on the zero polynomial.
+    A Sturm chain over the integers yields the count on the whole real line
+    as V(-oo) - V(+oo).  Repeated roots are counted once: every member of the
+    chain is a multiple of gcd(p, p'), which changes no sign variation.
+    Raises ValueError on the zero polynomial.
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
+    if p.degree == 0:
         return 0
-    chain = _sturm_chain(_int_coeffs(sf))
+    chain = _sturm_chain(_int_coeffs(p))
     return _sign_variations_at_infinity(chain, -1) - _sign_variations_at_infinity(chain, +1)
 
 

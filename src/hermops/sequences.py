@@ -32,12 +32,25 @@ def example311_spec() -> FactoredSpec:
     return FactoredSpec(c=1, m=0, sigma=Fraction(1, 2), zeros=(1, 1))
 
 
+def _json_rat(value, what: str) -> Fraction:
+    """A rational from JSON: a "p/q" string or an integer, never a float or bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f'{what} must be a rational string "p/q" or an integer, got {json.dumps(value)}')
+    return parse_rat(str(value))
+
+
+def _json_rat_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {json.dumps(value)}")
+    return [_json_rat(v, f"each entry of {what}") for v in value]
+
+
 def _from_file(path: str) -> GammaSeq:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "gammas" not in data:
         raise ValueError(f"sequence file {path} must be a JSON object with a 'gammas' list")
-    values = [parse_rat(v) for v in data["gammas"]]
+    values = _json_rat_list(data["gammas"], f"'gammas' in {path}")
     return GammaSeq.from_values(values, name=f"file:{path}")
 
 
@@ -75,9 +88,12 @@ def factored_from_json(text: str) -> FactoredSpec:
     data = json.loads(text)
     if not isinstance(data, dict) or "sigma" not in data:
         raise ValueError('factored generator needs a JSON object with at least "sigma"')
+    m = data.get("m", 0)
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f'factored generator: "m" must be an integer, got {json.dumps(m)}')
     return FactoredSpec(
-        c=parse_rat(str(data.get("c", "1"))),
-        m=int(data.get("m", 0)),
-        sigma=parse_rat(str(data["sigma"])),
-        zeros=tuple(parse_rat(str(z)) for z in data.get("zeros", ())),
+        c=_json_rat(data.get("c", "1"), 'factored generator: "c"'),
+        m=m,
+        sigma=_json_rat(data["sigma"], 'factored generator: "sigma"'),
+        zeros=tuple(_json_rat_list(data.get("zeros", []), 'factored generator: "zeros"')),
     )

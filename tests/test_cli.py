@@ -190,3 +190,39 @@ def test_error_bad_histogram(capsys):
     )
     assert code == 2
     assert "histogram" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratios", "--seq", "const1", "--kmax", "3"],
+        ["qpoly", "--seq", "const1", "--alpha", "1", "--kmax", "3"],
+        ["reality", "--seq", "const1", "--alpha", "1", "--kmax", "3"],
+    ],
+    ids=["ratios", "qpoly", "reality"],
+)
+def test_error_negative_shift(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--p", "-1")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--seq", "linear(1/0)"],
+        ["--seq", "geom-factorial(1/0)"],
+        ["--factored", '{"sigma": "1/2", "zeros": "12"}'],
+        ["--factored", '{"sigma": "1/2", "m": 1.7}'],
+        ["--factored", '{"sigma": "1/2", "m": true}'],
+        ["--factored", '{"sigma": 0.5}'],
+    ],
+    ids=["linear-zero-den", "geom-zero-den", "zeros-string", "m-float", "m-bool", "sigma-float"],
+)
+def test_error_bad_sequence_input(capsys, source):
+    code, out, err = run_cli(capsys, "ratios", *source, "--kmax", "3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]

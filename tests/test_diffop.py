@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermops.diffop import (
     HermiteDiffOp,
@@ -183,3 +185,17 @@ def test_check_reports_pass():
 def test_build_operator_rejects_negative_order():
     with pytest.raises(ValueError):
         build_operator(F(1), make_sequence("const1"), -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=5, max_denominator=7)),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), min_size=1, max_size=14),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=4),
+)
+def test_build_operator_matches_action_solve_on_random_input(alpha, values, order, p):
+    seq = GammaSeq.from_values(values)
+    op = build_operator(alpha, seq, order, p)
+    assert op.qpolys == solve_operator_from_action(alpha, seq.shifted(p), order).qpolys
+    assert op.qpolys[order] == coefficient_polynomial(alpha, seq, order, p)

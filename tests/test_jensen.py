@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermops.jensen import (
+    DifferenceTable,
     FactoredSpec,
     GammaSeq,
     bessel_j0_spec,
@@ -21,6 +24,7 @@ from hermops.jensen import (
     taylor_gamma,
     turan_quantity,
 )
+from hermops.ratpoly import rat_str
 
 F = Fraction
 
@@ -279,3 +283,59 @@ def test_sum_interchange():
             assert report.passed
     with pytest.raises(ValueError):
         check_sum_interchange(4, 3, table)
+
+
+def _exp_half_cosh_sum(k):
+    # gamma_k = k! * [x^k] e^(x/2) * cosh(sqrt(2x)),
+    # with cosh(sqrt(2x)) = sum_j 2^j x^j / (2j)!.
+    total = F(0)
+    for j in range(k + 1):
+        total += F(2**j, math.factorial(2 * j)) * F(1, 2) ** (k - j) / math.factorial(k - j)
+    return math.factorial(k) * total
+
+
+def test_exp_half_cosh_recurrence_matches_series_sum():
+    spec = exp_half_cosh_spec()
+    assert [spec.rule(k) for k in range(201)] == [_exp_half_cosh_sum(k) for k in range(201)]
+
+
+def test_exp_half_cosh_memo_belongs_to_the_spec():
+    first, second = exp_half_cosh_spec(), exp_half_cosh_spec()
+    assert first.rule is not second.rule
+    assert second.rule(30) == first.rule(30) == _exp_half_cosh_sum(30)
+
+
+sequence_values = st.lists(
+    st.one_of(st.just(F(0)), st.fractions(min_value=-20, max_value=20, max_denominator=12)),
+    min_size=0,
+    max_size=36,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequence_values, st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=30))
+def test_difference_table_matches_binomial_sum(values, p, k_max):
+    seq = GammaSeq.from_values(values)
+    table = DifferenceTable(seq, k_max, p)
+    assert [table[k] for k in range(k_max + 1)] == [finite_difference(seq, k, p) for k in range(k_max + 1)]
+    for k in range(1, k_max + 1):
+        prev = finite_difference(seq, k - 1, p)
+        assert table.ratio(k) == (None if prev == 0 else finite_difference(seq, k, p) / prev)
+
+
+def test_difference_table_rejects_negative_indices():
+    seq = GammaSeq.constant(1)
+    for k_max, p in ((-1, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            DifferenceTable(seq, k_max, p)
+    with pytest.raises(ValueError):
+        ratio_sequence(seq, 3, -1)
+
+
+def test_output_renders_past_the_int_string_limit():
+    # Both parts are longer than str() allows by default (4300 digits), and coprime.
+    value = F(10**5200 - 3, 10**5100 + 1)
+    num = "9" * 5199 + "7"
+    den = "1" + "0" * 5099 + "1"
+    assert ratio_csv_lines([(1, value)])[1] == f"1,{num},{den},1e+100"
+    assert rat_str(-value) == f"-{num}/{den}"

@@ -40,6 +40,11 @@ def test_rat_str_and_parse_round_trip():
         assert parse_rat(rat_str(q)) == q
 
 
+def test_parse_rat_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rat("1/0")
+
+
 def test_trailing_zeros_stripped():
     p = RatPoly([1, 2, 0, 0])
     assert p.coeffs == (F(1), F(2))
@@ -247,3 +252,13 @@ def test_root_product_count(roots):
     p = from_roots(roots)
     assert count_real_roots(p) == len(set(roots))
     assert is_real_rooted(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys)
+def test_count_real_roots_ignores_multiplicity(p, q):
+    """The Sturm count of p * q^2 equals the count on its squarefree part."""
+    r = p * q * q
+    if r.is_zero:
+        return
+    assert count_real_roots(r) == count_real_roots(squarefree_part(r))

@@ -58,6 +58,10 @@ def test_file_selector_errors(tmp_path):
     bad.write_text(json.dumps({"values": [1]}))
     with pytest.raises(ValueError):
         make_sequence(f"file:{bad}")
+    for gammas in ("12", [1, 0.5], ["1", True], ["1/0"]):
+        bad.write_text(json.dumps({"gammas": gammas}))
+        with pytest.raises(ValueError):
+            make_sequence(f"file:{bad}")
 
 
 def test_unknown_selector():
@@ -81,3 +85,19 @@ def test_factored_from_json_errors():
         factored_from_json('["not", "an", "object"]')
     with pytest.raises(json.JSONDecodeError):
         factored_from_json("{nope")
+    for text in (
+        '{"sigma": "1/2", "zeros": "12"}',
+        '{"sigma": "1/2", "zeros": [0.5]}',
+        '{"sigma": "1/2", "m": 1.7}',
+        '{"sigma": "1/2", "m": true}',
+        '{"sigma": 0.5}',
+        '{"sigma": "1/2", "c": 0.5}',
+        '{"sigma": "1/0"}',
+    ):
+        with pytest.raises(ValueError):
+            factored_from_json(text)
+
+
+def test_factored_from_json_accepts_integer_rationals():
+    spec = factored_from_json('{"sigma": 2, "c": 3, "zeros": [1, "1/2"]}')
+    assert (spec.c, spec.sigma, spec.zeros) == (F(3), F(2), (F(1), F(1, 2)))
