@@ -11,15 +11,23 @@ inconclusive, because a finite computation cannot affirm an infinite
 property.  `falsify_sequence` searches a deterministic corpus of real-rooted
 polynomials for a concrete counterexample and returns a re-checkable witness
 when it finds one.
+
+The falsifier acts on one basis type, `Basis`: a label and a triangular
+polynomial family, expanded and reconstructed through `ratpoly`'s one
+change of basis.  `StandardBasis`, `HermiteBasis` and `LaguerreBasis` are
+its three constructors; the standard basis is the Hermite family at
+alpha = 0 (H_n = x^n).  A basis keeps its polynomial list, and the witness
+corpus is built once per deg_max, so a search builds neither per candidate.
 """
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional
 
 from . import laguerre as _laguerre
-from .hermite import HermiteExpansion, from_hermite_basis, hermite_polys, to_hermite_basis, validate_alpha
+from .hermite import hermite_polys, validate_alpha
 from .jensen import (
     DifferenceTable,
     FactoredSpec,
@@ -32,7 +40,9 @@ from .diffop import build_operator
 from .ratpoly import (
     RatLike,
     RatPoly,
+    combine_in_basis,
     count_real_roots,
+    expand_in_basis,
     from_roots,
     is_real_rooted,
     rat,
@@ -86,56 +96,48 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class StandardBasis:
-    label: str = "standard"
+class Basis:
+    """A triangular basis b_0, b_1, ... (deg b_n = n) for coefficientwise action.
+
+    `family(n)` returns [b_0, ..., b_n].  The list is kept and rebuilt only
+    when a higher degree is asked for, so a search over polynomials of
+    degree <= deg_max builds it at most deg_max times.  Bases compare by
+    label.
+    """
+
+    label: str
+    family: Callable[[int], list] = field(compare=False, repr=False)
+    _polys: list = field(init=False, default_factory=list, compare=False, repr=False)
+
+    def _polys_to(self, n: int) -> list:
+        if len(self._polys) <= n:
+            self._polys[:] = self.family(n)
+        return self._polys
 
     def expand(self, p: RatPoly) -> list:
-        return list(p.coeffs)
+        return expand_in_basis(p, self._polys_to(p.degree))
 
     def reconstruct(self, coeffs: list) -> RatPoly:
-        return RatPoly(coeffs)
+        return combine_in_basis(coeffs, self._polys_to(len(coeffs) - 1))
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    alpha: Fraction
-
-    def __post_init__(self):
-        a = validate_alpha(self.alpha)
-        if a == 0:
-            raise ValueError("use StandardBasis for alpha = 0")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def label(self) -> str:
-        return f"hermite({self.alpha})"
-
-    def expand(self, p: RatPoly) -> list:
-        return list(to_hermite_basis(p, self.alpha).coeffs)
-
-    def reconstruct(self, coeffs: list) -> RatPoly:
-        return from_hermite_basis(HermiteExpansion(self.alpha, tuple(coeffs)))
+def StandardBasis() -> Basis:
+    """The monomials x^n: the Hermite family at alpha = 0."""
+    return Basis("standard", lambda n: hermite_polys(n, 0))
 
 
-@dataclass(frozen=True)
-class LaguerreBasis:
-    alpha: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _laguerre.validate_laguerre_alpha(self.alpha))
-
-    @property
-    def label(self) -> str:
-        return f"laguerre({self.alpha})"
-
-    def expand(self, p: RatPoly) -> list:
-        return _laguerre.to_laguerre_basis(p, self.alpha)
-
-    def reconstruct(self, coeffs: list) -> RatPoly:
-        return _laguerre.from_laguerre_basis(coeffs, self.alpha)
+def HermiteBasis(alpha: RatLike) -> Basis:
+    """The generalized Hermite family H_n^(alpha), alpha > 0."""
+    a = validate_alpha(alpha)
+    if a == 0:
+        raise ValueError("use StandardBasis for alpha = 0")
+    return Basis(f"hermite({a})", lambda n: hermite_polys(n, a))
 
 
-Basis = Union[StandardBasis, HermiteBasis, LaguerreBasis]
+def LaguerreBasis(alpha: RatLike) -> Basis:
+    """The generalized Laguerre family L_n^(alpha), alpha > -1."""
+    a = _laguerre.validate_laguerre_alpha(alpha)
+    return Basis(f"laguerre({a})", lambda n: _laguerre.laguerre_polys(n, a))
 
 
 # -- affirmative / negative classification -----------------------------------
@@ -291,13 +293,16 @@ def ratio_limit_check(
 # -- falsification -------------------------------------------------------------
 
 
-def _witness_candidates(deg_max: int) -> list:
+@functools.lru_cache(maxsize=8)
+def _witness_candidates(deg_max: int) -> tuple:
     """Deterministic corpus of real-rooted polynomials, ascending degree.
 
     Mixes powers of linear factors, exhaustive small products over a fixed
     rational root set, shifted Hermite and Laguerre polynomials (real-rooted
     by classical theory), and seeded random root multisets.  The order is
-    fixed so falsification results are reproducible run to run.
+    fixed so falsification results are reproducible run to run.  The corpus
+    is built once per deg_max and shared, hence an immutable tuple; only a
+    few distinct deg_max values are ever in use, so the memo is small.
     """
     if deg_max < 1:
         raise ValueError("deg_max must be at least 1")
@@ -345,7 +350,7 @@ def _witness_candidates(deg_max: int) -> list:
         seen.add(p.coeffs)
         unique.append(p)
     unique.sort(key=lambda q: q.degree)
-    return unique
+    return tuple(unique)
 
 
 def falsify_sequence(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:

@@ -15,13 +15,17 @@ the family down and are verified by `check_identities`:
 
 together with the rescaling that links the family to the physicists'
 polynomials wherever sqrt(2*alpha) is rational.
+
+H_n has degree n, so `to_hermite_basis` and `from_hermite_basis` are the
+triangular change of basis of `ratpoly.expand_in_basis` and
+`ratpoly.combine_in_basis`, the same routines every basis uses.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import ONE, RatLike, RatPoly, X, rat, rat_str, parse_rat
+from .ratpoly import ONE, RatLike, RatPoly, X, combine_in_basis, expand_in_basis, parse_rat, rat, rat_str
 from .reporting import CheckReport
 
 
@@ -100,37 +104,15 @@ class HermiteExpansion:
 
 
 def to_hermite_basis(p: RatPoly, alpha: RatLike) -> HermiteExpansion:
-    """Expand p in the H-basis by triangular back-substitution.
-
-    The H_n are monic of degree n, so peeling coefficients from the top
-    degree down terminates with an exactly zero residual.
-    """
+    """Expand p in the H-basis (triangular: H_n is monic of degree n)."""
     a = validate_alpha(alpha)
-    if p.is_zero:
-        return HermiteExpansion(a, ())
-    polys = hermite_polys(p.degree, a)
-    out = [Fraction(0)] * (p.degree + 1)
-    residual = p
-    for k in range(p.degree, -1, -1):
-        c = residual.coeff(k)
-        if c != 0:
-            out[k] = c
-            residual = residual - c * polys[k]
-    if not residual.is_zero:
-        raise ArithmeticError("back-substitution left a nonzero residual")
-    return HermiteExpansion(a, tuple(out))
+    return HermiteExpansion(a, tuple(expand_in_basis(p, hermite_polys(max(p.degree, 0), a))))
 
 
 def from_hermite_basis(expansion: HermiteExpansion) -> RatPoly:
     """Evaluate sum_k c_k H_k back to an ordinary polynomial."""
-    if not expansion.coeffs:
-        return RatPoly()
-    polys = hermite_polys(expansion.degree, expansion.alpha)
-    total = RatPoly()
-    for c, h in zip(expansion.coeffs, polys):
-        if c:
-            total = total + c * h
-    return total
+    polys = hermite_polys(max(expansion.degree, 0), expansion.alpha)
+    return combine_in_basis(expansion.coeffs, polys)
 
 
 def hermite_product_expand(n: int, m: int, alpha: RatLike) -> HermiteExpansion:

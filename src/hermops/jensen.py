@@ -283,10 +283,6 @@ class GammaSeq:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_rule(cls, rule, sign_pattern="mixed", name=None, params=None) -> "GammaSeq":
-        return cls(rule, sign_pattern, name, params)
-
-    @classmethod
     def from_lpplus(cls, spec: LPPlusSpec, name: Optional[str] = None) -> "GammaSeq":
         label = name or (spec.name if isinstance(spec, SeriesSpec) else "factored")
         return cls(lambda k: taylor_gamma(spec, k), "nonneg", name=label)

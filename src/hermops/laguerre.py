@@ -15,13 +15,17 @@ real-rooted polynomials to real-rooted polynomials on this basis depends on
 a: it does exactly when 0 <= a <= alpha + 1, which makes this operator the
 standard counterexample to reading reality of the coefficients as
 sufficiency.  `counterexample_demo` exercises both sides of that boundary.
+
+L_n has degree n, so `to_laguerre_basis` and `from_laguerre_basis` are the
+triangular change of basis of `ratpoly.expand_in_basis` and
+`ratpoly.combine_in_basis`, the same routines every basis uses.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import RatLike, RatPoly, X, rat, rat_str, is_real_rooted
+from .ratpoly import RatLike, RatPoly, X, combine_in_basis, expand_in_basis, is_real_rooted, rat, rat_str
 from .reporting import CheckReport
 
 
@@ -96,39 +100,16 @@ def check_eigen_action(params: LaguerreParam, n_max: int) -> CheckReport:
 
 
 def to_laguerre_basis(p: RatPoly, alpha: RatLike) -> list:
-    """Coefficients of p in the Laguerre basis, by back-substitution.
+    """Coefficients of p in the Laguerre basis.
 
     L_n has degree n with leading coefficient (-1)^n / n!, so the conversion
-    is triangular.  Returns a plain list (no trailing-zero trimming: callers
-    index by degree).
+    is triangular.  Returns a plain list (callers index by degree).
     """
-    a = validate_laguerre_alpha(alpha)
-    if p.is_zero:
-        return []
-    polys = laguerre_polys(p.degree, a)
-    out = [Fraction(0)] * (p.degree + 1)
-    residual = p
-    for n in range(p.degree, -1, -1):
-        lead = polys[n].coeff(n)
-        c = residual.coeff(n) / lead
-        if c != 0:
-            out[n] = c
-            residual = residual - c * polys[n]
-    if not residual.is_zero:
-        raise ArithmeticError("Laguerre back-substitution left a nonzero residual")
-    return out
+    return expand_in_basis(p, laguerre_polys(max(p.degree, 0), alpha))
 
 
 def from_laguerre_basis(coeffs: list, alpha: RatLike) -> RatPoly:
-    if not coeffs:
-        return RatPoly()
-    polys = laguerre_polys(len(coeffs) - 1, alpha)
-    total = RatPoly()
-    for c, ln in zip(coeffs, polys):
-        c = rat(c)
-        if c:
-            total = total + c * ln
-    return total
+    return combine_in_basis(coeffs, laguerre_polys(max(len(coeffs) - 1, 0), alpha))
 
 
 def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:

@@ -250,11 +250,12 @@ class RatPoly:
                 continue
             sign = "-" if c < 0 else "+"
             mag = abs(c)
+            mag_text = int_str(mag.numerator) if mag.denominator == 1 else rat_str(mag)
             if i == 0:
-                body = str(mag)
+                body = mag_text
             else:
                 var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{mag_text}*{var}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         text = first_body if first_sign == "+" else f"-{first_body}"
@@ -281,6 +282,36 @@ def from_roots(roots: Iterable[RatLike]) -> RatPoly:
     for r in roots:
         p = p * RatPoly([-rat(r), 1])
     return p
+
+
+def expand_in_basis(p: RatPoly, basis: Sequence[RatPoly]) -> list:
+    """Coefficients c_0..c_n with p = sum c_k * basis[k], n = deg p.
+
+    The basis must have deg basis[k] = k with any nonzero leading
+    coefficient (at least deg p + 1 entries), so the change of basis is
+    triangular: peeling coefficients from the top degree down terminates
+    with an exactly zero residual.  The zero polynomial expands to [].
+    """
+    out = [Fraction(0)] * (p.degree + 1)
+    residual = p
+    for k in range(p.degree, -1, -1):
+        c = residual.coeff(k) / basis[k].coeff(k)
+        if c != 0:
+            out[k] = c
+            residual = residual - c * basis[k]
+    if not residual.is_zero:
+        raise ArithmeticError("back-substitution left a nonzero residual")
+    return out
+
+
+def combine_in_basis(coeffs: Iterable[RatLike], basis: Sequence[RatPoly]) -> RatPoly:
+    """The polynomial sum c_k * basis[k]; the inverse of `expand_in_basis`."""
+    total = ZERO
+    for k, c in enumerate(coeffs):
+        c = rat(c)
+        if c:
+            total = total + c * basis[k]
+    return total
 
 
 def interpolate(points: Sequence[tuple]) -> RatPoly:

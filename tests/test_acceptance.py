@@ -221,7 +221,7 @@ def test_criterion_08_interpolation_polynomial():
     for a in (F(3), F(-2), F(1, 4)):
         op = build_operator(F(1), GammaSeq.linear(a), 6)
         assert interpolation_poly(op) == X + a
-    falling = GammaSeq.from_rule(lambda k: F(k * (k - 1)), sign_pattern="nonneg", name="fall2")
+    falling = GammaSeq(lambda k: F(k * (k - 1)), sign_pattern="nonneg", name="fall2")
     op = build_operator(F(1), falling, 8)
     p = interpolation_poly(op)
     assert p == X * (X - 1)

@@ -1,7 +1,12 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hermops
 
 from hermops.classify import (
     FALSIFIED,
@@ -11,6 +16,7 @@ from hermops.classify import (
     HermiteBasis,
     LaguerreBasis,
     StandardBasis,
+    _witness_candidates,
     check_turan_necessity,
     coefficient_reality_table,
     falsify_sequence,
@@ -19,7 +25,9 @@ from hermops.classify import (
     ratio_limit_check,
 )
 from hermops.jensen import FactoredSpec, GammaSeq, bessel_j0_spec
-from hermops.ratpoly import X, count_real_roots, is_real_rooted
+from hermops.hermite import to_hermite_basis
+from hermops.laguerre import to_laguerre_basis
+from hermops.ratpoly import X, RatPoly, count_real_roots, is_real_rooted
 from hermops.sequences import example311_spec, make_sequence
 
 F = Fraction
@@ -160,6 +168,72 @@ def test_hermite_basis_rejects_alpha_zero():
         HermiteBasis(F(0))
 
 
+def test_basis_labels():
+    # The labels appear in witness JSON.
+    assert StandardBasis().label == "standard"
+    assert HermiteBasis(F(1, 2)).label == "hermite(1/2)"
+    assert LaguerreBasis(F(1)).label == "laguerre(1)"
+    assert HermiteBasis(F(2, 4)) == HermiteBasis(F(1, 2))
+    assert HermiteBasis(F(1, 2)) != LaguerreBasis(F(1, 2))
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(1), F(7, 3)])
+def test_hermite_expansion_of_powers_matches_closed_form(alpha):
+    # x^n = sum_j n! / (2^j j! (n-2j)!) alpha^j H_(n-2j)
+    basis = StandardBasis() if alpha == 0 else HermiteBasis(alpha)
+    for n in range(9):
+        expected = [F(0)] * (n + 1)
+        for j in range(n // 2 + 1):
+            den = 2**j * math.factorial(j) * math.factorial(n - 2 * j)
+            expected[n - 2 * j] = F(math.factorial(n), den) * alpha**j
+        assert basis.expand(X**n) == expected
+        assert list(to_hermite_basis(X**n, alpha).coeffs) == expected
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(1), F(-1, 2), F(5, 2)])
+def test_laguerre_expansion_of_powers_matches_closed_form(alpha):
+    # x^n = n! sum_k (-1)^k C(n + alpha, n - k) L_k
+    basis = LaguerreBasis(alpha)
+    for n in range(9):
+        expected = []
+        for k in range(n + 1):
+            binom = F(1)
+            for i in range(k + 1, n + 1):
+                binom *= alpha + i
+            binom /= math.factorial(n - k)
+            expected.append((-1) ** k * math.factorial(n) * binom)
+        assert basis.expand(X**n) == expected
+        assert to_laguerre_basis(X**n, alpha) == expected
+
+
+_rats = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["standard", "hermite", "laguerre"]),
+    st.fractions(min_value=0, max_value=4, max_denominator=5),
+    st.lists(_rats, max_size=8).map(RatPoly),
+)
+def test_bases_round_trip_random(family, alpha, p):
+    if family == "standard":
+        basis = StandardBasis()
+    elif family == "hermite":
+        basis = HermiteBasis(alpha + F(1, 7))
+    else:
+        basis = LaguerreBasis(alpha - F(1, 2))
+    coeffs = basis.expand(p)
+    assert len(coeffs) == p.degree + 1
+    assert basis.reconstruct(coeffs) == p
+
+
+def test_public_names_resolve():
+    for name in hermops.__all__:
+        assert getattr(hermops, name) is not None, name
+    with pytest.raises(ValueError):
+        hermops.HermiteBasis(F(0))
+
+
 def test_falsify_linear_negative_on_hermite():
     verdict = falsify_sequence(GammaSeq.linear(F(-1)), HermiteBasis(F(1)), 4)
     assert verdict.status == FALSIFIED
@@ -200,6 +274,19 @@ def test_falsify_standard_negative_entry():
     # gamma with mixed signs on the standard basis: x+1 -> gamma_0 + gamma_1 x.
     verdict = falsify_sequence(GammaSeq.from_values([1, 2, -3]), StandardBasis(), 4)
     assert verdict.status == FALSIFIED
+
+
+def test_witness_corpus_is_built_once_per_deg_max():
+    seq, basis = GammaSeq.linear(F(3)), LaguerreBasis(F(1))
+    _witness_candidates.cache_clear()
+    first = json.dumps(falsify_sequence(seq, basis, 5).to_json_dict(), sort_keys=True)
+    second = json.dumps(falsify_sequence(seq, basis, 5).to_json_dict(), sort_keys=True)
+    assert first == second
+    corpus = _witness_candidates(5)
+    assert isinstance(corpus, tuple)
+    assert _witness_candidates(5) is corpus
+    info = _witness_candidates.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_verdict_json():

@@ -143,13 +143,13 @@ def test_finite_difference_shift_parameter():
 
 
 def test_sign_pattern_enforced():
-    seq = GammaSeq.from_rule(lambda k: F(-1) ** k, sign_pattern="nonneg", name="bad")
+    seq = GammaSeq(lambda k: F(-1) ** k, sign_pattern="nonneg", name="bad")
     with pytest.raises(ValueError):
         seq[1]
 
 
 def test_sign_pattern_alternating():
-    seq = GammaSeq.from_rule(
+    seq = GammaSeq(
         lambda k: F((-1) ** k, k + 1), sign_pattern="alternating-even-start", name="alt"
     )
     assert seq.values(3) == [F(1), F(-1, 2), F(1, 3), F(-1, 4)]
@@ -159,7 +159,7 @@ def test_sign_pattern_alternating():
 
 def test_unknown_sign_pattern():
     with pytest.raises(ValueError):
-        GammaSeq.from_rule(lambda k: F(k), sign_pattern="positive")
+        GammaSeq(lambda k: F(k), sign_pattern="positive")
 
 
 def test_from_values_tail():
@@ -181,7 +181,7 @@ def test_nonneg_representative():
     alt = GammaSeq.geometric_factorial(F(-1, 2))
     rep = alt.nonneg_representative()
     assert rep.values(5) == [abs(v) for v in alt.values(5)]
-    mixed = GammaSeq.from_rule(lambda k: F(2 - k), name="mixed-rule")
+    mixed = GammaSeq(lambda k: F(2 - k), name="mixed-rule")
     with pytest.raises(ValueError):
         mixed.nonneg_representative()
 

@@ -10,7 +10,9 @@ from hermops.ratpoly import (
     X,
     ZERO,
     RatPoly,
+    combine_in_basis,
     count_real_roots,
+    expand_in_basis,
     from_roots,
     interpolate,
     is_real_rooted,
@@ -146,6 +148,29 @@ def test_to_text():
     assert (X**2 - X).to_text() == "x^2 - x"
     assert ZERO.to_text() == "0"
     assert RatPoly([F(1, 2)]).to_text() == "1/2"
+
+
+def test_to_text_renders_coefficients_past_the_int_string_limit():
+    p = RatPoly([F(10**5000 + 1, 3), 1])
+    expected = "x + 1" + "0" * 4999 + "1/3"
+    assert p.to_text() == expected
+    assert repr(p) == f"RatPoly({expected!r})"
+    assert RatPoly([F(-(10**5000)), F(10**5000 + 1, 3)]).to_text() == (
+        "1" + "0" * 4999 + "1/3*x - 1" + "0" * 5000
+    )
+
+
+def test_expand_in_basis_needs_a_triangular_basis():
+    basis = [ONE, X + X**2]  # deg basis[1] = 2 breaks the triangular shape
+    with pytest.raises(ArithmeticError):
+        expand_in_basis(X, basis)
+    assert expand_in_basis(ZERO, []) == []
+    assert combine_in_basis([], []) == ZERO
+    shifted = [ONE, 2 * X - 1, 3 * X**2 + X]
+    p = RatPoly([F(1, 2), F(-3), F(7, 5)])
+    coeffs = expand_in_basis(p, shifted)
+    assert len(coeffs) == 3
+    assert combine_in_basis(coeffs, shifted) == p
 
 
 def test_poly_gcd():
