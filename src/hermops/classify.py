@@ -47,7 +47,7 @@ from .ratpoly import (
     is_real_rooted,
     rat,
     rat_str,
-    squarefree_part,
+    squarefree_degree,
 )
 from .reporting import CheckReport
 
@@ -219,9 +219,9 @@ def coefficient_reality_table(alpha: RatLike, seq: GammaSeq, k_max: int, p: int 
         if q.is_zero:
             rows.append(RealityRow(k, True, 0, -1))
             continue
-        sf = squarefree_part(q)
-        roots = count_real_roots(sf)
-        rows.append(RealityRow(k, roots == sf.degree, roots, q.degree))
+        roots = count_real_roots(q)
+        real_rooted = roots == q.degree or roots == squarefree_degree(q)
+        rows.append(RealityRow(k, real_rooted, roots, q.degree))
     return RealityTable(a, p, tuple(rows))
 
 

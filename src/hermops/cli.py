@@ -10,7 +10,8 @@ Subcommands:
 
 All output is deterministic: the same invocation produces byte-identical
 bytes.  Configuration errors print a one-line JSON object to stderr and exit
-with status 2; check failures exit with status 1.
+with status 2; check failures exit with status 1, and so does a reader that
+closes stdout early (a broken pipe), silently.
 """
 
 import argparse
@@ -236,7 +237,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone; stdout goes to devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

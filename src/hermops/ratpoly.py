@@ -14,7 +14,11 @@ coefficient growth polynomial.  Sign variations at -oo/+oo then come from
 leading coefficients alone, which gives the count of distinct real roots on
 the whole line.  The chain of p and p' ends in gcd(p, p'), a factor common
 to every member, so the count holds for p with repeated roots too and
-needs no squarefree part.
+needs no squarefree part.  A root test is then one chain: a count of deg p
+means distinct real roots, and only a shortfall reads deg gcd(p, p') too.
+
+The change of basis works in place on one list of Fraction coefficients
+and builds one RatPoly at the end, not a temporary polynomial per step.
 """
 
 import math
@@ -289,29 +293,39 @@ def expand_in_basis(p: RatPoly, basis: Sequence[RatPoly]) -> list:
 
     The basis must have deg basis[k] = k with any nonzero leading
     coefficient (at least deg p + 1 entries), so the change of basis is
-    triangular: peeling coefficients from the top degree down terminates
-    with an exactly zero residual.  The zero polynomial expands to [].
+    triangular: peeling coefficients from the top degree down, in place on
+    one residual list, ends with an exactly zero residual.  Each step
+    subtracts c_k times all of basis[k], so a basis that is not triangular
+    leaves a residual and raises ArithmeticError.  Zero expands to [].
     """
-    out = [Fraction(0)] * (p.degree + 1)
-    residual = p
-    for k in range(p.degree, -1, -1):
-        c = residual.coeff(k) / basis[k].coeff(k)
+    residual = list(p.coeffs)
+    out = [Fraction(0)] * len(residual)
+    for k in range(len(out) - 1, -1, -1):
+        c = residual[k] / basis[k].coeff(k)
         if c != 0:
+            b = basis[k].coeffs
             out[k] = c
-            residual = residual - c * basis[k]
-    if not residual.is_zero:
+            residual.extend([Fraction(0)] * (len(b) - len(residual)))
+            for i, bc in enumerate(b):
+                if bc:
+                    residual[i] -= c * bc
+    if any(residual):
         raise ArithmeticError("back-substitution left a nonzero residual")
     return out
 
 
 def combine_in_basis(coeffs: Iterable[RatLike], basis: Sequence[RatPoly]) -> RatPoly:
-    """The polynomial sum c_k * basis[k]; the inverse of `expand_in_basis`."""
-    total = ZERO
+    """Sum of c_k * basis[k] on one coefficient list; inverse of `expand_in_basis`."""
+    total = []
     for k, c in enumerate(coeffs):
         c = rat(c)
         if c:
-            total = total + c * basis[k]
-    return total
+            b = basis[k].coeffs
+            total.extend([Fraction(0)] * (len(b) - len(total)))
+            for i, bc in enumerate(b):
+                if bc:
+                    total[i] += c * bc
+    return RatPoly(total)
 
 
 def interpolate(points: Sequence[tuple]) -> RatPoly:
@@ -340,10 +354,8 @@ def interpolate(points: Sequence[tuple]) -> RatPoly:
 
 def _int_coeffs(p: RatPoly) -> list:
     """Primitive integer coefficient list that is a positive multiple of p."""
-    den = math.lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    ints = [int(c * den) for c in p.coeffs]
-    g = math.gcd(*ints) if ints else 1
-    return [c // g for c in ints] if g > 1 else ints
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _content_strip([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
 def _strip(cs: list) -> list:
@@ -467,15 +479,25 @@ def count_real_roots(p: RatPoly) -> int:
     return _sign_variations_at_infinity(chain, -1) - _sign_variations_at_infinity(chain, +1)
 
 
+def squarefree_degree(p: RatPoly) -> int:
+    """deg p - deg gcd(p, p'), the number of distinct complex roots of p.
+
+    Read off the end of p's Sturm chain; raises ValueError on the zero polynomial.
+    """
+    if p.is_zero:
+        raise ValueError("squarefree degree of the zero polynomial is undefined")
+    return p.degree - (len(_sturm_chain(_int_coeffs(p))[-1]) - 1)
+
+
 def is_real_rooted(p: RatPoly) -> bool:
     """True when every complex root of p is real.
 
     The zero polynomial and (nonzero) constants are real-rooted by
     convention: they have no roots at all, so the condition holds vacuously.
-    Otherwise p is real-rooted exactly when its squarefree part has as many
-    distinct real roots as its degree.
+    Otherwise one Sturm count on p decides it when it reaches deg p; only a
+    shortfall needs `squarefree_degree`, since the count ignores multiplicity.
     """
     if p.is_zero or p.degree == 0:
         return True
-    sf = squarefree_part(p)
-    return count_real_roots(sf) == sf.degree
+    roots = count_real_roots(p)
+    return roots == p.degree or roots == squarefree_degree(p)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hermops
 from hermops.cli import main
 
 
@@ -226,3 +231,17 @@ def test_error_bad_sequence_input(capsys, source):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]
+
+
+def test_broken_stdout_pipe_exits_1_silently():
+    """`hermops ratios ... | head -c 10`: the reader leaves, the CLI exits 1 quietly."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hermops.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "hermops.cli", "ratios", "--seq", "besselJ0", "--kmax", "400"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)  # the output is far larger than a pipe buffer
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head == b"k,num,den,"
+    assert err == b""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermops.classify import coefficient_reality_table
+from hermops.diffop import build_operator
+from hermops.hermite import hermite_polys
+from hermops.jensen import GammaSeq
+from hermops.laguerre import laguerre_polys
 from hermops.ratpoly import (
     ONE,
     X,
@@ -20,6 +26,7 @@ from hermops.ratpoly import (
     poly_gcd,
     rat,
     rat_str,
+    squarefree_degree,
     squarefree_part,
 )
 
@@ -205,6 +212,11 @@ def test_is_real_rooted_conventions():
     assert is_real_rooted((X - 1) ** 2 * (X + 4))
     assert not is_real_rooted(X**2 + 1)
     assert not is_real_rooted((X**2 + 1) * (X - 3))
+    # A Sturm count below deg p is a repeated root or a nonreal pair.
+    assert is_real_rooted((X - F(1, 3)) ** 4 * (X + 2))
+    assert is_real_rooted(X**5)
+    assert not is_real_rooted((X - 1) ** 2 * (X**2 + 1))
+    assert not is_real_rooted((X**2 + 1) ** 2)
 
 
 def _quadratic_real_count(a, b, c):
@@ -287,3 +299,130 @@ def test_count_real_roots_ignores_multiplicity(p, q):
     if r.is_zero:
         return
     assert count_real_roots(r) == count_real_roots(squarefree_part(r))
+
+
+# -- the one-chain root test against the squarefree oracle ----------------------
+
+
+def _oracle_real_rooted(p):
+    """The squarefree route: count on the squarefree part, compare with its degree."""
+    sf = squarefree_part(p)
+    return count_real_roots(sf) == sf.degree
+
+
+# A product of rational linear factors with repeated roots, times quadratics
+# x^2 + b x + c with and without real roots (b^2 - 4c of either sign, or 0).
+products_with_repeats = st.builds(
+    lambda roots, reps, quads, scale: from_roots(roots * reps)
+    * math.prod((RatPoly([c, b, 1]) for b, c in quads), start=ONE)
+    * scale,
+    st.lists(small_rats, max_size=3),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.tuples(small_rats, small_rats), max_size=2),
+    small_rats.filter(bool),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(products_with_repeats, st.lists(small_rats, max_size=2))
+def test_is_real_rooted_matches_squarefree_oracle(p, extra_roots):
+    p = p * from_roots(extra_roots)
+    assert is_real_rooted(p) == _oracle_real_rooted(p)
+    assert squarefree_degree(p) == squarefree_part(p).degree
+
+
+def test_squarefree_degree_known():
+    assert squarefree_degree((X - 1) ** 3 * (X + 2) ** 2 * (X**2 + 1)) == 4
+    assert squarefree_degree(X**4) == 1
+    assert squarefree_degree(RatPoly([3])) == 0
+    with pytest.raises(ValueError):
+        squarefree_degree(ZERO)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=1, max_size=8),
+    st.sampled_from([F(1, 2), F(1), F(2)]),
+    st.integers(min_value=0, max_value=2),
+)
+def test_reality_table_matches_squarefree_oracle(values, alpha, p):
+    seq = GammaSeq.from_values(values)
+    k_max = 7
+    table = coefficient_reality_table(alpha, seq, k_max, p)
+    qpolys = build_operator(alpha, seq, k_max, p).qpolys
+    for row, q in zip(table.rows, qpolys):
+        assert row.degree == q.degree
+        if q.is_zero:
+            assert (row.real_rooted, row.distinct_real_roots) == (True, 0)
+            continue
+        assert row.distinct_real_roots == count_real_roots(squarefree_part(q))
+        assert row.real_rooted == _oracle_real_rooted(q) == is_real_rooted(q)
+
+
+# -- the list-based change of basis against RatPoly arithmetic ------------------
+
+
+def _reference_expand(p, basis):
+    """Back-substitution on RatPoly values, one polynomial per step."""
+    out = [F(0)] * (p.degree + 1)
+    residual = p
+    for k in range(p.degree, -1, -1):
+        c = residual.coeff(k) / basis[k].coeff(k)
+        if c != 0:
+            out[k] = c
+            residual = residual - c * basis[k]
+    if not residual.is_zero:
+        raise ArithmeticError("nonzero residual")
+    return out
+
+
+def _reference_combine(coeffs, basis):
+    total = ZERO
+    for k, c in enumerate(coeffs):
+        total = total + rat(c) * basis[k]
+    return total
+
+
+def _family(name, alpha, n):
+    if name == "standard":
+        return hermite_polys(n, 0)
+    if name == "hermite":
+        return hermite_polys(n, alpha + F(1, 7))
+    return laguerre_polys(n, alpha - F(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["standard", "hermite", "laguerre"]),
+    st.fractions(min_value=0, max_value=4, max_denominator=5),
+    st.lists(small_rats, max_size=8).map(RatPoly),
+    st.lists(st.one_of(small_rats, st.integers(-5, 5)), max_size=8),
+)
+def test_change_of_basis_matches_ratpoly_reference(name, alpha, p, coeffs):
+    basis = _family(name, alpha, 8)
+    assert expand_in_basis(p, basis) == _reference_expand(p, basis)
+    assert combine_in_basis(coeffs, basis) == _reference_combine(coeffs, basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(small_rats, max_size=6), min_size=6, max_size=6),
+    st.lists(small_rats.filter(bool), min_size=6, max_size=6),
+    st.integers(min_value=0, max_value=5),
+    small_rats,
+    st.lists(small_rats, max_size=6).map(RatPoly),
+)
+def test_change_of_basis_on_random_bases(lows, leads, bad, extra, p):
+    """Random triangular bases, one entry possibly given a term above its index."""
+    basis = [
+        RatPoly((low + [0] * k)[:k] + [lead]) for k, (low, lead) in enumerate(zip(lows, leads))
+    ]
+    basis[bad] = basis[bad] + RatPoly([0] * (bad + 1) + [extra])
+    try:
+        expected = _reference_expand(p, basis)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            expand_in_basis(p, basis)
+        return
+    assert expand_in_basis(p, basis) == expected
+    assert combine_in_basis(expected, basis) == _reference_combine(expected, basis) == p
