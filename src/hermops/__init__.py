@@ -39,7 +39,6 @@ from .jensen import (
     GammaSeq,
     SeriesSpec,
     bessel_j0_spec,
-    difference_via_exp_shift,
     exp_half_cosh_spec,
     finite_difference,
     jensen_reversed,
@@ -82,7 +81,6 @@ __all__ = [
     "coefficient_polynomial",
     "coefficient_reality_table",
     "count_real_roots",
-    "difference_via_exp_shift",
     "exp_half_cosh_spec",
     "falsify_sequence",
     "finite_difference",

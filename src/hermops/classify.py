@@ -197,10 +197,6 @@ class RealityTable:
     p_shift: int
     rows: tuple
 
-    @property
-    def all_real_rooted(self) -> bool:
-        return all(r.real_rooted for r in self.rows)
-
     def to_json_dict(self) -> dict:
         return {
             "alpha": rat_str(self.alpha),

@@ -8,10 +8,18 @@ gamma_n * H_n.  The coefficients admit the closed form
              * d_{k-j} * H_{k-2j}(x),
 
 where d_i is the i-th finite difference of the sequence (taken at offset p
-for the shifted variant).  `build_operator` implements that formula for
-Q_0..Q_K in one pass over one difference table and one list of Hermite
-polynomials, and `coefficient_polynomial` shares its assembly for a single
-Q_k.  `solve_operator_from_action` recovers the same coefficients with no
+for the shifted variant).  Substituting the explicit coefficients of
+H_{k-2j} and collecting x^(k-2m), with l = m - j the index inside H_{k-2j},
+gives the monomial form that `build_operator` evaluates:
+
+    Q_k(x) = sum_{m=0}^{floor(k/2)} (-alpha/2)^m / (m! (k-2m)!)
+             * S_(k,m) * x^(k-2m),   S_(k,m) = sum_j C(m,j) 2^j d_{k-j}.
+
+S_(k,0) = d_k and S_(k,m) = S_(k,m-1) + 2*S_(k-1,m-1), so Q_0..Q_K come
+from the integer heads of one difference table with no Hermite polynomials;
+alpha enters only through the factor (-alpha/2)^m, which is the dilation
+covariance Q_k^(c^2 alpha)(x) = c^k * Q_k^(alpha)(x/c).
+`solve_operator_from_action` recovers the same coefficients with no
 formula at all, by forward substitution from the diagonal action itself,
 and serves as an independent oracle.  At alpha = 0 the basis degenerates to
 x^n and the coefficients collapse to `standard_coefficient`.
@@ -70,34 +78,9 @@ class HermiteDiffOp:
         )
 
 
-def _qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int, ks) -> list:
-    """[Q_k for k in ks] by the closed formula, every k <= order.
-
-    One difference table and one list of Hermite polynomials up to `order`
-    serve every Q_k; each Q_k is summed coefficientwise.
-    """
-    a = validate_alpha(alpha)
-    if order < 0 or p < 0:
-        raise ValueError("k and p must be nonnegative")
-    table = DifferenceTable(seq, order, p)
-    d = [table[i] for i in range(order + 1)]
-    polys = hermite_polys(order, a)
-    out = []
-    for k in ks:
-        coeffs = [Fraction(0)] * (k + 1)
-        for j in range(k // 2 + 1):
-            scale = (-a) ** j * Fraction(1, math.factorial(j) * math.factorial(k - 2 * j)) * d[k - j]
-            if scale:
-                for i, c in enumerate(polys[k - 2 * j].coeffs):
-                    if c:
-                        coeffs[i] += scale * c
-        out.append(RatPoly(coeffs))
-    return out
-
-
 def coefficient_polynomial(alpha: RatLike, seq: GammaSeq, k: int, p: int = 0) -> RatPoly:
     """The k-th coefficient polynomial Q_k for the (p-shifted) sequence."""
-    return _qpolys(alpha, seq, k, p, (k,))[0]
+    return build_operator(alpha, seq, k, p).qpolys[k]
 
 
 def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
@@ -112,10 +95,34 @@ def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
 
 
 def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> HermiteDiffOp:
-    """Materialize the operator truncated at the given order: Q_0..Q_order in one pass."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return HermiteDiffOp(rat(alpha), p, tuple(_qpolys(alpha, seq, order, p, range(order + 1))))
+    """Materialize the operator truncated at the given order: Q_0..Q_order.
+
+    With d_i = heads[i] / den from one `DifferenceTable` and
+    -alpha/2 = step_num / step_den, the x^(k-2m) coefficient of Q_k is the
+    reduced fraction step_num^m * S / (step_den^m * den * m! * (k-2m)!),
+    where S = S_(k,m) * den is an integer built from row k-1 by the
+    module's recurrence.
+    """
+    a = validate_alpha(alpha)
+    if order < 0 or p < 0:
+        raise ValueError("k and p must be nonnegative")
+    table = DifferenceTable(seq, order, p)
+    fact = [math.factorial(i) for i in range(order + 1)]
+    step_num, step_den = -a.numerator, 2 * a.denominator
+    qpolys = []
+    prev = []
+    for k, head in enumerate(table.heads):
+        sums = [head]
+        for m in range(1, k // 2 + 1):
+            sums.append(sums[m - 1] + 2 * prev[m - 1])
+        coeffs = [Fraction(0)] * (k + 1)
+        for m, s in enumerate(sums):
+            coeffs[k - 2 * m] = Fraction(
+                step_num**m * s, step_den**m * table.den * fact[m] * fact[k - 2 * m]
+            )
+        qpolys.append(RatPoly(coeffs))
+        prev = sums
+    return HermiteDiffOp(a, p, tuple(qpolys))
 
 
 def apply_operator(op: HermiteDiffOp, f: RatPoly) -> RatPoly:

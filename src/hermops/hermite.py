@@ -21,7 +21,6 @@ triangular change of basis of `ratpoly.expand_in_basis` and
 `ratpoly.combine_in_basis`, the same routines every basis uses.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,20 +112,6 @@ def from_hermite_basis(expansion: HermiteExpansion) -> RatPoly:
     """Evaluate sum_k c_k H_k back to an ordinary polynomial."""
     polys = hermite_polys(max(expansion.degree, 0), expansion.alpha)
     return combine_in_basis(expansion.coeffs, polys)
-
-
-def hermite_product_expand(n: int, m: int, alpha: RatLike) -> HermiteExpansion:
-    """Linearization of a product of two basis elements:
-
-    H_n * H_m = sum_i alpha^i * i! * C(m,i) * C(n,i) * H_{m+n-2i}.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    a = validate_alpha(alpha)
-    out = [Fraction(0)] * (n + m + 1)
-    for i in range(min(n, m) + 1):
-        out[n + m - 2 * i] += a**i * math.factorial(i) * math.comb(m, i) * math.comb(n, i)
-    return HermiteExpansion(a, tuple(out))
 
 
 def classical_hermite(n: int) -> RatPoly:

@@ -21,9 +21,8 @@ evaluated at -1, and also equals k! * [x^k] (e^(-x) * phi_p(x)) where phi_p
 generates the shifted sequence.  Every consumer in the package reads these
 numbers from one `DifferenceTable`, which takes adjacent differences of
 gamma_p..gamma_(p+K) once, over the integers.  `finite_difference` (the
-binomial sum) and `difference_via_exp_shift` (the generating-function route,
-for factored specs) compute single entries independently and serve as
-oracles for the table.
+binomial sum) computes single entries independently and serves as an oracle
+for the table.
 """
 
 import math
@@ -169,21 +168,6 @@ def taylor_gamma(phi: LPPlusSpec, k: int) -> Fraction:
     return _taylor_sum(phi.c, phi.m, phi.product_coeffs(), phi.sigma, k)
 
 
-def difference_via_exp_shift(phi: FactoredSpec, k: int) -> Fraction:
-    """k! * [x^k] of e^(-x) * phi(x) for a factored phi.
-
-    Multiplying by e^(-x) turns the exponential rate sigma into sigma - 1
-    while leaving the polynomial part alone, so this is the generating-
-    function route to the k-th finite difference of the coefficient
-    sequence of phi.
-    """
-    if not isinstance(phi, FactoredSpec):
-        raise TypeError("the exponential-shift route needs the factored form")
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    return _taylor_sum(phi.c, phi.m, phi.product_coeffs(), phi.sigma - 1, k)
-
-
 class GammaSeq:
     """A lazily evaluated, memoized sequence of exact rationals.
 
@@ -259,26 +243,6 @@ class GammaSeq:
             )
         name = f"{self.name}+{p}" if self.name else None
         return GammaSeq(lambda k: self[k + p], sign_pattern=pattern, name=name)
-
-    def nonneg_representative(self) -> "GammaSeq":
-        """The sign-normalized companion sequence.
-
-        The four sign patterns other than "mixed" are equivalent for
-        multiplier-sequence purposes: negating the sequence or twisting it by
-        (-1)^k changes nothing about which polynomials it maps to real-rooted
-        polynomials.  This returns the nonnegative representative; mixed
-        sequences have none and raise.
-        """
-        pattern = self.sign_pattern
-        if pattern == "nonneg":
-            return self
-        if pattern == "nonpos":
-            return GammaSeq(lambda k: -self[k], "nonneg", name=self.name)
-        if pattern == "alternating-even-start":
-            return GammaSeq(lambda k: (-1) ** k * self[k], "nonneg", name=self.name)
-        if pattern == "alternating-odd-start":
-            return GammaSeq(lambda k: (-1) ** (k + 1) * self[k], "nonneg", name=self.name)
-        raise ValueError("a mixed-sign sequence has no nonnegative representative")
 
     # -- constructors --------------------------------------------------------
 

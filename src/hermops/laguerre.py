@@ -66,10 +66,6 @@ def laguerre_polys(n_max: int, alpha: RatLike) -> list:
     return out
 
 
-def laguerre_poly(n: int, alpha: RatLike) -> RatPoly:
-    return laguerre_polys(n, alpha)[n]
-
-
 def operator_coefficients(params: LaguerreParam) -> tuple:
     """The coefficient polynomials (Q_0, Q_1, Q_2) = (a, x - alpha - 1, -x)."""
     return (

@@ -66,7 +66,13 @@ def rat_str(value: RatLike) -> str:
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction; a zero denominator is a ValueError."""
+    """Parse ``"p/q"`` or ``"p"`` into a Fraction; a zero denominator is a ValueError.
+
+    Exponent notation is a ValueError too: ``Fraction("1e10000000")`` alone
+    builds a 33-million-bit numerator, which would stall the caller.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"invalid rational {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

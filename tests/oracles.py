@@ -1,0 +1,71 @@
+"""Independent slow routes that the tests compare the package against.
+
+Each function here computes a quantity the package also computes, by a
+different route written as the formula is stated, so agreement between the
+two is evidence for both.  None of them is used by the package itself.
+"""
+
+import math
+from fractions import Fraction
+
+from hermops.hermite import HermiteExpansion, hermite_polys, validate_alpha
+from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
+from hermops.ratpoly import RatLike, RatPoly
+
+
+def hermite_sum_qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> list:
+    """[Q_0, ..., Q_order] by the paper's formula as written,
+
+        Q_k = sum_j (-alpha)^j / (j! (k-2j)!) * d_{k-j} * H_{k-2j},
+
+    summing the Hermite polynomials coefficientwise.
+    """
+    a = validate_alpha(alpha)
+    d = [finite_difference(seq, i, p) for i in range(order + 1)]
+    polys = hermite_polys(order, a)
+    out = []
+    for k in range(order + 1):
+        coeffs = [Fraction(0)] * (k + 1)
+        for j in range(k // 2 + 1):
+            scale = (-a) ** j * Fraction(1, math.factorial(j) * math.factorial(k - 2 * j)) * d[k - j]
+            if scale:
+                for i, c in enumerate(polys[k - 2 * j].coeffs):
+                    if c:
+                        coeffs[i] += scale * c
+        out.append(RatPoly(coeffs))
+    return out
+
+
+def difference_via_exp_shift(phi: FactoredSpec, k: int) -> Fraction:
+    """k! * [x^k] of e^(-x) * phi(x) for a factored phi.
+
+    Multiplying by e^(-x) turns the exponential rate sigma into sigma - 1
+    while leaving the polynomial part alone, so this is the generating-
+    function route to the k-th finite difference of the coefficient
+    sequence of phi:  k! * c * sum_j a_j * (sigma - 1)^(k-m-j) / (k-m-j)!.
+    """
+    if not isinstance(phi, FactoredSpec):
+        raise TypeError("the exponential-shift route needs the factored form")
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    rate = phi.sigma - 1
+    n = k - phi.m
+    total = Fraction(0)
+    for j, a in enumerate(phi.product_coeffs()):
+        if j <= n:
+            total += a * rate ** (n - j) / math.factorial(n - j)
+    return math.factorial(k) * phi.c * total
+
+
+def hermite_product_expand(n: int, m: int, alpha: RatLike) -> HermiteExpansion:
+    """Linearization of a product of two basis elements:
+
+    H_n * H_m = sum_i alpha^i * i! * C(m,i) * C(n,i) * H_{m+n-2i}.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("indices must be nonnegative")
+    a = validate_alpha(alpha)
+    out = [Fraction(0)] * (n + m + 1)
+    for i in range(min(n, m) + 1):
+        out[n + m - 2 * i] += a**i * math.factorial(i) * math.comb(m, i) * math.comb(n, i)
+    return HermiteExpansion(a, tuple(out))

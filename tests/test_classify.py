@@ -57,7 +57,7 @@ def test_is_classical_ms():
 
 def test_reality_table_example311():
     table = coefficient_reality_table(F(1), make_sequence("example311"), 10)
-    assert not table.all_real_rooted
+    assert not all(r.real_rooted for r in table.rows)
     false_rows = [row.k for row in table.rows if not row.real_rooted]
     assert false_rows[0] == 4
     assert false_rows == list(range(4, 11))
@@ -72,7 +72,7 @@ def test_reality_table_first_breakdown_is_alpha_independent():
 
 def test_reality_table_constant_sequence():
     table = coefficient_reality_table(F(1), make_sequence("const1"), 8)
-    assert table.all_real_rooted
+    assert all(r.real_rooted for r in table.rows)
 
 
 def test_reality_table_requires_positive_alpha():

@@ -189,6 +189,14 @@ def test_error_bad_factored_json(capsys):
     assert json.loads(err)["error"]
 
 
+def test_error_alpha_in_exponent_notation(capsys):
+    code, out, err = run_cli(capsys, "qpoly", "--seq", "const1", "--alpha", "1e3", "--kmax", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "exponent" in json.loads(err)["error"]
+
+
 def test_error_bad_histogram(capsys):
     code, _, err = run_cli(
         capsys, "ratios", "--seq", "const1", "--kmax", "5", "--histogram", "0"
@@ -222,8 +230,19 @@ def test_error_negative_shift(capsys, argv):
         ["--factored", '{"sigma": "1/2", "m": 1.7}'],
         ["--factored", '{"sigma": "1/2", "m": true}'],
         ["--factored", '{"sigma": 0.5}'],
+        ["--seq", "linear(1e3)"],
+        ["--factored", '{"sigma": "1e10000000"}'],
     ],
-    ids=["linear-zero-den", "geom-zero-den", "zeros-string", "m-float", "m-bool", "sigma-float"],
+    ids=[
+        "linear-zero-den",
+        "geom-zero-den",
+        "zeros-string",
+        "m-float",
+        "m-bool",
+        "sigma-float",
+        "linear-exponent",
+        "sigma-exponent",
+    ],
 )
 def test_error_bad_sequence_input(capsys, source):
     code, out, err = run_cli(capsys, "ratios", *source, "--kmax", "3")

@@ -23,6 +23,7 @@ from hermops.hermite import hermite_polys
 from hermops.jensen import GammaSeq, finite_difference
 from hermops.ratpoly import ONE, X, ZERO, RatPoly
 from hermops.sequences import make_sequence
+from oracles import hermite_sum_qpolys
 
 F = Fraction
 
@@ -199,3 +200,28 @@ def test_build_operator_matches_action_solve_on_random_input(alpha, values, orde
     op = build_operator(alpha, seq, order, p)
     assert op.qpolys == solve_operator_from_action(alpha, seq.shifted(p), order).qpolys
     assert op.qpolys[order] == coefficient_polynomial(alpha, seq, order, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=9, max_denominator=11)),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=31),
+    st.integers(min_value=0, max_value=25),
+    st.integers(min_value=0, max_value=5),
+)
+def test_monomial_form_matches_hermite_sum(alpha, values, order, p):
+    """`build_operator`'s monomial closed form against the paper's formula as
+    written, a sum of scaled Hermite polynomials."""
+    seq = GammaSeq.from_values(values)
+    assert list(build_operator(alpha, seq, order, p).qpolys) == hermite_sum_qpolys(alpha, seq, order, p)
+
+
+@pytest.mark.parametrize("name", ["besselJ0", "example311"])
+def test_dilation_covariance(name):
+    """Q_k^(c^2)(x) = c^k * Q_k^(1)(x/c): alpha only scales x."""
+    seq = make_sequence(name)
+    base = build_operator(F(1), seq, 20).qpolys
+    for c in (F(1, 2), F(2), F(3, 2)):
+        scaled = build_operator(c * c, seq, 20).qpolys
+        for k in range(21):
+            assert scaled[k] == c**k * base[k].compose(RatPoly([0, 1 / c])), (c, k)

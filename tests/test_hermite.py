@@ -10,11 +10,11 @@ from hermops.hermite import (
     from_hermite_basis,
     hermite_poly,
     hermite_polys,
-    hermite_product_expand,
     to_hermite_basis,
     validate_alpha,
 )
 from hermops.ratpoly import ONE, X, RatPoly
+from oracles import hermite_product_expand
 
 F = Fraction
 

@@ -14,7 +14,6 @@ from hermops.jensen import (
     check_difference_reconstruction,
     check_shift_recurrence,
     check_sum_interchange,
-    difference_via_exp_shift,
     exp_half_cosh_spec,
     finite_difference,
     histogram_bins,
@@ -25,6 +24,7 @@ from hermops.jensen import (
     turan_quantity,
 )
 from hermops.ratpoly import rat_str
+from oracles import difference_via_exp_shift
 
 F = Fraction
 
@@ -175,15 +175,6 @@ def test_negative_index():
     seq = GammaSeq.constant(1)
     with pytest.raises(IndexError):
         seq[-1]
-
-
-def test_nonneg_representative():
-    alt = GammaSeq.geometric_factorial(F(-1, 2))
-    rep = alt.nonneg_representative()
-    assert rep.values(5) == [abs(v) for v in alt.values(5)]
-    mixed = GammaSeq(lambda k: F(2 - k), name="mixed-rule")
-    with pytest.raises(ValueError):
-        mixed.nonneg_representative()
 
 
 def test_geometric_factorial_values():

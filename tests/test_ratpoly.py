@@ -54,6 +54,15 @@ def test_parse_rat_zero_denominator_is_a_value_error():
         parse_rat("1/0")
 
 
+def test_parse_rat_rejects_exponent_notation():
+    for text in ("1e3", "2E-5", "1e10000000"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rat(text)
+    assert parse_rat("3/5") == F(3, 5)
+    assert parse_rat("-2") == F(-2)
+    assert parse_rat(" 7 ") == F(7)
+
+
 def test_trailing_zeros_stripped():
     p = RatPoly([1, 2, 0, 0])
     assert p.coeffs == (F(1), F(2))
