@@ -32,7 +32,7 @@ from .diffop import (
     interpolation_poly,
     solve_operator_from_action,
 )
-from .hermite import HermiteExpansion, from_hermite_basis, hermite_poly, hermite_polys, to_hermite_basis
+from .hermite import from_hermite_basis, hermite_polys, to_hermite_basis
 from .jensen import (
     DifferenceTable,
     FactoredSpec,
@@ -61,7 +61,6 @@ __all__ = [
     "GammaSeq",
     "HermiteBasis",
     "HermiteDiffOp",
-    "HermiteExpansion",
     "INCONCLUSIVE",
     "IS_MS",
     "LaguerreBasis",
@@ -86,7 +85,6 @@ __all__ = [
     "finite_difference",
     "from_hermite_basis",
     "from_laguerre_basis",
-    "hermite_poly",
     "hermite_polys",
     "interpolation_poly",
     "is_classical_ms",

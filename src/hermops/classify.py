@@ -47,7 +47,6 @@ from .ratpoly import (
     is_real_rooted,
     rat,
     rat_str,
-    squarefree_degree,
 )
 from .reporting import CheckReport
 
@@ -185,10 +184,19 @@ def is_classical_ms(phi) -> Verdict:
 
 @dataclass(frozen=True)
 class RealityRow:
+    """Whether Q_k is real-rooted; its degree and distinct real roots are read from q on demand."""
+
     k: int
     real_rooted: bool
-    distinct_real_roots: int
-    degree: int
+    q: RatPoly
+
+    @property
+    def degree(self) -> int:
+        return self.q.degree
+
+    @property
+    def distinct_real_roots(self) -> int:
+        return count_real_roots(self.q) if self.q else 0
 
 
 @dataclass(frozen=True)
@@ -210,14 +218,8 @@ def coefficient_reality_table(alpha: RatLike, seq: GammaSeq, k_max: int, p: int 
     a = validate_alpha(alpha)
     if a == 0:
         raise ValueError("the reality table needs alpha > 0")
-    rows = []
-    for k, q in enumerate(build_operator(a, seq, k_max, p).qpolys):
-        if q.is_zero:
-            rows.append(RealityRow(k, True, 0, -1))
-            continue
-        roots = count_real_roots(q)
-        real_rooted = roots == q.degree or roots == squarefree_degree(q)
-        rows.append(RealityRow(k, real_rooted, roots, q.degree))
+    qpolys = build_operator(a, seq, k_max, p).qpolys
+    rows = [RealityRow(k, is_real_rooted(q), q) for k, q in enumerate(qpolys)]
     return RealityTable(a, p, tuple(rows))
 
 

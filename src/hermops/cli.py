@@ -26,6 +26,7 @@ from .diffop import build_operator, check_diagonal_action, check_operator_equiva
 from .hermite import check_identities
 from .jensen import (
     GammaSeq,
+    approx_str,
     check_difference_reconstruction,
     check_shift_recurrence,
     check_sum_interchange,
@@ -40,10 +41,6 @@ from .sequences import factored_from_json, make_sequence
 DEFAULT_KMAX_CAP = 2000
 
 
-def _kmax_cap() -> int:
-    return int(os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)))
-
-
 class ConfigError(ValueError):
     pass
 
@@ -53,19 +50,20 @@ def _resolve_sequence(args) -> GammaSeq:
     has_factored = getattr(args, "factored", None) is not None
     if has_seq == has_factored:
         raise ConfigError("exactly one of --seq or --factored is required")
+    _check_range("p", args.p)  # gamma_0..gamma_(p+kmax) are cached
     if has_seq:
         return make_sequence(args.seq)
     spec = factored_from_json(args.factored)
     return GammaSeq.from_lpplus(spec, name="factored")
 
 
-def _check_kmax(kmax: int) -> int:
-    cap = _kmax_cap()
-    if kmax < 0:
-        raise ConfigError("kmax must be nonnegative")
-    if kmax > cap:
-        raise ConfigError(f"kmax {kmax} exceeds the configured cap {cap} (HERMOPS_KMAX_CAP)")
-    return kmax
+def _check_range(name: str, value: int) -> int:
+    cap = int(os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)))
+    if value < 0:
+        raise ConfigError(f"{name} must be nonnegative")
+    if value > cap:
+        raise ConfigError(f"{name} {value} exceeds the configured cap {cap} (HERMOPS_KMAX_CAP)")
+    return value
 
 
 def _emit(text: str, path) -> None:
@@ -86,7 +84,7 @@ def _json_text(payload) -> str:
 
 def _cmd_qpoly(args) -> int:
     seq = _resolve_sequence(args)
-    kmax = _check_kmax(args.kmax)
+    kmax = _check_range("kmax", args.kmax)
     alpha = parse_rat(args.alpha)
     op = build_operator(alpha, seq, kmax, args.p)
     if args.format == "json":
@@ -101,7 +99,7 @@ def _cmd_qpoly(args) -> int:
 
 def _cmd_reality(args) -> int:
     seq = _resolve_sequence(args)
-    kmax = _check_kmax(args.kmax)
+    kmax = _check_range("kmax", args.kmax)
     alpha = parse_rat(args.alpha)
     if alpha <= 0:
         raise ConfigError("reality tables require alpha > 0")
@@ -117,7 +115,7 @@ def _cmd_reality(args) -> int:
 
 def _cmd_ratios(args) -> int:
     seq = _resolve_sequence(args)
-    kmax = _check_kmax(args.kmax)
+    kmax = _check_range("kmax", args.kmax)
     if kmax < 1:
         raise ConfigError("ratio scans need kmax >= 1")
     rows = ratio_sequence(seq, kmax, args.p)
@@ -129,7 +127,7 @@ def _cmd_ratios(args) -> int:
         lines.append("")
         lines.append("bin,lo,hi,count")
         for i, (lo, hi, count) in enumerate(histogram_bins(defined, args.histogram)):
-            lines.append(f"{i},{float(lo):.12g},{float(hi):.12g},{count}")
+            lines.append(f"{i},{approx_str(lo)},{approx_str(hi)},{count}")
     _emit("\n".join(lines), args.output)
     return 0
 
@@ -174,15 +172,6 @@ def _cmd_examples(args) -> int:
         print(report.line())
         for note in report.notes:
             print(f"  {note}")
-        if demo_id == "table1" and report.passed:
-            for k, value in report.data["ratios"]:
-                print(f"  k={k}: {rat_str(value)}")
-        if demo_id == "geom-family":
-            for row in report.data["rows"]:
-                print(
-                    f"  r={row['r']}: Q_2 real-rooted={row['q2_real_rooted']}, "
-                    f"Q_4 real-rooted={row['q4_real_rooted']}"
-                )
         all_passed = all_passed and report.passed
     return 0 if all_passed else 1
 
@@ -200,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--factored",
             help='factored generator as JSON, e.g. \'{"sigma": "1/2", "zeros": ["1", "1"]}\'',
         )
-        p.add_argument("--p", type=int, default=0, help="index offset (default 0)")
+        p.add_argument("--p", type=int, default=0, help="index offset (default 0, capped like --kmax)")
         p.add_argument("--output", help="write to this path instead of stdout")
 
     q = sub.add_parser("qpoly", help="coefficient polynomials of the diagonal operator")

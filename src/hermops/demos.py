@@ -3,14 +3,15 @@
 Each demo recomputes a published worked example from scratch and compares
 against reference values stored here.  Two reference entries are known
 errata in the source material: the demos assert the definitionally computed
-values and attach labeled notes for the divergences instead of reproducing
-the misprints.
+values and attach labeled notes for the divergences.  A report's notes are
+every line `hermops examples` prints under its PASS/FAIL line.
 """
 
 from fractions import Fraction
 
 from .classify import (
     HermiteBasis,
+    LaguerreBasis,
     coefficient_reality_table,
     falsify_sequence,
     is_classical_ms,
@@ -23,8 +24,8 @@ from .diffop import (
     solve_operator_from_action,
 )
 from .jensen import DifferenceTable, GammaSeq, ratio_sequence, turan_quantity
-from .laguerre import LaguerreParam, check_eigen_action, counterexample_demo
-from .ratpoly import RatPoly, count_real_roots, is_real_rooted, rat_str
+from .laguerre import LaguerreParam, check_eigen_action, operator_coefficients, validate_laguerre_alpha
+from .ratpoly import RatLike, RatPoly, count_real_roots, is_real_rooted, rat, rat_str
 from .reporting import CheckReport
 from .sequences import example311_spec, make_sequence
 
@@ -105,6 +106,8 @@ def table1_demo() -> CheckReport:
         )
     else:
         failures.append("ratio limit check did not locate a converged window")
+    if not failures:
+        notes.extend(f"k={k}: {rat_str(value)}" for k, value in rows)
     return CheckReport("table1", len(rows) + 1, tuple(failures), tuple(notes), data)
 
 
@@ -219,6 +222,7 @@ def geom_family_demo() -> CheckReport:
         Fraction(1),
     )
     rows = []
+    notes = [GEOM_REGION_NOTE]
     for r in grid:
         seq = GammaSeq.geometric_factorial(r)
         per_alpha = []
@@ -234,13 +238,37 @@ def geom_family_demo() -> CheckReport:
         if q2_real and q4_real:
             failures.append(f"r={r}: both Q_2 and Q_4 real-rooted; expected a non-real witness")
         rows.append({"r": rat_str(r), "q2_real_rooted": q2_real, "q4_real_rooted": q4_real})
-    return CheckReport(
-        "geom-factorial-family",
-        checked,
-        tuple(failures),
-        (GEOM_REGION_NOTE,),
-        {"rows": rows},
-    )
+        notes.append(f"r={rat_str(r)}: Q_2 real-rooted={q2_real}, Q_4 real-rooted={q4_real}")
+    return CheckReport("geom-factorial-family", checked, tuple(failures), tuple(notes), {"rows": rows})
+
+
+def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
+    """Probe the sequence (n + a) on the Laguerre basis for each a.
+
+    For every requested a the operator's three coefficient polynomials are
+    certified real-rooted (they always are), then the falsification search
+    runs over the witness corpus.  Values of a outside [0, alpha + 1] should
+    produce a witness; values inside should come back inconclusive.  Returns
+    a JSON-ready list of {a, coefficients_real_rooted, status, witness?}.
+    """
+    a_param = validate_laguerre_alpha(alpha)
+    results = []
+    for a in a_values:
+        a = rat(a)
+        params = LaguerreParam(a_param, a)
+        coeffs_ok = all(is_real_rooted(q) for q in operator_coefficients(params))
+        verdict = falsify_sequence(GammaSeq.linear(a), LaguerreBasis(a_param), deg_max)
+        entry = {
+            "a": rat_str(a),
+            "coefficients_real_rooted": coeffs_ok,
+            "status": verdict.status,
+        }
+        if verdict.witness is not None:
+            entry["witness"] = verdict.witness.to_json_dict()
+        if verdict.bound is not None:
+            entry["bound"] = verdict.bound
+        results.append(entry)
+    return results
 
 
 def laguerre_demo() -> CheckReport:
@@ -269,18 +297,17 @@ def laguerre_demo() -> CheckReport:
     return CheckReport("laguerre-boundary", checked, tuple(failures), data={"entries": entries})
 
 
-DEMO_IDS = ("table1", "bessel", "linear-op", "geom-family", "laguerre")
+_DEMOS = {
+    "table1": table1_demo,
+    "bessel": bessel_demo,
+    "linear-op": linear_operator_demo,
+    "geom-family": geom_family_demo,
+    "laguerre": laguerre_demo,
+}
+DEMO_IDS = tuple(_DEMOS)
 
 
 def run_demo(demo_id: str) -> CheckReport:
-    if demo_id == "table1":
-        return table1_demo()
-    if demo_id == "bessel":
-        return bessel_demo()
-    if demo_id == "linear-op":
-        return linear_operator_demo()
-    if demo_id == "geom-family":
-        return geom_family_demo()
-    if demo_id == "laguerre":
-        return laguerre_demo()
-    raise ValueError(f"unknown demo id {demo_id!r}; known: {', '.join(DEMO_IDS)}")
+    if demo_id not in _DEMOS:
+        raise ValueError(f"unknown demo id {demo_id!r}; known: {', '.join(DEMO_IDS)}")
+    return _DEMOS[demo_id]()

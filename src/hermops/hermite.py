@@ -18,13 +18,13 @@ polynomials wherever sqrt(2*alpha) is rational.
 
 H_n has degree n, so `to_hermite_basis` and `from_hermite_basis` are the
 triangular change of basis of `ratpoly.expand_in_basis` and
-`ratpoly.combine_in_basis`, the same routines every basis uses.
+`ratpoly.combine_in_basis`, the same routines every basis uses; an
+expansion is a plain coefficient list, as in the Laguerre basis.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import ONE, RatLike, RatPoly, X, combine_in_basis, expand_in_basis, parse_rat, rat, rat_str
+from .ratpoly import ONE, RatLike, RatPoly, X, combine_in_basis, expand_in_basis, rat
 from .reporting import CheckReport
 
 
@@ -48,70 +48,14 @@ def hermite_polys(n_max: int, alpha: RatLike) -> list:
     return polys
 
 
-def hermite_poly(n: int, alpha: RatLike) -> RatPoly:
-    return hermite_polys(n, alpha)[n]
+def to_hermite_basis(p: RatPoly, alpha: RatLike) -> list:
+    """Coefficients c_0..c_n of p = sum c_k H_k, n = deg p, as a plain list."""
+    return expand_in_basis(p, hermite_polys(max(p.degree, 0), alpha))
 
 
-@dataclass(frozen=True)
-class HermiteExpansion:
-    """Coefficients of a polynomial in the basis H_0, H_1, ... for one alpha.
-
-    Trailing zero coefficients are stripped on construction.  Expansions with
-    different alpha values must never be combined; `__add__` enforces that.
-    """
-
-    alpha: Fraction
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", validate_alpha(self.alpha))
-        cs = [rat(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __add__(self, other: "HermiteExpansion") -> "HermiteExpansion":
-        if not isinstance(other, HermiteExpansion):
-            return NotImplemented
-        if self.alpha != other.alpha:
-            raise ValueError(
-                f"cannot combine expansions with different alpha ({self.alpha} vs {other.alpha})"
-            )
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return HermiteExpansion(self.alpha, tuple(out))
-
-    def to_json_dict(self) -> dict:
-        return {"alpha": rat_str(self.alpha), "coeffs": [rat_str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HermiteExpansion":
-        return cls(parse_rat(data["alpha"]), tuple(parse_rat(c) for c in data["coeffs"]))
-
-
-def to_hermite_basis(p: RatPoly, alpha: RatLike) -> HermiteExpansion:
-    """Expand p in the H-basis (triangular: H_n is monic of degree n)."""
-    a = validate_alpha(alpha)
-    return HermiteExpansion(a, tuple(expand_in_basis(p, hermite_polys(max(p.degree, 0), a))))
-
-
-def from_hermite_basis(expansion: HermiteExpansion) -> RatPoly:
+def from_hermite_basis(coeffs: list, alpha: RatLike) -> RatPoly:
     """Evaluate sum_k c_k H_k back to an ordinary polynomial."""
-    polys = hermite_polys(max(expansion.degree, 0), expansion.alpha)
-    return combine_in_basis(expansion.coeffs, polys)
+    return combine_in_basis(coeffs, hermite_polys(max(len(coeffs) - 1, 0), alpha))
 
 
 def classical_hermite(n: int) -> RatPoly:

@@ -25,8 +25,10 @@ binomial sum) computes single entries independently and serves as an oracle
 for the table.
 """
 
+import decimal
 import math
 import operator
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,17 +254,15 @@ class GammaSeq:
         return cls(lambda k: taylor_gamma(spec, k), "nonneg", name=label)
 
     @classmethod
-    def from_values(cls, values, tail_zero: bool = True, name=None) -> "GammaSeq":
+    def from_values(cls, values, name=None) -> "GammaSeq":
+        """The listed values, then zeros."""
         vals = tuple(rat(v) for v in values)
-
-        def rule(k: int) -> Fraction:
-            if k < len(vals):
-                return vals[k]
-            if tail_zero:
-                return Fraction(0)
-            raise IndexError(f"sequence {name or '<list>'} is only defined up to {len(vals) - 1}")
-
-        return cls(rule, "mixed", name=name or "explicit-list", params={"length": len(vals)})
+        return cls(
+            lambda k: vals[k] if k < len(vals) else Fraction(0),
+            "mixed",
+            name=name or "explicit-list",
+            params={"length": len(vals)},
+        )
 
     @classmethod
     def constant(cls, c: RatLike = 1) -> "GammaSeq":
@@ -384,19 +384,36 @@ def ratio_sequence(seq: GammaSeq, k_max: int, p: int = 0) -> list:
     return [(k, table.ratio(k)) for k in range(1, k_max + 1)]
 
 
+def approx_str(value: Fraction) -> str:
+    """`value` to 12 significant digits, as ``f"{float(value):.12g}"`` renders it.
+
+    Past the float range (a ratio of 400-digit integers, say) ``float``
+    raises or loses digits, so there the exact value is rounded to 12
+    digits in decimal.
+    """
+    try:
+        x = float(value)
+    except OverflowError:
+        x = 0.0
+    if abs(x) >= sys.float_info.min or not value:
+        return f"{x:.12g}"
+    ctx = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return f"{ctx.divide(value.numerator, value.denominator).normalize(ctx):.12g}"
+
+
 def ratio_csv_lines(rows: list) -> list:
     """Render ratio rows as CSV lines `k,num,den,approx`.
 
-    `approx` is a 12-significant-digit decimal for display only; undefined
-    entries render as `k,,,NA`.  Numerators and denominators are written in
-    full at any size.
+    `approx` is a 12-significant-digit decimal (`approx_str`) for display
+    only; undefined entries render as `k,,,NA`.  Numerators and denominators
+    are written in full at any size.
     """
     lines = ["k,num,den,approx"]
     for k, value in rows:
         if value is None:
             lines.append(f"{k},,,NA")
         else:
-            lines.append(f"{k},{int_str(value.numerator)},{int_str(value.denominator)},{float(value):.12g}")
+            lines.append(f"{k},{int_str(value.numerator)},{int_str(value.denominator)},{approx_str(value)}")
     return lines
 
 

@@ -14,7 +14,8 @@ coefficients are real-rooted polynomials.  Whether (n + a) actually maps
 real-rooted polynomials to real-rooted polynomials on this basis depends on
 a: it does exactly when 0 <= a <= alpha + 1, which makes this operator the
 standard counterexample to reading reality of the coefficients as
-sufficiency.  `counterexample_demo` exercises both sides of that boundary.
+sufficiency; `demos.counterexample_demo` exercises both sides of that
+boundary.
 
 L_n has degree n, so `to_laguerre_basis` and `from_laguerre_basis` are the
 triangular change of basis of `ratpoly.expand_in_basis` and
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import RatLike, RatPoly, X, combine_in_basis, expand_in_basis, is_real_rooted, rat, rat_str
+from .ratpoly import RatLike, RatPoly, X, combine_in_basis, expand_in_basis, rat
 from .reporting import CheckReport
 
 
@@ -106,35 +107,3 @@ def to_laguerre_basis(p: RatPoly, alpha: RatLike) -> list:
 
 def from_laguerre_basis(coeffs: list, alpha: RatLike) -> RatPoly:
     return combine_in_basis(coeffs, laguerre_polys(max(len(coeffs) - 1, 0), alpha))
-
-
-def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
-    """Probe the sequence (n + a) on the Laguerre basis for each a.
-
-    For every requested a the operator's three coefficient polynomials are
-    certified real-rooted (they always are), then the falsification search
-    runs over the witness corpus.  Values of a outside [0, alpha + 1] should
-    produce a witness; values inside should come back inconclusive.  Returns
-    a JSON-ready list of {a, coefficients_real_rooted, status, witness?}.
-    """
-    from .classify import LaguerreBasis, falsify_sequence
-    from .jensen import GammaSeq
-
-    a_param = validate_laguerre_alpha(alpha)
-    results = []
-    for a in a_values:
-        a = rat(a)
-        params = LaguerreParam(a_param, a)
-        coeffs_ok = all(is_real_rooted(q) for q in operator_coefficients(params))
-        verdict = falsify_sequence(GammaSeq.linear(a), LaguerreBasis(a_param), deg_max)
-        entry = {
-            "a": rat_str(a),
-            "coefficients_real_rooted": coeffs_ok,
-            "status": verdict.status,
-        }
-        if verdict.witness is not None:
-            entry["witness"] = verdict.witness.to_json_dict()
-        if verdict.bound is not None:
-            entry["bound"] = verdict.bound
-        results.append(entry)
-    return results

@@ -16,6 +16,8 @@ the whole line.  The chain of p and p' ends in gcd(p, p'), a factor common
 to every member, so the count holds for p with repeated roots too and
 needs no squarefree part.  A root test is then one chain: a count of deg p
 means distinct real roots, and only a shortfall reads deg gcd(p, p') too.
+One primitive remainder sequence, `_prs`, builds every such chain; its
+last member is also the gcd that `poly_gcd` returns.
 
 The change of basis works in place on one list of Fraction coefficients
 and builds one RatPoly at the end, not a temporary polynomial per step.
@@ -404,12 +406,20 @@ def _signed_prem(f: list, g: list) -> list:
     return r
 
 
-def _int_gcd_poly(f: list, g: list) -> list:
-    """Primitive gcd of two integer polynomials (sign not normalized)."""
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, _content_strip(_signed_prem(a, b))
-    return _content_strip(a)
+def _prs(f: list, g: list) -> list:
+    """Primitive remainder sequence f, g, -prem(f, g), ... of integer polynomials.
+
+    Each remainder is negated and content-stripped, and the sequence ends in
+    the primitive gcd(f, g).  An empty g (zero) never enters it, so
+    gcd(f, 0) = f.
+    """
+    chain = [f]
+    while g:
+        chain.append(g)
+        if len(g) == 1:  # a constant divides everything: the next remainder is zero
+            break
+        g = _content_strip([-x for x in _signed_prem(chain[-2], g)])
+    return chain
 
 
 def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
@@ -420,8 +430,7 @@ def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    g = _int_gcd_poly(_int_coeffs(p), _int_coeffs(q))
-    return RatPoly(g).monic()
+    return RatPoly(_prs(_int_coeffs(p), _int_coeffs(q))[-1]).monic()
 
 
 def squarefree_part(p: RatPoly) -> RatPoly:
@@ -443,16 +452,7 @@ def squarefree_part(p: RatPoly) -> RatPoly:
 
 def _sturm_chain(coeffs: list) -> list:
     """Sturm chain of a primitive integer polynomial, ending in gcd(p, p')."""
-    chain = [coeffs]
-    deriv = _content_strip(_strip([i * c for i, c in enumerate(coeffs)][1:]))
-    if deriv:
-        chain.append(deriv)
-    while len(chain[-1]) - 1 >= 1:
-        rem = _signed_prem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_content_strip([-x for x in rem]))
-    return chain
+    return _prs(coeffs, _content_strip(_strip([i * c for i, c in enumerate(coeffs)][1:])))
 
 
 def _sign_variations_at_infinity(chain: list, direction: int) -> int:

@@ -8,7 +8,7 @@ two is evidence for both.  None of them is used by the package itself.
 import math
 from fractions import Fraction
 
-from hermops.hermite import HermiteExpansion, hermite_polys, validate_alpha
+from hermops.hermite import hermite_polys, validate_alpha
 from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
 from hermops.ratpoly import RatLike, RatPoly
 
@@ -57,7 +57,7 @@ def difference_via_exp_shift(phi: FactoredSpec, k: int) -> Fraction:
     return math.factorial(k) * phi.c * total
 
 
-def hermite_product_expand(n: int, m: int, alpha: RatLike) -> HermiteExpansion:
+def hermite_product_expand(n: int, m: int, alpha: RatLike) -> list:
     """Linearization of a product of two basis elements:
 
     H_n * H_m = sum_i alpha^i * i! * C(m,i) * C(n,i) * H_{m+n-2i}.
@@ -68,4 +68,4 @@ def hermite_product_expand(n: int, m: int, alpha: RatLike) -> HermiteExpansion:
     out = [Fraction(0)] * (n + m + 1)
     for i in range(min(n, m) + 1):
         out[n + m - 2 * i] += a**i * math.factorial(i) * math.comb(m, i) * math.comb(n, i)
-    return HermiteExpansion(a, tuple(out))
+    return out

@@ -207,7 +207,7 @@ def test_criterion_07_identity_suites():
         for m in range(9):
             expansion = hermite_product_expand(n, m, alpha)
             direct = hermite_polys(n, alpha)[n] * hermite_polys(m, alpha)[m]
-            assert from_hermite_basis(expansion) == direct
+            assert from_hermite_basis(expansion, alpha) == direct
 
     for name in names:
         seq = make_sequence(name)

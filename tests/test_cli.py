@@ -140,6 +140,30 @@ def test_examples_each(capsys, demo_id):
     assert out.startswith("PASS")
 
 
+def test_examples_print_the_notes_in_order(capsys):
+    # The lines under each PASS line are the report's notes, byte for byte.
+    code, out, _ = run_cli(capsys, "examples", "--id", "table1")
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "  k=1: 3/2",
+        "  k=2: 1/6",
+        "  k=3: -13/2",
+        "  k=4: -33/26",
+        "  k=5: -61/66",
+        "  k=6: -97/122",
+        "  k=7: -141/194",
+    ]
+    code, out, _ = run_cli(capsys, "examples", "--id", "geom-family")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "PASS geom-factorial-family (12 checks)"
+    assert lines[1].startswith("  NOTE (documented divergence)")
+    assert lines[2:] == [
+        f"  r={r}: Q_2 real-rooted={q2}, Q_4 real-rooted=False"
+        for r, q2 in (("0/1", False), ("1/2", False), ("4/7", False), ("3/5", True), ("9/10", True), ("1/1", True))
+    ]
+
+
 def test_error_unknown_sequence(capsys):
     code, out, err = run_cli(capsys, "qpoly", "--seq", "nope", "--alpha", "1", "--kmax", "2")
     assert code == 2
@@ -179,6 +203,28 @@ def test_error_kmax_cap(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "ratios", "--seq", "const1", "--kmax", "11")
     assert code == 2
     assert "HERMOPS_KMAX_CAP" in json.loads(err)["error"]
+
+
+def test_error_p_cap(capsys, monkeypatch):
+    # --p sets how many gammas get cached, so it is capped like --kmax.
+    monkeypatch.setenv("HERMOPS_KMAX_CAP", "10")
+    for command in (["ratios"], ["qpoly", "--alpha", "1"], ["reality", "--alpha", "1"]):
+        code, out, err = run_cli(capsys, *command, "--seq", "const1", "--kmax", "2", "--p", "11")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "HERMOPS_KMAX_CAP" in json.loads(err)["error"]
+    code, _, _ = run_cli(capsys, "ratios", "--seq", "const1", "--kmax", "2", "--p", "10")
+    assert code == 0
+
+
+def test_ratios_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gammas": ["1", "1" + "0" * 400]}))
+    code, out, err = run_cli(capsys, "ratios", "--seq", f"file:{path}", "--kmax", "1", "--histogram", "2")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == f"1,{'9' * 400},1,1e+400"
+    assert lines[-2:] == ["0,1e+400,1e+400,1", "1,1e+400,1e+400,0"]
 
 
 def test_error_bad_factored_json(capsys):

