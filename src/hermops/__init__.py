@@ -37,9 +37,6 @@ from .jensen import (
     DifferenceTable,
     FactoredSpec,
     GammaSeq,
-    SeriesSpec,
-    bessel_j0_spec,
-    exp_half_cosh_spec,
     finite_difference,
     jensen_reversed,
     ratio_sequence,
@@ -68,19 +65,16 @@ __all__ = [
     "NOT_MS",
     "RatPoly",
     "RealityTable",
-    "SeriesSpec",
     "StandardBasis",
     "TruncationError",
     "Verdict",
     "Witness",
     "apply_operator",
-    "bessel_j0_spec",
     "build_operator",
     "check_turan_necessity",
     "coefficient_polynomial",
     "coefficient_reality_table",
     "count_real_roots",
-    "exp_half_cosh_spec",
     "falsify_sequence",
     "finite_difference",
     "from_hermite_basis",

@@ -5,12 +5,12 @@ chosen basis.  On the Hermite basis with parameter alpha > 0, the sequence
 preserves real-rootedness exactly when its generating function phi(x) =
 sum gamma_k x^k / k! has the factored form with exponential rate sigma >= 1;
 on the monomial basis the factored form alone suffices.  `is_hermite_ms` and
-`is_classical_ms` answer affirmatively only on certificates of membership
-(the factored data); everything else is either refuted by structure or left
-inconclusive, because a finite computation cannot affirm an infinite
-property.  `falsify_sequence` searches a deterministic corpus of real-rooted
-polynomials for a concrete counterexample and returns a re-checkable witness
-when it finds one.
+`is_classical_ms` take a `FactoredSpec` (the one certificate) or a
+`GammaSeq`, and answer affirmatively only on a certificate of membership;
+a sequence is either refuted by structure or left inconclusive, because a
+finite computation cannot affirm an infinite property.  `falsify_sequence`
+searches a deterministic corpus of real-rooted polynomials for a concrete
+counterexample and returns a re-checkable witness when it finds one.
 
 The falsifier acts on one basis type, `Basis`: a label and a triangular
 polynomial family, expanded and reconstructed through `ratpoly`'s one
@@ -28,14 +28,7 @@ from typing import Callable, Optional
 
 from . import laguerre as _laguerre
 from .hermite import hermite_polys, validate_alpha
-from .jensen import (
-    DifferenceTable,
-    FactoredSpec,
-    GammaSeq,
-    LPPlusSpec,
-    SeriesSpec,
-    ratio_sequence,
-)
+from .jensen import DifferenceTable, FactoredSpec, GammaSeq, ratio_sequence
 from .diffop import build_operator
 from .ratpoly import (
     RatLike,
@@ -142,19 +135,21 @@ def LaguerreBasis(alpha: RatLike) -> Basis:
 # -- affirmative / negative classification -----------------------------------
 
 
-def is_hermite_ms(phi: LPPlusSpec) -> Verdict:
+def is_hermite_ms(phi) -> Verdict:
     """Membership test for the Hermite basis, from factored data.
 
     The coefficient sequence of a factored generator preserves
     real-rootedness on the Hermite basis (any alpha > 0) exactly when
-    sigma >= 1.  Series-defined generators carry no rate certificate, so
-    they come back inconclusive.
+    sigma >= 1.  A `GammaSeq` carries no rate certificate, so it comes back
+    inconclusive.
     """
-    if isinstance(phi, SeriesSpec):
-        return Verdict(INCONCLUSIVE, f"series-defined generator {phi.name!r}: sigma unknown")
-    if phi.sigma >= 1:
-        return Verdict(IS_MS, f"factored form with sigma = {phi.sigma} >= 1")
-    return Verdict(NOT_MS, f"factored form with sigma = {phi.sigma} < 1")
+    if isinstance(phi, FactoredSpec):
+        if phi.sigma >= 1:
+            return Verdict(IS_MS, f"factored form with sigma = {phi.sigma} >= 1")
+        return Verdict(NOT_MS, f"factored form with sigma = {phi.sigma} < 1")
+    if isinstance(phi, GammaSeq):
+        return Verdict(INCONCLUSIVE, f"no factored form for {phi.name or 'this sequence'}: sigma unknown")
+    raise TypeError(f"cannot classify object of type {type(phi).__name__}")
 
 
 def is_classical_ms(phi) -> Verdict:
@@ -163,19 +158,17 @@ def is_classical_ms(phi) -> Verdict:
     Factored generators qualify by construction.  The linear family
     gamma_k = k + a has a closed-form answer: membership exactly when
     a >= 0 (its generating function is (x + a) e^x, which has the factored
-    form only then).  Anything else is inconclusive.
+    form only then).  Any other `GammaSeq` is inconclusive.
     """
     if isinstance(phi, FactoredSpec):
         return Verdict(IS_MS, "factored form certifies membership on the monomial basis")
-    if isinstance(phi, SeriesSpec):
-        return Verdict(INCONCLUSIVE, f"series-defined generator {phi.name!r}")
     if isinstance(phi, GammaSeq):
         a = phi.params.get("a")
-        if phi.name and phi.name.startswith("linear(") and a is not None:
-            if a >= 0:
-                return Verdict(IS_MS, f"linear sequence k + {a} with a >= 0")
-            return Verdict(NOT_MS, f"linear sequence k + {a} with a < 0")
-        return Verdict(INCONCLUSIVE, "no factored data for this sequence")
+        if a is None:
+            return Verdict(INCONCLUSIVE, "no factored data for this sequence")
+        if a >= 0:
+            return Verdict(IS_MS, f"linear sequence k + {a} with a >= 0")
+        return Verdict(NOT_MS, f"linear sequence k + {a} with a < 0")
     raise TypeError(f"cannot classify object of type {type(phi).__name__}")
 
 

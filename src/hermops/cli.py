@@ -53,8 +53,7 @@ def _resolve_sequence(args) -> GammaSeq:
     _check_range("p", args.p)  # gamma_0..gamma_(p+kmax) are cached
     if has_seq:
         return make_sequence(args.seq)
-    spec = factored_from_json(args.factored)
-    return GammaSeq.from_lpplus(spec, name="factored")
+    return GammaSeq.from_lpplus(factored_from_json(args.factored))
 
 
 def _check_range(name: str, value: int) -> int:
@@ -100,10 +99,7 @@ def _cmd_qpoly(args) -> int:
 def _cmd_reality(args) -> int:
     seq = _resolve_sequence(args)
     kmax = _check_range("kmax", args.kmax)
-    alpha = parse_rat(args.alpha)
-    if alpha <= 0:
-        raise ConfigError("reality tables require alpha > 0")
-    table = coefficient_reality_table(alpha, seq, kmax, args.p)
+    table = coefficient_reality_table(parse_rat(args.alpha), seq, kmax, args.p)
     if args.format == "json":
         _emit(_json_text(table.to_json_dict()), args.output)
     else:
@@ -116,17 +112,18 @@ def _cmd_reality(args) -> int:
 def _cmd_ratios(args) -> int:
     seq = _resolve_sequence(args)
     kmax = _check_range("kmax", args.kmax)
-    if kmax < 1:
-        raise ConfigError("ratio scans need kmax >= 1")
+    bins = args.histogram
+    if bins is not None:
+        if bins < 1:
+            raise ConfigError("histogram bin count must be positive")
+        _check_range("histogram", bins)
     rows = ratio_sequence(seq, kmax, args.p)
     lines = ratio_csv_lines(rows)
-    if args.histogram is not None:
-        if args.histogram < 1:
-            raise ConfigError("histogram bin count must be positive")
+    if bins is not None:
         defined = [v for _, v in rows if v is not None]
         lines.append("")
         lines.append("bin,lo,hi,count")
-        for i, (lo, hi, count) in enumerate(histogram_bins(defined, args.histogram)):
+        for i, (lo, hi, count) in enumerate(histogram_bins(defined, bins)):
             lines.append(f"{i},{approx_str(lo)},{approx_str(hi)},{count}")
     _emit("\n".join(lines), args.output)
     return 0
@@ -209,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("ratios", help="finite-difference ratio scan as CSV")
     add_sequence_options(t)
     t.add_argument("--kmax", type=int, required=True)
-    t.add_argument("--histogram", type=int, help="append equal-width bin counts")
+    t.add_argument("--histogram", type=int, help="append equal-width bin counts (capped like --kmax)")
     t.set_defaults(func=_cmd_ratios)
 
     v = sub.add_parser("verify", help="run the exact identity suites")
@@ -233,7 +230,7 @@ def main(argv=None) -> int:
         # The reader is gone; stdout goes to devnull so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

@@ -8,8 +8,9 @@ describing a function
                                                            x_k > 0,
 
 in which case gamma_k = k! * [x^k] phi.  Functions of this form are entire
-with only real nonpositive zeros; `SeriesSpec` covers named generators whose
-Taylor coefficients are rational but whose factored data is not available.
+with only real nonpositive zeros, and `FactoredSpec` is the package's one
+certificate of that.  A sequence known only by its rule (the named series in
+`sequences`, an explicit list) is a plain `GammaSeq` and carries none.
 
 The quantity driving everything downstream is the k-th forward finite
 difference of the sequence taken at offset p,
@@ -32,18 +33,10 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .ratpoly import RatLike, RatPoly, int_str, rat, rat_str
 from .reporting import CheckReport
-
-SIGN_PATTERNS = (
-    "nonneg",
-    "nonpos",
-    "alternating-even-start",
-    "alternating-odd-start",
-    "mixed",
-)
 
 
 @dataclass(frozen=True)
@@ -89,142 +82,54 @@ class FactoredSpec:
         }
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """A named generator given directly by its coefficient rule gamma_k."""
+def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
+    """gamma_k = k! * [x^k] of c * x^m * e^(sigma*x) * prod(1 + x/x_k), exactly.
 
-    name: str
-    rule: Callable[[int], Fraction]
-
-
-LPPlusSpec = Union[FactoredSpec, SeriesSpec]
-
-
-def _factorial_reciprocal(k: int) -> Fraction:
-    return Fraction(1, math.factorial(k))
-
-
-def bessel_j0_spec() -> SeriesSpec:
-    """gamma_k = 1/k!, the coefficient sequence whose generating function is
-    the Bessel-type series sum x^k/(k!)^2."""
-    return SeriesSpec("besselJ0", _factorial_reciprocal)
-
-
-class _ExpHalfCoshRule:
-    """gamma_k = k! * [x^k] e^(x/2) * cosh(sqrt(2x)), memoized.
-
-    phi(x) = e^(x/2) * cosh(sqrt(2x)) satisfies 2x*phi'' + (1 - 2x)*phi' +
-    (x/2 - 3/2)*phi = 0, which on gamma_k gives the three-term recurrence
-
-        (2k + 1) * gamma_(k+1) = (2k + 3/2) * gamma_k - (k/2) * gamma_(k-1),
-
-    with gamma_0 = 1 and gamma_1 = 3/2, so each new term costs O(1).
+    With n = k - m, sigma = s/t and product coefficients a_j = A_j/D over one
+    denominator D, this is c * k!/n! * sum_j A_j * n!/(n-j)! * s^(n-j) * t^j
+    / (D * t^n): the sum is an integer, so the value costs one reduction.
     """
-
-    def __init__(self):
-        self._gammas = [Fraction(1), Fraction(3, 2)]
-        self._lock = threading.Lock()
-
-    def __call__(self, k: int) -> Fraction:
-        with self._lock:
-            g = self._gammas
-            while len(g) <= k:
-                n = len(g) - 1
-                g.append(((2 * n + Fraction(3, 2)) * g[n] - Fraction(n, 2) * g[n - 1]) / (2 * n + 1))
-            return g[k]
-
-
-def exp_half_cosh_spec() -> SeriesSpec:
-    """gamma_k of e^(x/2) * cosh(sqrt(2x)), a generator with sigma = 1/2 and
-    infinitely many zeros; useful as a stress sequence for ratio scans."""
-    return SeriesSpec("exp-half-cosh", _ExpHalfCoshRule())
-
-
-def _taylor_sum(c: Fraction, m: int, product_coeffs: list, sigma: Fraction, index: int) -> Fraction:
-    """index! * [x^index] of c * x^m * e^(sigma*x) * (polynomial with product_coeffs).
-
-    With k = index - m, sigma = s/t and a_j = A_j/D over one denominator D,
-    this is c * index!/k! * sum_j A_j * k!/(k-j)! * s^(k-j) * t^j / (D * t^k):
-    the sum is an integer, so the value costs one reduction.
-    """
-    if index < m:
-        return Fraction(0)
-    k = index - m
-    s, t = sigma.numerator, sigma.denominator
-    den = math.lcm(*(a.denominator for a in product_coeffs))
-    total = 0
-    falling = 1  # k!/(k-j)!
-    for j in range(min(k, len(product_coeffs) - 1) + 1):
-        a = product_coeffs[j]
-        total += a.numerator * (den // a.denominator) * falling * s ** (k - j) * t**j
-        falling *= k - j
-    return Fraction(c.numerator * math.perm(index, m) * total, c.denominator * den * t**k)
-
-
-def taylor_gamma(phi: LPPlusSpec, k: int) -> Fraction:
-    """gamma_k = k! * [x^k] phi, exactly."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if isinstance(phi, SeriesSpec):
-        return rat(phi.rule(k))
-    return _taylor_sum(phi.c, phi.m, phi.product_coeffs(), phi.sigma, k)
+    if k < phi.m:
+        return Fraction(0)
+    n = k - phi.m
+    s, t = phi.sigma.numerator, phi.sigma.denominator
+    coeffs = phi._product
+    den = math.lcm(*(a.denominator for a in coeffs))
+    total = 0
+    falling = 1  # n!/(n-j)!
+    for j in range(min(n, len(coeffs) - 1) + 1):
+        a = coeffs[j]
+        total += a.numerator * (den // a.denominator) * falling * s ** (n - j) * t**j
+        falling *= n - j
+    return Fraction(phi.c.numerator * math.perm(k, phi.m) * total, phi.c.denominator * den * t**n)
 
 
 class GammaSeq:
-    """A lazily evaluated, memoized sequence of exact rationals.
-
-    `sign_pattern` declares the expected signs and is checked on every value
-    actually computed; a violation raises immediately rather than poisoning
-    downstream results.  "mixed" declares nothing.
-    """
+    """A lazily evaluated, memoized sequence of exact rationals."""
 
     def __init__(
         self,
         rule: Callable[[int], Fraction],
-        sign_pattern: str = "mixed",
         name: Optional[str] = None,
         params: Optional[dict] = None,
     ):
-        if sign_pattern not in SIGN_PATTERNS:
-            raise ValueError(f"unknown sign pattern {sign_pattern!r}")
         self._rule = rule
-        self.sign_pattern = sign_pattern
         self.name = name
         self.params = dict(params or {})
         self._cache: list = []
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
-        label = self.name or "anonymous"
-        return f"GammaSeq({label}, sign_pattern={self.sign_pattern})"
-
-    def _check_sign(self, k: int, value: Fraction) -> None:
-        pattern = self.sign_pattern
-        if pattern == "mixed":
-            return
-        if pattern == "nonneg":
-            ok = value >= 0
-        elif pattern == "nonpos":
-            ok = value <= 0
-        elif pattern == "alternating-even-start":
-            ok = (value >= 0) if k % 2 == 0 else (value <= 0)
-        else:  # alternating-odd-start
-            ok = (value <= 0) if k % 2 == 0 else (value >= 0)
-        if not ok:
-            raise ValueError(
-                f"sequence {self.name or '<anonymous>'} declared {pattern} "
-                f"but gamma_{k} = {value}"
-            )
+        return f"GammaSeq({self.name or 'anonymous'})"
 
     def __getitem__(self, k: int) -> Fraction:
         if not isinstance(k, int) or k < 0:
             raise IndexError("sequence index must be a nonnegative integer")
         with self._lock:
             while len(self._cache) <= k:
-                i = len(self._cache)
-                value = rat(self._rule(i))
-                self._check_sign(i, value)
-                self._cache.append(value)
+                self._cache.append(rat(self._rule(len(self._cache))))
             return self._cache[k]
 
     def values(self, n: int) -> list:
@@ -236,57 +141,37 @@ class GammaSeq:
             raise ValueError("shift must be nonnegative")
         if p == 0:
             return self
-        pattern = self.sign_pattern
-        if pattern in ("alternating-even-start", "alternating-odd-start") and p % 2 == 1:
-            pattern = (
-                "alternating-odd-start"
-                if pattern == "alternating-even-start"
-                else "alternating-even-start"
-            )
         name = f"{self.name}+{p}" if self.name else None
-        return GammaSeq(lambda k: self[k + p], sign_pattern=pattern, name=name)
+        return GammaSeq(lambda k: self[k + p], name=name)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_lpplus(cls, spec: LPPlusSpec, name: Optional[str] = None) -> "GammaSeq":
-        label = name or (spec.name if isinstance(spec, SeriesSpec) else "factored")
-        return cls(lambda k: taylor_gamma(spec, k), "nonneg", name=label)
+    def from_lpplus(cls, spec: FactoredSpec, name: Optional[str] = None) -> "GammaSeq":
+        return cls(lambda k: taylor_gamma(spec, k), name=name or "factored")
 
     @classmethod
     def from_values(cls, values, name=None) -> "GammaSeq":
         """The listed values, then zeros."""
         vals = tuple(rat(v) for v in values)
-        return cls(
-            lambda k: vals[k] if k < len(vals) else Fraction(0),
-            "mixed",
-            name=name or "explicit-list",
-            params={"length": len(vals)},
-        )
+        return cls(lambda k: vals[k] if k < len(vals) else Fraction(0), name=name or "explicit-list")
 
     @classmethod
     def constant(cls, c: RatLike = 1) -> "GammaSeq":
         value = rat(c)
-        pattern = "nonneg" if value >= 0 else "nonpos"
-        return cls(lambda k: value, pattern, name=f"const({value})", params={"c": value})
+        return cls(lambda k: value, name=f"const({value})")
 
     @classmethod
     def linear(cls, a: RatLike) -> "GammaSeq":
+        """gamma_k = k + a; `params["a"]` keeps a for `is_classical_ms`."""
         a = rat(a)
-        pattern = "nonneg" if a >= 0 else "mixed"
-        return cls(lambda k: k + a, pattern, name=f"linear({a})", params={"a": a})
+        return cls(lambda k: k + a, name=f"linear({a})", params={"a": a})
 
     @classmethod
     def geometric_factorial(cls, r: RatLike) -> "GammaSeq":
         """gamma_k = r^k / k!."""
         r = rat(r)
-        pattern = "nonneg" if r >= 0 else "alternating-even-start"
-        return cls(
-            lambda k: r**k / math.factorial(k),
-            pattern,
-            name=f"geom-factorial({r})",
-            params={"r": r},
-        )
+        return cls(lambda k: r**k / math.factorial(k), name=f"geom-factorial({r})")
 
 
 def jensen_reversed(seq: GammaSeq, n: int) -> RatPoly:

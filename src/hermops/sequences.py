@@ -12,13 +12,19 @@ Registered selectors:
 
 Selectors with an argument take one rational in parentheses.  `file:` data
 beyond the listed prefix is treated as an all-zero tail.
+
+Every selector builds a plain `GammaSeq`.  Only example311 has factored data
+(`example311_spec`), the certificate `classify` reads; besselJ0 and
+exp-half-cosh are given by their coefficient rules alone.
 """
 
 import json
+import math
 import re
+import threading
 from fractions import Fraction
 
-from .jensen import FactoredSpec, GammaSeq, bessel_j0_spec, exp_half_cosh_spec
+from .jensen import FactoredSpec, GammaSeq
 from .ratpoly import parse_rat
 
 NAMES = ("const1", "linear(a)", "example311", "besselJ0", "exp-half-cosh",
@@ -30,6 +36,30 @@ _ARG_FORM = re.compile(r"^([a-zA-Z0-9-]+)\(([^)]+)\)$")
 def example311_spec() -> FactoredSpec:
     """Factored data for the sequence registered as example311."""
     return FactoredSpec(c=1, m=0, sigma=Fraction(1, 2), zeros=(1, 1))
+
+
+class _ExpHalfCoshRule:
+    """gamma_k = k! * [x^k] e^(x/2) * cosh(sqrt(2x)), memoized.
+
+    phi(x) = e^(x/2) * cosh(sqrt(2x)) satisfies 2x*phi'' + (1 - 2x)*phi' +
+    (x/2 - 3/2)*phi = 0, which on gamma_k gives the three-term recurrence
+
+        (2k + 1) * gamma_(k+1) = (2k + 3/2) * gamma_k - (k/2) * gamma_(k-1),
+
+    with gamma_0 = 1 and gamma_1 = 3/2, so each new term costs O(1).
+    """
+
+    def __init__(self):
+        self._gammas = [Fraction(1), Fraction(3, 2)]
+        self._lock = threading.Lock()
+
+    def __call__(self, k: int) -> Fraction:
+        with self._lock:
+            g = self._gammas
+            while len(g) <= k:
+                n = len(g) - 1
+                g.append(((2 * n + Fraction(3, 2)) * g[n] - Fraction(n, 2) * g[n - 1]) / (2 * n + 1))
+            return g[k]
 
 
 def _json_rat(value, what: str) -> Fraction:
@@ -64,9 +94,11 @@ def make_sequence(selector: str) -> GammaSeq:
     if text == "example311":
         return GammaSeq.from_lpplus(example311_spec(), name="example311")
     if text == "besselJ0":
-        return GammaSeq.from_lpplus(bessel_j0_spec())
+        # generating function sum x^k/(k!)^2, a Bessel-type series
+        return GammaSeq(lambda k: Fraction(1, math.factorial(k)), name="besselJ0")
     if text == "exp-half-cosh":
-        return GammaSeq.from_lpplus(exp_half_cosh_spec())
+        # sigma = 1/2 and infinitely many zeros; a stress sequence for ratio scans
+        return GammaSeq(_ExpHalfCoshRule(), name="exp-half-cosh")
     if text.startswith("file:"):
         return _from_file(text[len("file:"):])
     match = _ARG_FORM.match(text)

@@ -24,7 +24,7 @@ from hermops.classify import (
     is_hermite_ms,
     ratio_limit_check,
 )
-from hermops.jensen import FactoredSpec, GammaSeq, bessel_j0_spec
+from hermops.jensen import FactoredSpec, GammaSeq
 from hermops.hermite import from_hermite_basis, to_hermite_basis
 from hermops.laguerre import from_laguerre_basis, to_laguerre_basis
 from hermops.ratpoly import X, RatPoly, count_real_roots, is_real_rooted
@@ -41,8 +41,13 @@ def test_is_hermite_ms_threshold():
 
 
 def test_is_hermite_ms_series_inconclusive():
-    verdict = is_hermite_ms(bessel_j0_spec())
-    assert verdict.status == INCONCLUSIVE
+    # A plain sequence carries no rate certificate, whatever its rule.
+    for seq in (make_sequence("besselJ0"), GammaSeq.linear(1)):
+        verdict = is_hermite_ms(seq)
+        assert verdict.status == INCONCLUSIVE
+        assert "sigma unknown" in verdict.reason
+    with pytest.raises(TypeError):
+        is_hermite_ms(42)
 
 
 def test_is_classical_ms():
@@ -152,7 +157,7 @@ def test_ratio_limit_rejects_sigma_one():
     with pytest.raises(ValueError):
         ratio_limit_check(FactoredSpec(sigma=F(1)), window=5, tol=F(1, 100), cap=50)
     with pytest.raises(TypeError):
-        ratio_limit_check(bessel_j0_spec(), window=5, tol=F(1, 100), cap=50)
+        ratio_limit_check(make_sequence("besselJ0"), window=5, tol=F(1, 100), cap=50)
     with pytest.raises(ValueError):
         ratio_limit_check(FactoredSpec(sigma=F(2)), window=5, tol=F(0), cap=50)
 
@@ -237,6 +242,8 @@ def test_bases_round_trip_random(family, alpha, p):
 def test_public_names_resolve():
     for name in hermops.__all__:
         assert getattr(hermops, name) is not None, name
+    for gone in ("SeriesSpec", "bessel_j0_spec", "exp_half_cosh_spec"):
+        assert not hasattr(hermops, gone), gone
     with pytest.raises(ValueError):
         hermops.HermiteBasis(F(0))
 

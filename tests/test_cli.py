@@ -251,6 +251,34 @@ def test_error_bad_histogram(capsys):
     assert "histogram" in json.loads(err)["error"]
 
 
+def test_error_histogram_cap(capsys, monkeypatch):
+    # The bin count sets how many lines are printed, so it is capped like --kmax.
+    monkeypatch.setenv("HERMOPS_KMAX_CAP", "10")
+    code, out, err = run_cli(capsys, "ratios", "--seq", "const1", "--kmax", "5", "--histogram", "11")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    message = json.loads(err)["error"]
+    assert "histogram" in message and "HERMOPS_KMAX_CAP" in message
+    code, _, _ = run_cli(capsys, "ratios", "--seq", "const1", "--kmax", "5", "--histogram", "10")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratios", "--seq", "const1", "--kmax", "0"],
+        ["reality", "--seq", "const1", "--alpha", "0", "--kmax", "2"],
+        ["reality", "--seq", "const1", "--alpha", "-1", "--kmax", "2"],
+    ],
+    ids=["ratios-kmax-0", "reality-alpha-0", "reality-alpha-negative"],
+)
+def test_error_from_library_check(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -162,7 +162,7 @@ def test_interpolation_poly_linear():
 
 
 def test_interpolation_poly_quadratic():
-    seq = GammaSeq(lambda k: F(k * (k - 1)), sign_pattern="nonneg", name="fall2")
+    seq = GammaSeq(lambda k: F(k * (k - 1)), name="fall2")
     op = build_operator(F(3, 2), seq, 8)
     p = interpolation_poly(op)
     assert p == X**2 - X

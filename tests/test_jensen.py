@@ -11,11 +11,9 @@ from hermops.jensen import (
     FactoredSpec,
     GammaSeq,
     approx_str,
-    bessel_j0_spec,
     check_difference_reconstruction,
     check_shift_recurrence,
     check_sum_interchange,
-    exp_half_cosh_spec,
     finite_difference,
     histogram_bins,
     jensen_reversed,
@@ -25,6 +23,7 @@ from hermops.jensen import (
     turan_quantity,
 )
 from hermops.ratpoly import rat_str
+from hermops.sequences import make_sequence
 from oracles import difference_via_exp_shift
 
 F = Fraction
@@ -70,13 +69,13 @@ def test_monomial_prefactor():
 
 
 def test_bessel_differences_frozen():
-    seq = GammaSeq.from_lpplus(bessel_j0_spec())
+    seq = make_sequence("besselJ0")
     for k, expected in enumerate(BESSEL_DIFFERENCES):
         assert finite_difference(seq, k) == expected
 
 
 def test_exp_half_cosh_leading_gammas():
-    seq = GammaSeq.from_lpplus(exp_half_cosh_spec())
+    seq = make_sequence("exp-half-cosh")
     assert seq.values(2) == [F(1), F(3, 2), F(19, 12)]
 
 
@@ -108,7 +107,7 @@ def test_difference_of_linear():
 
 
 def test_jensen_reversed_at_minus_one():
-    seq = GammaSeq.from_lpplus(bessel_j0_spec())
+    seq = make_sequence("besselJ0")
     for n in range(8):
         p = jensen_reversed(seq, n)
         assert p(F(-1)) == finite_difference(seq, n)
@@ -132,35 +131,15 @@ def test_shifted_indexing_and_name():
 
 
 def test_shift_of_shift():
-    seq = GammaSeq.from_lpplus(bessel_j0_spec())
+    seq = make_sequence("besselJ0")
     assert seq.shifted(1).shifted(2).values(5) == seq.shifted(3).values(5)
 
 
 def test_finite_difference_shift_parameter():
-    seq = GammaSeq.from_lpplus(bessel_j0_spec())
+    seq = make_sequence("besselJ0")
     for k in range(6):
         for p in range(4):
             assert finite_difference(seq, k, p) == finite_difference(seq.shifted(p), k)
-
-
-def test_sign_pattern_enforced():
-    seq = GammaSeq(lambda k: F(-1) ** k, sign_pattern="nonneg", name="bad")
-    with pytest.raises(ValueError):
-        seq[1]
-
-
-def test_sign_pattern_alternating():
-    seq = GammaSeq(
-        lambda k: F((-1) ** k, k + 1), sign_pattern="alternating-even-start", name="alt"
-    )
-    assert seq.values(3) == [F(1), F(-1, 2), F(1, 3), F(-1, 4)]
-    flipped = seq.shifted(1)
-    assert flipped.sign_pattern == "alternating-odd-start"
-
-
-def test_unknown_sign_pattern():
-    with pytest.raises(ValueError):
-        GammaSeq(lambda k: F(k), sign_pattern="positive")
 
 
 def test_from_values_tail():
@@ -182,7 +161,7 @@ def test_geometric_factorial_values():
 
 
 def test_turan_quantity_values():
-    seq = GammaSeq.from_lpplus(bessel_j0_spec())
+    seq = make_sequence("besselJ0")
     expected = {1: F(0), 2: F(1, 4), 3: F(-2, 9), 4: F(-85, 192), 5: F(-329, 900)}
     for k, value in expected.items():
         assert turan_quantity(seq, k) == value
@@ -206,7 +185,7 @@ def test_ratio_sequence_table():
 
 
 def test_ratio_sequence_undefined_rows():
-    seq = GammaSeq.from_lpplus(bessel_j0_spec())
+    seq = make_sequence("besselJ0")
     rows = dict(ratio_sequence(seq, 3))
     assert rows[1] == 0  # d_1/d_0 = 0/1
     assert rows[2] is None  # d_2/d_1 divides by zero
@@ -257,7 +236,7 @@ def test_histogram_empty_and_bad_bins():
 
 
 def test_difference_reconstruction_reports():
-    for seq in (GammaSeq.constant(1), GammaSeq.from_lpplus(bessel_j0_spec())):
+    for seq in (GammaSeq.constant(1), make_sequence("besselJ0")):
         report = check_difference_reconstruction(seq, 10)
         assert report.passed
         assert report.checked == 11
@@ -297,14 +276,30 @@ def _exp_half_cosh_sum(k):
 
 
 def test_exp_half_cosh_recurrence_matches_series_sum():
-    spec = exp_half_cosh_spec()
-    assert [spec.rule(k) for k in range(201)] == [_exp_half_cosh_sum(k) for k in range(201)]
+    seq = make_sequence("exp-half-cosh")
+    assert seq.values(200) == [_exp_half_cosh_sum(k) for k in range(201)]
 
 
 def test_exp_half_cosh_memo_belongs_to_the_spec():
-    first, second = exp_half_cosh_spec(), exp_half_cosh_spec()
-    assert first.rule is not second.rule
-    assert second.rule(30) == first.rule(30) == _exp_half_cosh_sum(30)
+    first, second = make_sequence("exp-half-cosh"), make_sequence("exp-half-cosh")
+    assert first._rule is not second._rule
+    assert second[30] == first[30] == _exp_half_cosh_sum(30)
+
+
+positive_rationals = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    positive_rationals,
+    st.integers(min_value=0, max_value=3),
+    st.one_of(st.just(F(0)), positive_rationals),
+    st.lists(positive_rationals, max_size=4),
+)
+def test_factored_gammas_are_nonnegative(c, m, sigma, zeros):
+    # c > 0, sigma >= 0 and x_k > 0: every Taylor coefficient of phi is >= 0.
+    spec = FactoredSpec(c=c, m=m, sigma=sigma, zeros=tuple(zeros))
+    assert all(taylor_gamma(spec, k) >= 0 for k in range(31))
 
 
 sequence_values = st.lists(

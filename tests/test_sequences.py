@@ -42,6 +42,18 @@ def test_exp_half_cosh_selector():
     assert make_sequence("exp-half-cosh")[1] == F(3, 2)
 
 
+@pytest.mark.parametrize("r", ["-1", "-1/2", "-7/3"])
+def test_geometric_selector_alternates_for_negative_r(r):
+    seq = make_sequence(f"geom-factorial({r})")
+    for k in range(40):
+        assert seq[k] != 0 and (seq[k] > 0) == (k % 2 == 0)
+
+
+@pytest.mark.parametrize("name", ["besselJ0", "exp-half-cosh"])
+def test_named_series_are_positive(name):
+    assert all(g > 0 for g in make_sequence(name).values(200))
+
+
 def test_file_selector(tmp_path):
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"gammas": ["1", "2", "9/2"]}))
