@@ -18,13 +18,18 @@ change of basis.  `StandardBasis`, `HermiteBasis` and `LaguerreBasis` are
 its three constructors; the standard basis is the Hermite family at
 alpha = 0 (H_n = x^n).  A basis keeps its polynomial list, and the witness
 corpus is built once per deg_max, so a search builds neither per candidate.
+A search applies one integer matrix, the sequence's map on degree <= deg_max
+over one denominator, to each candidate's primitive integer coefficients; the
+root test is the same on that multiple, and only a witness gets the exact image.
 """
 
 import functools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import laguerre as _laguerre
 from .hermite import hermite_polys, validate_alpha
@@ -33,6 +38,8 @@ from .diffop import build_operator
 from .ratpoly import (
     RatLike,
     RatPoly,
+    _content_strip,
+    _int_coeffs,
     combine_in_basis,
     count_real_roots,
     expand_in_basis,
@@ -93,7 +100,7 @@ class Basis:
 
     `family(n)` returns [b_0, ..., b_n].  The list is kept and rebuilt only
     when a higher degree is asked for, so a search over polynomials of
-    degree <= deg_max builds it at most deg_max times.  Bases compare by
+    degree <= deg_max builds it at most once.  Bases compare by
     label.
     """
 
@@ -292,8 +299,9 @@ def _witness_candidates(deg_max: int) -> tuple:
     rational root set, shifted Hermite and Laguerre polynomials (real-rooted
     by classical theory), and seeded random root multisets.  The order is
     fixed so falsification results are reproducible run to run.  The corpus
-    is built once per deg_max and shared, hence an immutable tuple; only a
-    few distinct deg_max values are ever in use, so the memo is small.
+    is built once per deg_max and shared, hence an immutable tuple of
+    (candidate, its primitive integer coefficients) pairs; only a few
+    distinct deg_max values are ever in use, so the memo is small.
     """
     if deg_max < 1:
         raise ValueError("deg_max must be at least 1")
@@ -341,7 +349,32 @@ def _witness_candidates(deg_max: int) -> tuple:
         seen.add(p.coeffs)
         unique.append(p)
     unique.sort(key=lambda q: q.degree)
-    return tuple(unique)
+    return tuple((p, tuple(_int_coeffs(p))) for p in unique)
+
+
+class _IntegerMap:
+    """T = B diag(gamma) B^-1 on monomials of degree <= deg_max, times one denominator `den`.
+
+    Column j is the image of x^j; T is upper triangular, so row i keeps only
+    T[i][i..deg_max], and the matrix serves every degree up to deg_max.
+    """
+
+    def __init__(self, seq: GammaSeq, basis: Basis, deg_max: int):
+        polys = basis._polys_to(deg_max)
+        cols = []
+        for j in range(deg_max + 1):
+            coeffs = expand_in_basis(RatPoly([0] * j + [1]), polys)
+            cols.append(combine_in_basis([seq[n] * c for n, c in enumerate(coeffs)], polys).coeffs)
+        self.den = math.lcm(*(c.denominator for col in cols for c in col))
+        self.rows = [
+            [c[i].numerator * (self.den // c[i].denominator) if i < len(c) else 0 for c in cols[i:]]
+            for i in range(deg_max + 1)
+        ]
+
+    # perfbench counts one call of a classify `expand` per candidate (ROADMAP item 6 removes this).
+    def expand(self, ints: Sequence[int]) -> list:
+        """T * ints, the image of the polynomial with coefficients ints, times den."""
+        return [sum(map(operator.mul, self.rows[i], ints[i:])) for i in range(len(ints))]
 
 
 def falsify_sequence(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
@@ -352,16 +385,19 @@ def falsify_sequence(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
     No hit proves nothing; the verdict is then inconclusive with the searched
     degree bound attached, never an affirmation.
     """
-    for candidate in _witness_candidates(deg_max):
-        coeffs = basis.expand(candidate)
-        image = basis.reconstruct([seq[n] * c for n, c in enumerate(coeffs)])
-        if not is_real_rooted(image):
+    corpus = _witness_candidates(deg_max)  # raises on deg_max < 1 before the map is built
+    action = _IntegerMap(seq, basis, deg_max)
+    for candidate, ints in corpus:
+        image = action.expand(ints)
+        if not is_real_rooted(RatPoly(_content_strip(image))):
             if not is_real_rooted(candidate):
                 continue
+            # ints is candidate * ints[-1] / lc(candidate), so this is the exact image
+            exact = RatPoly(image) * (candidate.leading / (action.den * ints[-1]))
             return Verdict(
                 FALSIFIED,
                 f"degree-{candidate.degree} witness on basis {basis.label}",
-                witness=Witness(basis.label, candidate, image),
+                witness=Witness(basis.label, candidate, exact),
             )
     return Verdict(
         INCONCLUSIVE,

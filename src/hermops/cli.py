@@ -57,7 +57,10 @@ def _resolve_sequence(args) -> GammaSeq:
 
 
 def _check_range(name: str, value: int) -> int:
-    cap = int(os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)))
+    text = os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)).strip()
+    cap = int(text) if text.isascii() and text.isdigit() else 0
+    if cap < 1:
+        raise ConfigError(f"HERMOPS_KMAX_CAP must be a positive integer, got {text!r}")
     if value < 0:
         raise ConfigError(f"{name} must be nonnegative")
     if value > cap:

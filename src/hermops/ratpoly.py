@@ -17,12 +17,14 @@ to every member, so the count holds for p with repeated roots too and
 needs no squarefree part.  A root test is then one chain: a count of deg p
 means distinct real roots, and only a shortfall reads deg gcd(p, p') too.
 One primitive remainder sequence, `_prs`, builds every such chain; its
-last member is also the gcd that `poly_gcd` returns.
+last member is also the gcd that `poly_gcd` returns.  The last chain is
+memoised on p's primitive integer coefficients, so a shortfall builds it once.
 
 The change of basis works in place on one list of Fraction coefficients
 and builds one RatPoly at the end, not a temporary polynomial per step.
 """
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -450,9 +452,11 @@ def squarefree_part(p: RatPoly) -> RatPoly:
     return q.monic()
 
 
-def _sturm_chain(coeffs: list) -> list:
-    """Sturm chain of a primitive integer polynomial, ending in gcd(p, p')."""
-    return _prs(coeffs, _content_strip(_strip([i * c for i, c in enumerate(coeffs)][1:])))
+@functools.lru_cache(maxsize=1)
+def _sturm_chain(coeffs: tuple) -> tuple:
+    """Sturm chain of a primitive integer polynomial, ending in gcd(p, p'); the last is kept, read-only."""
+    chain = _prs(coeffs, _content_strip(_strip([i * c for i, c in enumerate(coeffs)][1:])))
+    return tuple(map(tuple, chain))
 
 
 def _sign_variations_at_infinity(chain: list, direction: int) -> int:
@@ -481,7 +485,7 @@ def count_real_roots(p: RatPoly) -> int:
         raise ValueError("cannot count roots of the zero polynomial")
     if p.degree == 0:
         return 0
-    chain = _sturm_chain(_int_coeffs(p))
+    chain = _sturm_chain(tuple(_int_coeffs(p)))
     return _sign_variations_at_infinity(chain, -1) - _sign_variations_at_infinity(chain, +1)
 
 
@@ -492,7 +496,7 @@ def squarefree_degree(p: RatPoly) -> int:
     """
     if p.is_zero:
         raise ValueError("squarefree degree of the zero polynomial is undefined")
-    return p.degree - (len(_sturm_chain(_int_coeffs(p))[-1]) - 1)
+    return p.degree - (len(_sturm_chain(tuple(_int_coeffs(p)))[-1]) - 1)
 
 
 def is_real_rooted(p: RatPoly) -> bool:

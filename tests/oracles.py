@@ -8,9 +8,10 @@ two is evidence for both.  None of them is used by the package itself.
 import math
 from fractions import Fraction
 
+from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness, _witness_candidates
 from hermops.hermite import hermite_polys, validate_alpha
 from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
-from hermops.ratpoly import RatLike, RatPoly
+from hermops.ratpoly import RatLike, RatPoly, is_real_rooted
 
 
 def hermite_sum_qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> list:
@@ -69,3 +70,28 @@ def hermite_product_expand(n: int, m: int, alpha: RatLike) -> list:
     for i in range(min(n, m) + 1):
         out[n + m - 2 * i] += a**i * math.factorial(i) * math.comb(m, i) * math.comb(n, i)
     return out
+
+
+def reference_falsify(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
+    """`falsify_sequence` one candidate at a time, on Fractions.
+
+    Each candidate is expanded in the basis, scaled by gamma and
+    reconstructed, so the map is rebuilt per candidate instead of applied as
+    one integer matrix.
+    """
+    for candidate, _ in _witness_candidates(deg_max):
+        coeffs = basis.expand(candidate)
+        image = basis.reconstruct([seq[n] * c for n, c in enumerate(coeffs)])
+        if not is_real_rooted(image):
+            if not is_real_rooted(candidate):
+                continue
+            return Verdict(
+                FALSIFIED,
+                f"degree-{candidate.degree} witness on basis {basis.label}",
+                witness=Witness(basis.label, candidate, image),
+            )
+    return Verdict(
+        INCONCLUSIVE,
+        f"no witness among real-rooted polynomials of degree <= {deg_max}",
+        bound=deg_max,
+    )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import hermops
 
+from hermops import classify
 from hermops.classify import (
     FALSIFIED,
     INCONCLUSIVE,
@@ -16,6 +17,7 @@ from hermops.classify import (
     HermiteBasis,
     LaguerreBasis,
     StandardBasis,
+    _IntegerMap,
     _witness_candidates,
     check_turan_necessity,
     coefficient_reality_table,
@@ -27,8 +29,10 @@ from hermops.classify import (
 from hermops.jensen import FactoredSpec, GammaSeq
 from hermops.hermite import from_hermite_basis, to_hermite_basis
 from hermops.laguerre import from_laguerre_basis, to_laguerre_basis
-from hermops.ratpoly import X, RatPoly, count_real_roots, is_real_rooted
+from hermops.ratpoly import X, RatPoly, _int_coeffs, count_real_roots, is_real_rooted
 from hermops.sequences import example311_spec, make_sequence
+
+from oracles import reference_falsify
 
 F = Fraction
 
@@ -315,3 +319,87 @@ def test_verdict_json():
     assert data["status"] == INCONCLUSIVE
     assert data["bound"] == 3
     json.dumps(data)
+
+
+def _basis(family, alpha):
+    """A basis from a drawn alpha >= 0: Hermite at alpha + 1/7, Laguerre at alpha - 1/2."""
+    if family == "standard":
+        return StandardBasis()
+    if family == "hermite":
+        return HermiteBasis(alpha + F(1, 7))
+    return LaguerreBasis(alpha - F(1, 2))
+
+
+_families = st.sampled_from(["standard", "hermite", "laguerre"])
+_alphas = st.fractions(min_value=0, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_rats, min_size=7, max_size=7),
+    _families,
+    _alphas,
+    st.lists(_rats, min_size=1, max_size=7).map(RatPoly).filter(bool),
+)
+def test_integer_map_is_a_positive_multiple_of_the_exact_image(values, family, alpha, p):
+    # Zero and negative gammas included; the matrix covers degree 6 and serves every lower degree.
+    basis, seq = _basis(family, alpha), GammaSeq.from_values(values)
+    image = RatPoly(_IntegerMap(seq, basis, 6).expand(_int_coeffs(p)))
+    exact = basis.reconstruct([seq[n] * c for n, c in enumerate(basis.expand(p))])
+    if exact.is_zero:
+        assert image.is_zero
+    else:
+        ratio = image.leading / exact.leading
+        assert ratio > 0
+        assert image == exact * ratio
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_rats, min_size=6, max_size=6).map(GammaSeq.from_values),
+        st.fractions(min_value=-3, max_value=6, max_denominator=4).map(GammaSeq.linear),
+    ),
+    _families,
+    _alphas,
+    st.integers(min_value=1, max_value=5),
+)
+def test_falsify_matches_the_per_candidate_route(seq, family, alpha, deg_max):
+    basis = _basis(family, alpha)
+    ours = falsify_sequence(seq, basis, deg_max).to_json_dict()
+    reference = reference_falsify(seq, basis, deg_max).to_json_dict()
+    assert json.dumps(ours, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+def _count_expand_calls(monkeypatch) -> list:
+    """Count calls of every `expand` method of a class defined in classify, as perfbench does."""
+    calls = []
+    for cls in list(vars(classify).values()):
+        if isinstance(cls, type) and cls.__module__ == classify.__name__ and "expand" in vars(cls):
+            original = vars(cls)["expand"]
+
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(type(self).__name__)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "expand", counted)
+    return calls
+
+
+def test_one_counted_expand_per_candidate(monkeypatch):
+    calls = _count_expand_calls(monkeypatch)
+    verdict = falsify_sequence(GammaSeq.linear(F(1)), LaguerreBasis(F(1)), 5)
+    assert verdict.status == INCONCLUSIVE
+    assert len(calls) == len(_witness_candidates(5))
+
+    calls.clear()
+    verdict = falsify_sequence(GammaSeq.linear(F(-1)), HermiteBasis(F(1)), 4)
+    assert verdict.status == FALSIFIED
+    inputs = [candidate for candidate, _ in _witness_candidates(4)]
+    assert len(calls) == inputs.index(verdict.witness.input_poly) + 1 > 1
+
+
+def test_falsify_rejects_deg_max_below_one():
+    for deg_max in (0, -1):
+        with pytest.raises(ValueError, match="^deg_max must be at least 1$"):
+            falsify_sequence(GammaSeq.linear(F(1)), StandardBasis(), deg_max)

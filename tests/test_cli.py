@@ -217,6 +217,17 @@ def test_error_p_cap(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("cap", ["abc", "-5", "0"])
+def test_error_bad_kmax_cap(capsys, monkeypatch, cap):
+    # The error blames the setting and quotes it, not the input it would reject.
+    monkeypatch.setenv("HERMOPS_KMAX_CAP", cap)
+    code, out, err = run_cli(capsys, "ratios", "--seq", "const1", "--kmax", "3")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    message = json.loads(err)["error"]
+    assert "HERMOPS_KMAX_CAP" in message and repr(cap) in message
+
+
 def test_ratios_beyond_float_range(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"gammas": ["1", "1" + "0" * 400]}))

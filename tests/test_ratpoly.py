@@ -11,6 +11,7 @@ from hermops.diffop import build_operator
 from hermops.hermite import hermite_polys
 from hermops.jensen import GammaSeq
 from hermops.laguerre import laguerre_polys
+from hermops import ratpoly
 from hermops.ratpoly import (
     ONE,
     X,
@@ -338,6 +339,23 @@ def test_is_real_rooted_matches_squarefree_oracle(p, extra_roots):
     p = p * from_roots(extra_roots)
     assert is_real_rooted(p) == _oracle_real_rooted(p)
     assert squarefree_degree(p) == squarefree_part(p).degree
+
+
+def test_shortfall_root_test_builds_one_chain(monkeypatch):
+    # A count below deg p reads deg gcd(p, p') too; both come from the one kept chain.
+    calls = []
+
+    def counted(f, g):
+        calls.append(len(f) - 1)
+        return original(f, g)
+
+    original = ratpoly._prs
+    monkeypatch.setattr(ratpoly, "_prs", counted)
+    ratpoly._sturm_chain.cache_clear()
+    assert not is_real_rooted((X - 1) ** 2 * (X**2 + 1))  # 1 distinct real root of 3
+    assert calls == [4]
+    assert is_real_rooted((X - 1) ** 2 * (X + 3))
+    assert calls == [4, 3]
 
 
 def test_squarefree_degree_known():
