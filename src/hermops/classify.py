@@ -16,14 +16,16 @@ The falsifier acts on one basis type, `Basis`: a label and a triangular
 polynomial family, expanded and reconstructed through `ratpoly`'s one
 change of basis.  `StandardBasis`, `HermiteBasis` and `LaguerreBasis` are
 its three constructors; the standard basis is the Hermite family at
-alpha = 0 (H_n = x^n).  A basis keeps its polynomial list, and the witness
-corpus is built once per deg_max, so a search builds neither per candidate.
+alpha = 0 (H_n = x^n).  A basis keeps its polynomial list, and each degree of
+the witness corpus is built once, so a search builds neither per candidate.
 A search applies one integer matrix, the sequence's map on degree <= deg_max
-over one denominator, to each candidate's primitive integer coefficients; the
-root test is the same on that multiple, and only a witness gets the exact image.
+over one denominator, to each candidate's primitive integer coefficients, and
+runs the root test on that primitive integer image directly; the verdict is the
+same on that multiple, and only a witness gets the exact image.
 """
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -40,6 +42,8 @@ from .ratpoly import (
     RatPoly,
     _content_strip,
     _int_coeffs,
+    _real_rooted_ints,
+    _strip,
     combine_in_basis,
     count_real_roots,
     expand_in_basis,
@@ -291,65 +295,48 @@ def ratio_limit_check(
 # -- falsification -------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _corpus_degree(n: int) -> tuple:
+    """Degree n of the witness corpus, and the state its random stream ends in.
+
+    Degree n: powers of linear factors, every product of n roots from a fixed
+    rational set (n <= 3), shifted Hermite and Laguerre polynomials
+    (real-rooted by classical theory) and 30 seeded random root multisets,
+    deduplicated, as (candidate, primitive integer coefficients) pairs.  The
+    random stream runs through the degrees in ascending order, so degree n
+    starts where degree n - 1 left it and never depends on deg_max.
+    """
+    half = Fraction(1, 2)
+    rng = random.Random(0x5EED)
+    if n > 1:
+        rng.setstate(_corpus_degree(n - 1)[1])
+    candidates = [from_roots([c] * n) for c in (0, 1, -1, 2, -2, half, -half, 3, -3, 5, -5)]
+    if 1 < n <= 3:
+        root_set = (0, 1, -1, 2, -2, 3, -3, half, -half, 5, -5)
+        candidates += [from_roots(r) for r in itertools.combinations_with_replacement(root_set, n)]
+    if n > 1:
+        for base in (hermite_polys(n, 1)[n], _laguerre.laguerre_polys(n, 1)[n]):
+            candidates += [base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)]
+        for _ in range(30):
+            candidates.append(from_roots(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)))
+    unique = {}
+    for p in candidates:
+        unique.setdefault(p.coeffs, p)
+    return tuple((p, tuple(_int_coeffs(p))) for p in unique.values()), rng.getstate()
+
+
 @functools.lru_cache(maxsize=8)
 def _witness_candidates(deg_max: int) -> tuple:
-    """Deterministic corpus of real-rooted polynomials, ascending degree.
+    """Deterministic corpus of real-rooted polynomials of degree 1..deg_max, ascending.
 
-    Mixes powers of linear factors, exhaustive small products over a fixed
-    rational root set, shifted Hermite and Laguerre polynomials (real-rooted
-    by classical theory), and seeded random root multisets.  The order is
-    fixed so falsification results are reproducible run to run.  The corpus
-    is built once per deg_max and shared, hence an immutable tuple of
-    (candidate, its primitive integer coefficients) pairs; only a few
-    distinct deg_max values are ever in use, so the memo is small.
+    The order is fixed so falsification results are reproducible run to
+    run.  It is the degree <= deg_max prefix of any larger corpus, so each
+    degree is built once; the result is an immutable tuple of (candidate,
+    its primitive integer coefficients) pairs.
     """
     if deg_max < 1:
         raise ValueError("deg_max must be at least 1")
-    half = Fraction(1, 2)
-    shifts = [0, 1, -1, 2, -2, half, -half, 3, -3, 5, -5]
-    root_set = [0, 1, -1, 2, -2, 3, -3, half, -half, 5, -5]
-
-    candidates = []
-
-    for n in range(1, deg_max + 1):
-        for c in shifts:
-            candidates.append(from_roots([c] * n))
-
-    def multisets(size, start=0, prefix=()):
-        if size == 0:
-            candidates.append(from_roots(prefix))
-            return
-        for i in range(start, len(root_set)):
-            multisets(size - 1, i, prefix + (root_set[i],))
-
-    for size in range(2, min(3, deg_max) + 1):
-        multisets(size)
-
-    for family_polys in (hermite_polys(deg_max, 1), _laguerre.laguerre_polys(deg_max, 1)):
-        for n in range(2, deg_max + 1):
-            base = family_polys[n]
-            for t in (0, 1, -1, half, -half, 2):
-                candidates.append(base.compose(RatPoly([t, 1])))
-
-    rng = random.Random(0x5EED)
-    for n in range(2, deg_max + 1):
-        for _ in range(30):
-            roots = [
-                Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)
-            ]
-            candidates.append(from_roots(roots))
-
-    seen = set()
-    unique = []
-    for p in candidates:
-        if p.degree < 1 or p.degree > deg_max:
-            continue
-        if p.coeffs in seen:
-            continue
-        seen.add(p.coeffs)
-        unique.append(p)
-    unique.sort(key=lambda q: q.degree)
-    return tuple((p, tuple(_int_coeffs(p))) for p in unique)
+    return tuple(itertools.chain.from_iterable(_corpus_degree(n)[0] for n in range(1, deg_max + 1)))
 
 
 class _IntegerMap:
@@ -388,8 +375,8 @@ def falsify_sequence(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
     corpus = _witness_candidates(deg_max)  # raises on deg_max < 1 before the map is built
     action = _IntegerMap(seq, basis, deg_max)
     for candidate, ints in corpus:
-        image = action.expand(ints)
-        if not is_real_rooted(RatPoly(_content_strip(image))):
+        image = _strip(action.expand(ints))
+        if not _real_rooted_ints(tuple(_content_strip(image))):
             if not is_real_rooted(candidate):
                 continue
             # ints is candidate * ints[-1] / lc(candidate), so this is the exact image

@@ -15,6 +15,7 @@ closes stdout early (a broken pipe), silently.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -176,7 +177,9 @@ def _cmd_examples(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="hermops",
         description="Exact diagonal differential operators on the Hermite basis",

@@ -14,11 +14,13 @@ coefficient growth polynomial.  Sign variations at -oo/+oo then come from
 leading coefficients alone, which gives the count of distinct real roots on
 the whole line.  The chain of p and p' ends in gcd(p, p'), a factor common
 to every member, so the count holds for p with repeated roots too and
-needs no squarefree part.  A root test is then one chain: a count of deg p
-means distinct real roots, and only a shortfall reads deg gcd(p, p') too.
-One primitive remainder sequence, `_prs`, builds every such chain; its
-last member is also the gcd that `poly_gcd` returns.  The last chain is
-memoised on p's primitive integer coefficients, so a shortfall builds it once.
+needs no squarefree part.  A root test first checks Newton's inequalities,
+which every real-rooted polynomial satisfies, so one violation is an exact
+"no" in O(n) integer work; else it is one chain: a count of deg p means
+distinct real roots, and only a shortfall reads deg gcd(p, p') too.  One
+primitive remainder sequence, `_prs`, builds every chain; its last member is
+the gcd `poly_gcd` returns.  The last chain is memoised on p's primitive
+integer coefficients, so a shortfall builds it once.
 
 The change of basis works in place on one list of Fraction coefficients
 and builds one RatPoly at the end, not a temporary polynomial per step.
@@ -27,7 +29,7 @@ and builds one RatPoly at the end, not a temporary polynomial per step.
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
@@ -459,18 +461,18 @@ def _sturm_chain(coeffs: tuple) -> tuple:
     return tuple(map(tuple, chain))
 
 
-def _sign_variations_at_infinity(chain: list, direction: int) -> int:
-    signs = []
-    for cs in chain:
-        s = 1 if cs[-1] > 0 else -1
-        if direction < 0 and (len(cs) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    flips = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            flips += 1
-    return flips
+def _sturm_count(chain: tuple) -> int:
+    """V(-oo) - V(+oo), from the signs of the chain's leading coefficients.
+
+    At -oo a member's sign is its leading coefficient's times (-1)^degree, so
+    two neighbours differ there exactly when they differ at +oo xor their
+    degrees differ by an odd number.
+    """
+    count = 0
+    for a, b in zip(chain, chain[1:]):
+        at_plus = (a[-1] > 0) != (b[-1] > 0)
+        count += (at_plus != ((len(a) - len(b)) % 2 == 1)) - at_plus
+    return count
 
 
 def count_real_roots(p: RatPoly) -> int:
@@ -485,18 +487,32 @@ def count_real_roots(p: RatPoly) -> int:
         raise ValueError("cannot count roots of the zero polynomial")
     if p.degree == 0:
         return 0
-    chain = _sturm_chain(tuple(_int_coeffs(p)))
-    return _sign_variations_at_infinity(chain, -1) - _sign_variations_at_infinity(chain, +1)
+    return _sturm_count(_sturm_chain(tuple(_int_coeffs(p))))
 
 
-def squarefree_degree(p: RatPoly) -> int:
-    """deg p - deg gcd(p, p'), the number of distinct complex roots of p.
+def _newton_refutes(c: tuple) -> bool:
+    """True when the integer coefficients c break one of Newton's inequalities.
 
-    Read off the end of p's Sturm chain; raises ValueError on the zero polynomial.
+    Every real-rooted polynomial of degree n satisfies
+    a_i^2 i(n-i) >= a_(i-1) a_(i+1) (i+1)(n-i+1) for 0 < i < n
+    (Hardy-Littlewood-Polya, Inequalities, 2.22), so a strict violation
+    proves a non-real root.  Holding proves nothing.
     """
-    if p.is_zero:
-        raise ValueError("squarefree degree of the zero polynomial is undefined")
-    return p.degree - (len(_sturm_chain(tuple(_int_coeffs(p)))[-1]) - 1)
+    n = len(c) - 1
+    return any(c[i] * c[i] * i * (n - i) < c[i - 1] * c[i + 1] * (i + 1) * (n - i + 1) for i in range(1, n))
+
+
+def _real_rooted_ints(c: tuple, count: Optional[Callable[[], int]] = None) -> bool:
+    """Root test on primitive integer coefficients: Newton's inequalities, then one Sturm chain.
+
+    `count` returns c's number of distinct real roots (by default read off
+    c's chain); a count below deg c also reads deg gcd(c, c') off the kept chain.
+    """
+    n = len(c) - 1
+    if n < 1 or _newton_refutes(c):
+        return n < 1
+    roots = count() if count else _sturm_count(_sturm_chain(c))
+    return roots == n or roots == n - (len(_sturm_chain(c)[-1]) - 1)
 
 
 def is_real_rooted(p: RatPoly) -> bool:
@@ -504,10 +520,11 @@ def is_real_rooted(p: RatPoly) -> bool:
 
     The zero polynomial and (nonzero) constants are real-rooted by
     convention: they have no roots at all, so the condition holds vacuously.
-    Otherwise one Sturm count on p decides it when it reaches deg p; only a
-    shortfall needs `squarefree_degree`, since the count ignores multiplicity.
+    Otherwise Newton's inequalities on p's primitive integer coefficients go
+    first; every real-rooted polynomial satisfies them, so one strict
+    violation is an exact "no".  Only when they all hold is one Sturm chain
+    built, through `count_real_roots(p)`: a count of deg p settles it, and a
+    shortfall reads deg gcd(p, p') off the same chain, since the count
+    ignores multiplicity.
     """
-    if p.is_zero or p.degree == 0:
-        return True
-    roots = count_real_roots(p)
-    return roots == p.degree or roots == squarefree_degree(p)
+    return _real_rooted_ints(tuple(_int_coeffs(p)), lambda: count_real_roots(p))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness, _witness_candidates
 from hermops.hermite import hermite_polys, validate_alpha
 from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
-from hermops.ratpoly import RatLike, RatPoly, is_real_rooted
+from hermops.ratpoly import RatLike, RatPoly, count_real_roots, is_real_rooted, poly_gcd
 
 
 def hermite_sum_qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> list:
@@ -95,3 +95,15 @@ def reference_falsify(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
         f"no witness among real-rooted polynomials of degree <= {deg_max}",
         bound=deg_max,
     )
+
+
+def sturm_real_rooted(p: RatPoly) -> bool:
+    """Real-rootedness by Sturm alone, with no Newton certificate ahead of it.
+
+    p is real-rooted exactly when its distinct real roots are all its
+    distinct roots: the Sturm count equals deg p - deg gcd(p, p').
+    Constants and zero are real-rooted, as in `is_real_rooted`.
+    """
+    if p.degree < 1:
+        return True
+    return count_real_roots(p) == p.degree - poly_gcd(p, p.derivative()).degree

@@ -8,6 +8,7 @@ documented erratum: the deviation at k = 100 is 394/38413 > 1/100, and 2b
 asserts that too.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -43,7 +44,7 @@ from hermops.jensen import (
 from hermops.laguerre import LaguerreParam, check_eigen_action
 from hermops.ratpoly import X, count_real_roots, is_real_rooted
 from hermops.sequences import example311_spec, make_sequence
-from oracles import hermite_product_expand
+from oracles import hermite_product_expand, sturm_real_rooted
 
 F = Fraction
 
@@ -286,3 +287,18 @@ def test_criterion_10_ratio_dataset_cli(tmp_path, capsys):
     assert len(hist_rows) == 10
     assert sum(int(row.rsplit(",", 1)[1]) for row in hist_rows) == len(defined)
     _line("10", f"200 rows, deterministic, histogram sums to {len(defined)}, {elapsed:.2f}s")
+
+
+def test_reality_at_the_north_star_k(capsys):
+    """`hermops reality` on besselJ0 at K = 120 within the 60 s budget; Sturm agrees up to K = 40."""
+    start = time.monotonic()
+    code = cli_main(["reality", "--seq", "besselJ0", "--alpha", "1", "--kmax", "120"])
+    elapsed = time.monotonic() - start
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert code == 0
+    assert elapsed < 60, f"runtime {elapsed:.2f}s exceeds the 60s target"
+    assert [row["k"] for row in rows] == list(range(121))
+    assert [row["k"] for row in rows if row["real_rooted"]] == [0, 1, 2]
+    for name in ("besselJ0", "exp-half-cosh", "example311"):
+        table = coefficient_reality_table(F(1), make_sequence(name), 40)
+        assert [row.real_rooted for row in table.rows] == [sturm_real_rooted(row.q) for row in table.rows], name

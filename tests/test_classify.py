@@ -371,6 +371,15 @@ def test_falsify_matches_the_per_candidate_route(seq, family, alpha, deg_max):
     assert json.dumps(ours, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
 
+@pytest.mark.parametrize("values", [[1, 1], [0, 1, 1], [1, 3, 3], [1, 2, 3, 4], [1, 1, 1, 1, 0, 1]])
+@pytest.mark.parametrize("family", ["standard", "hermite", "laguerre"])
+def test_falsify_on_images_that_lose_degree(values, family):
+    # gamma is zero past the list, so an image's top coefficients vanish; its root test is on the true degree.
+    seq, basis = GammaSeq.from_values(values), _basis(family, F(6, 7))
+    ours = falsify_sequence(seq, basis, 4).to_json_dict()
+    assert json.dumps(ours, sort_keys=True) == json.dumps(reference_falsify(seq, basis, 4).to_json_dict(), sort_keys=True)
+
+
 def _count_expand_calls(monkeypatch) -> list:
     """Count calls of every `expand` method of a class defined in classify, as perfbench does."""
     calls = []

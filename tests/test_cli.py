@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hermops
+from hermops import cli
 from hermops.cli import main
 
 
@@ -349,3 +350,33 @@ def test_broken_stdout_pipe_exits_1_silently():
     assert proc.wait(timeout=60) == 1
     assert head == b"k,num,den,"
     assert err == b""
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main reuses one parser; a config error or a usage error in between changes nothing."""
+    argvs = [
+        ("qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "3"),
+        ("reality", "--seq", "const1", "--alpha", "0", "--kmax", "2"),  # config error, exit 2
+        ("ratios", "--seq", "linear(3)", "--kmax", "5", "--histogram", "2"),
+        ("ratios", "--seq", "linear(3)", "--kmax", "five"),  # usage error, argparse exits 2
+        ("reality", "--factored", '{"sigma": "1/2"}', "--alpha", "1", "--kmax", "6", "--format", "csv"),
+        ("qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "3"),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    reused = [run(argv) for argv in argvs]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 0]
+    assert cli.build_parser.cache_info().misses == 1

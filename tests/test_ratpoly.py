@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermops.classify import coefficient_reality_table
@@ -27,9 +27,9 @@ from hermops.ratpoly import (
     poly_gcd,
     rat,
     rat_str,
-    squarefree_degree,
     squarefree_part,
 )
+from oracles import sturm_real_rooted
 
 F = Fraction
 
@@ -338,7 +338,12 @@ products_with_repeats = st.builds(
 def test_is_real_rooted_matches_squarefree_oracle(p, extra_roots):
     p = p * from_roots(extra_roots)
     assert is_real_rooted(p) == _oracle_real_rooted(p)
-    assert squarefree_degree(p) == squarefree_part(p).degree
+    assert p.degree - _chain_gcd_degree(p) == squarefree_part(p).degree
+
+
+def _chain_gcd_degree(p):
+    """deg gcd(p, p'), read off the end of p's Sturm chain, as a shortfall reads it."""
+    return len(ratpoly._sturm_chain(tuple(ratpoly._int_coeffs(p)))[-1]) - 1
 
 
 def test_shortfall_root_test_builds_one_chain(monkeypatch):
@@ -352,18 +357,75 @@ def test_shortfall_root_test_builds_one_chain(monkeypatch):
     original = ratpoly._prs
     monkeypatch.setattr(ratpoly, "_prs", counted)
     ratpoly._sturm_chain.cache_clear()
-    assert not is_real_rooted((X - 1) ** 2 * (X**2 + 1))  # 1 distinct real root of 3
+    # Newton's inequalities hold here, so Sturm decides: 1 distinct real root of 4.
+    assert not is_real_rooted((X - 1) ** 2 * ((X - 10) ** 2 + 1))
     assert calls == [4]
     assert is_real_rooted((X - 1) ** 2 * (X + 3))
     assert calls == [4, 3]
+    # x^4 - 2x^3 + 2x^2 - 2x + 1 breaks Newton's inequalities (a_1^2 * 1 * 3 = 12 < a_0 a_2 * 2 * 4 = 16),
+    # so the test ends with no chain at all.
+    calls.clear()
+    assert not is_real_rooted((X - 1) ** 2 * (X**2 + 1))
+    assert calls == []
+
+
+# Real-rooted inputs for the certificate: rational linear factors with
+# multiplicities times x^m (zero low coefficients), and x^e R(x^2) with R's
+# roots the squares r^2, even or odd with every other coefficient zero, as Q_k is.
+real_rooted_polys = st.one_of(
+    st.builds(
+        lambda pairs, m, scale: from_roots([r for r, k in pairs for _ in range(k)]) * X**m * scale,
+        st.lists(st.tuples(small_rats, st.integers(min_value=1, max_value=4)), max_size=4),
+        st.integers(min_value=0, max_value=3),
+        small_rats.filter(bool),
+    ),
+    st.builds(
+        lambda rs, e, scale: math.prod((X**2 - r * r for r in rs), start=X**e) * scale,
+        st.lists(small_rats, max_size=4),
+        st.integers(min_value=0, max_value=1),
+        small_rats.filter(bool),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_rooted_polys)
+@example((X - 1) ** 4)  # equality in every one of Newton's inequalities
+@example(X**5)
+def test_newton_never_refutes_a_real_rooted_polynomial(p):
+    assert not ratpoly._newton_refutes(tuple(ratpoly._int_coeffs(p)))
+
+
+# Integer polynomials of degree <= 8: products of linear factors, close root
+# pairs r, r + 1/d, and irreducible quadratics (x - a)^2 + b with b > 0, some
+# of them nearly a double root; and plain integer coefficient lists.
+root_test_factors = st.one_of(
+    st.builds(lambda r: X - r, small_rats),
+    st.builds(lambda r, d: (X - r) * (X - r - F(1, d)), small_rats, st.integers(min_value=1, max_value=10**6)),
+    st.builds(
+        lambda a, b: (X - a) ** 2 + b,
+        small_rats,
+        st.fractions(min_value=0, max_value=4, max_denominator=10**6).filter(bool),
+    ),
+)
+integer_polys = st.one_of(
+    st.lists(root_test_factors, max_size=4).map(lambda fs: math.prod(fs, start=ONE)),
+    st.lists(st.integers(min_value=-20, max_value=20), max_size=9).map(RatPoly),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_polys)
+def test_is_real_rooted_matches_sturm_only_oracle(p):
+    assert is_real_rooted(p) == sturm_real_rooted(p)
 
 
 def test_squarefree_degree_known():
-    assert squarefree_degree((X - 1) ** 3 * (X + 2) ** 2 * (X**2 + 1)) == 4
-    assert squarefree_degree(X**4) == 1
-    assert squarefree_degree(RatPoly([3])) == 0
+    # deg p - deg gcd(p, p'), the number of distinct complex roots, at the end of the chain.
+    for p, distinct in (((X - 1) ** 3 * (X + 2) ** 2 * (X**2 + 1), 4), (X**4, 1), (RatPoly([3]), 0)):
+        assert p.degree - _chain_gcd_degree(p) == distinct == squarefree_part(p).degree
     with pytest.raises(ValueError):
-        squarefree_degree(ZERO)
+        squarefree_part(ZERO)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermops import ratpoly
 from hermops.ratpoly import (
     RatPoly,
     count_real_roots,
     from_roots,
     is_real_rooted,
     poly_gcd,
-    squarefree_degree,
     squarefree_part,
 )
 
@@ -62,5 +62,6 @@ def test_poly_gcd_matches_sympy(p, q):
 def test_squarefree_part_and_root_test_match_sympy(p):
     sf = to_sympy(p).sqf_part().monic() if p.degree > 0 else sympy.Poly(1, x)
     assert squarefree_part(p) == from_sympy(sf)
-    assert squarefree_degree(p) == sf.degree()
+    # deg p - deg gcd(p, p'), read off the end of p's Sturm chain as a shortfall reads it
+    assert p.degree - (len(ratpoly._sturm_chain(tuple(ratpoly._int_coeffs(p)))[-1]) - 1) == sf.degree()
     assert is_real_rooted(p) == (sf.count_roots() == sf.degree() if p.degree > 0 else True)
