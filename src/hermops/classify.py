@@ -47,7 +47,6 @@ from .ratpoly import (
     combine_in_basis,
     count_real_roots,
     expand_in_basis,
-    from_roots,
     is_real_rooted,
     rat,
     rat_str,
@@ -295,6 +294,19 @@ def ratio_limit_check(
 # -- falsification -------------------------------------------------------------
 
 
+def _root_product(roots) -> tuple:
+    """The monic polynomial with the given rational roots, and its primitive integer coefficients.
+
+    The integers are the product of the primitive factors q x - p, one per
+    root p/q in lowest terms; by Gauss's lemma the product is primitive, and
+    its leading coefficient prod q is positive.
+    """
+    ints = [1]
+    for r in roots:
+        ints = [r.denominator * a - r.numerator * b for a, b in zip([0, *ints], [*ints, 0])]
+    return RatPoly([Fraction(c, ints[-1]) for c in ints]), tuple(ints)
+
+
 @functools.lru_cache(maxsize=None)
 def _corpus_degree(n: int) -> tuple:
     """Degree n of the witness corpus, and the state its random stream ends in.
@@ -302,27 +314,29 @@ def _corpus_degree(n: int) -> tuple:
     Degree n: powers of linear factors, every product of n roots from a fixed
     rational set (n <= 3), shifted Hermite and Laguerre polynomials
     (real-rooted by classical theory) and 30 seeded random root multisets,
-    deduplicated, as (candidate, primitive integer coefficients) pairs.  The
-    random stream runs through the degrees in ascending order, so degree n
-    starts where degree n - 1 left it and never depends on deg_max.
+    deduplicated, as (candidate, primitive integer coefficients) pairs; root
+    products are multiplied out in integers.  The random stream runs through
+    the degrees in ascending order, so degree n starts where degree n - 1
+    left it and never depends on deg_max.
     """
     half = Fraction(1, 2)
     rng = random.Random(0x5EED)
     if n > 1:
         rng.setstate(_corpus_degree(n - 1)[1])
-    candidates = [from_roots([c] * n) for c in (0, 1, -1, 2, -2, half, -half, 3, -3, 5, -5)]
+    candidates = [_root_product([c] * n) for c in (0, 1, -1, 2, -2, half, -half, 3, -3, 5, -5)]
     if 1 < n <= 3:
         root_set = (0, 1, -1, 2, -2, 3, -3, half, -half, 5, -5)
-        candidates += [from_roots(r) for r in itertools.combinations_with_replacement(root_set, n)]
+        candidates += [_root_product(r) for r in itertools.combinations_with_replacement(root_set, n)]
     if n > 1:
         for base in (hermite_polys(n, 1)[n], _laguerre.laguerre_polys(n, 1)[n]):
-            candidates += [base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)]
+            for p in (base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)):
+                candidates.append((p, tuple(_int_coeffs(p))))
         for _ in range(30):
-            candidates.append(from_roots(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)))
+            candidates.append(_root_product([Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)]))
     unique = {}
-    for p in candidates:
-        unique.setdefault(p.coeffs, p)
-    return tuple((p, tuple(_int_coeffs(p))) for p in unique.values()), rng.getstate()
+    for pair in candidates:
+        unique.setdefault(pair[0].coeffs, pair)
+    return tuple(unique.values()), rng.getstate()
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,9 +9,10 @@ Subcommands:
     examples  reproduce the packaged worked examples
 
 All output is deterministic: the same invocation produces byte-identical
-bytes.  Configuration errors print a one-line JSON object to stderr and exit
-with status 2; check failures exit with status 1, and so does a reader that
-closes stdout early (a broken pipe), silently.
+bytes.  Configuration errors, argument usage errors among them, print a
+one-line JSON object to stderr and exit with status 2; check failures exit
+with status 1, and so does a reader that closes stdout early (a broken
+pipe), silently.  ``--help`` prints usage and exits 0.
 """
 
 import argparse
@@ -44,6 +45,13 @@ DEFAULT_KMAX_CAP = 2000
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: one JSON line and exit 2, not usage text."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _resolve_sequence(args) -> GammaSeq:
@@ -180,7 +188,7 @@ def _cmd_examples(args) -> int:
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermops",
         description="Exact diagonal differential operators on the Hermite basis",
     )
@@ -226,9 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

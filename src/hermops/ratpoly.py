@@ -14,7 +14,9 @@ coefficient growth polynomial.  Sign variations at -oo/+oo then come from
 leading coefficients alone, which gives the count of distinct real roots on
 the whole line.  The chain of p and p' ends in gcd(p, p'), a factor common
 to every member, so the count holds for p with repeated roots too and
-needs no squarefree part.  A root test first checks Newton's inequalities,
+needs no squarefree part.  A root test below degree 4 is a closed form on
+the integer coefficients: true at degree 1, the discriminant's sign at
+degrees 2 and 3.  From degree 4 on it first checks Newton's inequalities,
 which every real-rooted polynomial satisfies, so one violation is an exact
 "no" in O(n) integer work; else it is one chain: a count of deg p means
 distinct real roots, and only a shortfall reads deg gcd(p, p') too.  One
@@ -292,14 +294,6 @@ ONE = RatPoly([1])
 X = RatPoly([0, 1])
 
 
-def from_roots(roots: Iterable[RatLike]) -> RatPoly:
-    """The monic polynomial with the given rational roots (with multiplicity)."""
-    p = ONE
-    for r in roots:
-        p = p * RatPoly([-rat(r), 1])
-    return p
-
-
 def expand_in_basis(p: RatPoly, basis: Sequence[RatPoly]) -> list:
     """Coefficients c_0..c_n with p = sum c_k * basis[k], n = deg p.
 
@@ -503,14 +497,21 @@ def _newton_refutes(c: tuple) -> bool:
 
 
 def _real_rooted_ints(c: tuple, count: Optional[Callable[[], int]] = None) -> bool:
-    """Root test on primitive integer coefficients: Newton's inequalities, then one Sturm chain.
+    """Root test on primitive integer coefficients: a closed form below degree 4, else Newton, then Sturm.
 
-    `count` returns c's number of distinct real roots (by default read off
-    c's chain); a count below deg c also reads deg gcd(c, c') off the kept chain.
+    A quadratic or cubic is real-rooted exactly when its discriminant is >= 0
+    (a zero one means a repeated root, which is real).  `count` returns c's
+    number of distinct real roots (by default read off c's chain); a count
+    below deg c also reads deg gcd(c, c') off the kept chain.
     """
     n = len(c) - 1
-    if n < 1 or _newton_refutes(c):
-        return n < 1
+    if n == 2:
+        return c[1] * c[1] >= 4 * c[0] * c[2]
+    if n == 3:
+        a0, a1, a2, a3 = c
+        return 18 * a0 * a1 * a2 * a3 - 4 * a0 * a2**3 + a1 * a1 * a2 * a2 - 4 * a3 * a1**3 - 27 * a0 * a0 * a3 * a3 >= 0
+    if n < 2 or _newton_refutes(c):
+        return n < 2
     roots = count() if count else _sturm_count(_sturm_chain(c))
     return roots == n or roots == n - (len(_sturm_chain(c)[-1]) - 1)
 
@@ -520,11 +521,12 @@ def is_real_rooted(p: RatPoly) -> bool:
 
     The zero polynomial and (nonzero) constants are real-rooted by
     convention: they have no roots at all, so the condition holds vacuously.
-    Otherwise Newton's inequalities on p's primitive integer coefficients go
-    first; every real-rooted polynomial satisfies them, so one strict
-    violation is an exact "no".  Only when they all hold is one Sturm chain
-    built, through `count_real_roots(p)`: a count of deg p settles it, and a
-    shortfall reads deg gcd(p, p') off the same chain, since the count
-    ignores multiplicity.
+    Up to degree 3 a closed form on p's primitive integer coefficients
+    decides: a line is real-rooted, and a quadratic or cubic exactly when its
+    discriminant is >= 0.  From degree 4 on, Newton's inequalities go first;
+    every real-rooted polynomial satisfies them, so one strict violation is
+    an exact "no".  Only when they all hold is one Sturm chain built, through
+    `count_real_roots(p)`: a count of deg p settles it, and a shortfall reads
+    deg gcd(p, p') off the same chain, since the count ignores multiplicity.
     """
     return _real_rooted_ints(tuple(_int_coeffs(p)), lambda: count_real_roots(p))

@@ -5,13 +5,26 @@ different route written as the formula is stated, so agreement between the
 two is evidence for both.  None of them is used by the package itself.
 """
 
+import functools
+import itertools
 import math
+import random
 from fractions import Fraction
 
 from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness, _witness_candidates
 from hermops.hermite import hermite_polys, validate_alpha
 from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
-from hermops.ratpoly import RatLike, RatPoly, count_real_roots, is_real_rooted, poly_gcd
+from hermops.laguerre import laguerre_polys
+from hermops.ratpoly import (
+    ONE,
+    RatLike,
+    RatPoly,
+    _int_coeffs,
+    count_real_roots,
+    is_real_rooted,
+    poly_gcd,
+    rat,
+)
 
 
 def hermite_sum_qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> list:
@@ -107,3 +120,43 @@ def sturm_real_rooted(p: RatPoly) -> bool:
     if p.degree < 1:
         return True
     return count_real_roots(p) == p.degree - poly_gcd(p, p.derivative()).degree
+
+
+def from_roots(roots) -> RatPoly:
+    """The monic polynomial with the given rational roots (with multiplicity), multiplied out in Fractions."""
+    p = ONE
+    for r in roots:
+        p = p * RatPoly([-rat(r), 1])
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def reference_corpus_degree(n: int) -> tuple:
+    """Degree n of the witness corpus built in Fractions, and its random stream's end state.
+
+    Every candidate comes from `from_roots` or `RatPoly.compose`, and its
+    integers from `_int_coeffs`; the same candidates, order, deduplication
+    and random stream as `classify._corpus_degree`.
+    """
+    half = Fraction(1, 2)
+    rng = random.Random(0x5EED)
+    if n > 1:
+        rng.setstate(reference_corpus_degree(n - 1)[1])
+    candidates = [from_roots([c] * n) for c in (0, 1, -1, 2, -2, half, -half, 3, -3, 5, -5)]
+    if 1 < n <= 3:
+        root_set = (0, 1, -1, 2, -2, 3, -3, half, -half, 5, -5)
+        candidates += [from_roots(r) for r in itertools.combinations_with_replacement(root_set, n)]
+    if n > 1:
+        for base in (hermite_polys(n, 1)[n], laguerre_polys(n, 1)[n]):
+            candidates += [base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)]
+        for _ in range(30):
+            candidates.append(from_roots(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)))
+    unique = {}
+    for p in candidates:
+        unique.setdefault(p.coeffs, p)
+    return tuple((p, tuple(_int_coeffs(p))) for p in unique.values()), rng.getstate()
+
+
+def reference_witness_candidates(deg_max: int) -> tuple:
+    """The witness corpus of degree 1..deg_max, ascending, from `reference_corpus_degree`."""
+    return tuple(itertools.chain.from_iterable(reference_corpus_degree(n)[0] for n in range(1, deg_max + 1)))

@@ -32,7 +32,7 @@ from hermops.laguerre import from_laguerre_basis, to_laguerre_basis
 from hermops.ratpoly import X, RatPoly, _int_coeffs, count_real_roots, is_real_rooted
 from hermops.sequences import example311_spec, make_sequence
 
-from oracles import reference_falsify
+from oracles import reference_falsify, reference_witness_candidates
 
 F = Fraction
 
@@ -305,6 +305,16 @@ def test_witness_corpus_is_built_once_per_deg_max():
     assert _witness_candidates(5) is corpus
     info = _witness_candidates.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+def test_witness_corpus_matches_the_fraction_built_oracle():
+    # Integer root products give the same candidates, order and integers as from_roots in Fractions.
+    ours, reference = _witness_candidates(6), reference_witness_candidates(6)
+    assert len(ours) == len(reference)
+    for (candidate, ints), (ref_candidate, ref_ints) in zip(ours, reference):
+        assert candidate == ref_candidate
+        assert ints == ref_ints
+        assert all(type(c) is int for c in ints)
 
 
 def test_verdict_json():

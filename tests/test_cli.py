@@ -292,6 +292,32 @@ def test_error_from_library_check(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ratios", "--seq", "linear(3)", "--kmax", "five"], "hermops ratios: argument --kmax: invalid int value: 'five'"),
+        (["frobnicate"], "hermops: argument command: invalid choice: 'frobnicate'"),
+        ([], "hermops: the following arguments are required: command"),
+    ],
+    ids=["bad-int", "unknown-subcommand", "no-subcommand"],
+)
+def test_usage_error_is_one_json_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ratios", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: hermops")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["ratios", "--seq", "const1", "--kmax", "3"],
@@ -358,16 +384,13 @@ def test_one_parser_serves_every_call(capsys):
         ("qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "3"),
         ("reality", "--seq", "const1", "--alpha", "0", "--kmax", "2"),  # config error, exit 2
         ("ratios", "--seq", "linear(3)", "--kmax", "5", "--histogram", "2"),
-        ("ratios", "--seq", "linear(3)", "--kmax", "five"),  # usage error, argparse exits 2
+        ("ratios", "--seq", "linear(3)", "--kmax", "five"),  # usage error, exit 2
         ("reality", "--factored", '{"sigma": "1/2"}', "--alpha", "1", "--kmax", "6", "--format", "csv"),
         ("qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "3"),
     ]
 
     def run(argv):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 

@@ -20,7 +20,6 @@ from hermops.ratpoly import (
     combine_in_basis,
     count_real_roots,
     expand_in_basis,
-    from_roots,
     interpolate,
     is_real_rooted,
     parse_rat,
@@ -29,7 +28,7 @@ from hermops.ratpoly import (
     rat_str,
     squarefree_part,
 )
-from oracles import sturm_real_rooted
+from oracles import from_roots, sturm_real_rooted
 
 F = Fraction
 
@@ -360,8 +359,16 @@ def test_shortfall_root_test_builds_one_chain(monkeypatch):
     # Newton's inequalities hold here, so Sturm decides: 1 distinct real root of 4.
     assert not is_real_rooted((X - 1) ** 2 * ((X - 10) ** 2 + 1))
     assert calls == [4]
+    # 3 distinct real roots of 4: the shortfall reads deg gcd(p, p') = 1 off the same chain.
+    assert is_real_rooted((X - 1) ** 2 * (X + 3) * (X - 2))
+    assert calls == [4, 4]
+    # Below degree 4 the closed forms decide, with no chain, shortfall or not.
+    calls.clear()
     assert is_real_rooted((X - 1) ** 2 * (X + 3))
-    assert calls == [4, 3]
+    assert is_real_rooted((X - 1) ** 2)
+    assert not is_real_rooted((X - 1) * (X**2 + 1))
+    assert not is_real_rooted(X**2 + 1)
+    assert calls == []
     # x^4 - 2x^3 + 2x^2 - 2x + 1 breaks Newton's inequalities (a_1^2 * 1 * 3 = 12 < a_0 a_2 * 2 * 4 = 16),
     # so the test ends with no chain at all.
     calls.clear()
@@ -418,6 +425,39 @@ integer_polys = st.one_of(
 @given(integer_polys)
 def test_is_real_rooted_matches_sturm_only_oracle(p):
     assert is_real_rooted(p) == sturm_real_rooted(p)
+
+
+# Integer polynomials of degree 1-4 for the closed forms: rational roots
+# (the list repeated, then cut to degree 4) times at most one irreducible
+# quadratic (x - a)^2 + b, scaled by any nonzero integer, so the leading
+# coefficient may be negative.
+low_degree_polys = st.builds(
+    lambda roots, reps, quads, scale: from_roots((roots * reps)[: 4 - 2 * len(quads)])
+    * math.prod(quads, start=ONE)
+    * scale,
+    st.lists(small_rats, max_size=4),
+    st.integers(min_value=1, max_value=3),
+    st.lists(
+        st.builds(lambda a, b: (X - a) ** 2 + b, small_rats, small_rats.filter(lambda b: b > 0)),
+        max_size=1,
+    ),
+    st.integers(min_value=-6, max_value=6).filter(bool),
+).filter(lambda p: p.degree >= 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_degree_polys)
+@example((X - 2) ** 2 * (X + F(1, 3)))  # zero discriminant: a double root
+@example((X + 1) ** 3)  # zero discriminant: a triple root
+@example(X**3)
+@example(-(X**3) + 3 * X)  # zero middle coefficients, negative leading coefficient
+@example(X**3 + 1)  # one real root, zero middle coefficients
+@example(-3 * X**2 + 2)
+@example(X**4 - 1)
+def test_closed_form_root_tests_match_sturm_only_oracle(p):
+    c = tuple(ratpoly._int_coeffs(p))
+    assert ratpoly._real_rooted_ints(c) == sturm_real_rooted(p)
+    assert ratpoly._real_rooted_ints(tuple(-x for x in c)) == sturm_real_rooted(-p)
 
 
 def test_squarefree_degree_known():

@@ -14,11 +14,11 @@ from hermops import ratpoly
 from hermops.ratpoly import (
     RatPoly,
     count_real_roots,
-    from_roots,
     is_real_rooted,
     poly_gcd,
     squarefree_part,
 )
+from oracles import from_roots
 
 sympy = pytest.importorskip("sympy")
 
