@@ -20,13 +20,15 @@ difference of the sequence taken at offset p,
 which equals the reversed Jensen polynomial of the p-shifted sequence
 evaluated at -1, and also equals k! * [x^k] (e^(-x) * phi_p(x)) where phi_p
 generates the shifted sequence.  Every consumer in the package reads these
-numbers from one `DifferenceTable`, which takes adjacent differences of
-gamma_p..gamma_(p+K) once, over the integers.  `finite_difference` (the
-binomial sum) computes single entries independently and serves as an oracle
-for the table.
+numbers from one `DifferenceTable`.  A factored generator fills it in
+closed form (e^(-x) * phi^(p) has the factored shape with sigma - 1 for
+sigma), geom-factorial, besselJ0 and exp-half-cosh by recurrence; any other
+sequence by row-by-row differences of its gammas, which with
+`finite_difference` (the binomial sum) is the oracle for both.
 """
 
 import decimal
+import functools
 import math
 import operator
 import sys
@@ -60,18 +62,26 @@ class FactoredSpec:
             raise ValueError("sigma must be nonnegative")
         if any(z <= 0 for z in self.zeros):
             raise ValueError("all x_k must be positive")
-        out = [Fraction(1)]
+        prod = [1]  # prod_k (n_k + d_k*x) for x_k = n_k/d_k, over prod_k n_k
         for z in self.zeros:
-            nxt = out + [Fraction(0)]
-            inv = Fraction(1) / z
-            for i, c in enumerate(out):
-                nxt[i + 1] += c * inv
-            out = nxt
-        object.__setattr__(self, "_product", tuple(out))
+            prod = [z.numerator * a + z.denominator * b for a, b in zip(prod + [0], [0] + prod)]
+        ints = (0,) * self.m + tuple(self.c.numerator * a for a in prod)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", self.c.denominator * math.prod(z.numerator for z in self.zeros))
 
-    def product_coeffs(self) -> list:
-        """Coefficients a_j of prod_k (1 + x/x_k), a polynomial of degree N."""
-        return list(self._product)
+    def difference_heads(self, k_max: int, p: int) -> tuple:
+        """(heads, den) with d_(k,p) = heads[k]/den for k = 0..k_max, in closed form.
+
+        phi^(p) = e^(sigma*x) * R, R = (D + sigma)^p (c * x^m * prod(1 + x/x_k)),
+        so e^(-x) * phi^(p) = e^((sigma-1)*x) * R and no gamma is read.  With
+        sigma = s/t each D + sigma is t*R' + s*R on integers.
+        """
+        s, t = self.sigma.numerator, self.sigma.denominator
+        ints = list(self._ints)
+        for _ in range(p):
+            ints = [s * a + t * (j + 1) * b for j, (a, b) in enumerate(zip(ints, ints[1:] + [0]))]
+        heads = [_exp_poly_head(ints, s - t, t, k) * t ** (k_max - k) for k in range(k_max + 1)]
+        return heads, self._den * t ** (p + k_max)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,42 +92,65 @@ class FactoredSpec:
         }
 
 
-def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
-    """gamma_k = k! * [x^k] of c * x^m * e^(sigma*x) * prod(1 + x/x_k), exactly.
+def _exp_poly_head(ints: list, u: int, t: int, k: int) -> int:
+    """t^k * k! * [x^k] e^(u*x/t) * sum_j ints[j] * x^j, an integer:
+    sum_(j <= J) ints[j] * k!/(k-j)! * u^(k-j) * t^j with J = min(k, deg)."""
+    top = min(k, len(ints) - 1)
+    total = 0
+    falling = 1  # k!/(k-j)!
+    for j in range(top + 1):
+        total += ints[j] * falling * u ** (top - j) * t**j
+        falling *= k - j
+    return total * u ** (k - top)
 
-    With n = k - m, sigma = s/t and product coefficients a_j = A_j/D over one
-    denominator D, this is c * k!/n! * sum_j A_j * n!/(n-j)! * s^(n-j) * t^j
-    / (D * t^n): the sum is an integer, so the value costs one reduction.
-    """
+
+def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
+    """gamma_k = k! * [x^k] of c * x^m * e^(sigma*x) * prod(1 + x/x_k), exactly:
+    `FactoredSpec.difference_heads`' closed form with sigma for sigma - 1, p = 0."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if k < phi.m:
-        return Fraction(0)
-    n = k - phi.m
     s, t = phi.sigma.numerator, phi.sigma.denominator
-    coeffs = phi._product
-    den = math.lcm(*(a.denominator for a in coeffs))
-    total = 0
-    falling = 1  # n!/(n-j)!
-    for j in range(min(n, len(coeffs) - 1) + 1):
-        a = coeffs[j]
-        total += a.numerator * (den // a.denominator) * falling * s ** (n - j) * t**j
-        falling *= n - j
-    return Fraction(phi.c.numerator * math.perm(k, phi.m) * total, phi.c.denominator * den * t**n)
+    return Fraction(_exp_poly_head(phi._ints, s, t, k), phi._den * t**k)
+
+
+def recurrence_heads(e1: int, step: Callable[[int], tuple], k_max: int, p: int) -> tuple:
+    """(heads, den) with d_(k,p) = heads[k]/den, from a three-term recurrence.
+
+    d_k = e_k / D_k, e_0 = D_0 = 1, e_1 = e1, e_(k+1) = a_k e_k + b_k e_(k-1)
+    and D_(k+1) = c_k D_k for step(k) = (a_k, b_k, c_k), integers with c_k > 0.
+    d_(k,p) = sum_j C(p,j) d_(k+j,0) is summed as p adjacent-pair passes.
+    """
+    n = k_max + p
+    es = [1, e1]
+    for k in range(1, n):
+        a, b, _ = step(k)
+        es.append(a * es[k] + b * es[k - 1])
+    heads = [0] * (n + 1)
+    scale = 1  # D_n / D_k
+    for k in range(n, -1, -1):
+        heads[k] = es[k] * scale
+        if k:
+            scale *= step(k - 1)[2]
+    for _ in range(p):
+        heads = list(map(operator.add, heads, heads[1:]))
+    return heads, scale
 
 
 class GammaSeq:
-    """A lazily evaluated, memoized sequence of exact rationals."""
+    """A lazily evaluated, memoized sequence of exact rationals; `differences`,
+    if given, maps (k_max, p) to `DifferenceTable`'s (heads, den) directly."""
 
     def __init__(
         self,
         rule: Callable[[int], Fraction],
         name: Optional[str] = None,
         params: Optional[dict] = None,
+        differences: Optional[Callable[[int, int], tuple]] = None,
     ):
         self._rule = rule
         self.name = name
         self.params = dict(params or {})
+        self.differences = differences
         self._cache: list = []
         self._lock = threading.Lock()
 
@@ -148,7 +181,7 @@ class GammaSeq:
 
     @classmethod
     def from_lpplus(cls, spec: FactoredSpec, name: Optional[str] = None) -> "GammaSeq":
-        return cls(lambda k: taylor_gamma(spec, k), name=name or "factored")
+        return cls(lambda k: taylor_gamma(spec, k), name=name or "factored", differences=spec.difference_heads)
 
     @classmethod
     def from_values(cls, values, name=None) -> "GammaSeq":
@@ -169,9 +202,14 @@ class GammaSeq:
 
     @classmethod
     def geometric_factorial(cls, r: RatLike) -> "GammaSeq":
-        """gamma_k = r^k / k!."""
+        """gamma_k = r^k / k!.  With r = a/b, (k+1) d_(k+1) + (2k+1-r) d_k + k d_(k-1)
+        = 0, so e_k = d_k * k! * b^k has e_(k+1) = -((2k+1)b - a) e_k - k^2 b^2 e_(k-1)."""
         r = rat(r)
-        return cls(lambda k: r**k / math.factorial(k), name=f"geom-factorial({r})")
+        a, b = r.numerator, r.denominator
+        def step(k):
+            return a - (2 * k + 1) * b, -k * k * b * b, (k + 1) * b
+        differences = functools.partial(recurrence_heads, a - b, step)
+        return cls(lambda k: r**k / math.factorial(k), name=f"geom-factorial({r})", differences=differences)
 
 
 def jensen_reversed(seq: GammaSeq, n: int) -> RatPoly:
@@ -206,10 +244,12 @@ def finite_difference(seq: GammaSeq, k: int, p: int = 0) -> Fraction:
 class DifferenceTable:
     """The forward differences d_(k,p) for k = 0..k_max at one offset p.
 
-    gamma_p..gamma_(p+k_max) are read once and scaled to integers over their
-    least common denominator `den`; row 0 is those integers and row k+1 the
-    adjacent differences of row k, so `heads[k]` (the first entry of row k)
-    is d_(k,p) * den.  Indexing gives d_(k,p) as a Fraction.
+    `heads[k]` is d_(k,p) * den for a positive common denominator `den`, not
+    necessarily the least; indexing gives d_(k,p) as a reduced Fraction.  A
+    sequence's `differences` route (factored generators, geom-factorial,
+    besselJ0, exp-half-cosh) supplies both.  Otherwise gamma_p..gamma_(p+k_max)
+    are scaled to integers over their lcm: row 0 is those integers, row k+1
+    the adjacent differences of row k, and heads[k] heads row k.
     """
 
     __slots__ = ("heads", "den")
@@ -217,6 +257,9 @@ class DifferenceTable:
     def __init__(self, seq: GammaSeq, k_max: int, p: int = 0):
         if k_max < 0 or p < 0:
             raise ValueError("indices must be nonnegative")
+        if seq.differences is not None:
+            self.heads, self.den = seq.differences(k_max, p)
+            return
         gammas = [seq[p + i] for i in range(k_max + 1)]
         den = math.lcm(*(g.denominator for g in gammas))
         row = [g.numerator * (den // g.denominator) for g in gammas]
@@ -307,7 +350,9 @@ def histogram_bins(values: list, bins: int) -> list:
 
     Returns [(lo, hi, count)] with `bins` rows spanning [min, max]; interior
     bins are half-open on the right and the final bin is closed so every
-    value lands exactly once.  Empty input gives an empty list.
+    value lands exactly once.  Empty input gives an empty list.  A value's
+    bin is floor((v - lo) * bins / (hi - lo)), one integer floor division
+    with the denominators cross-multiplied.
     """
     if bins < 1:
         raise ValueError("bin count must be positive")
@@ -319,13 +364,14 @@ def histogram_bins(values: list, bins: int) -> list:
         rows = [(lo, hi, len(values))]
         rows.extend((lo, hi, 0) for _ in range(bins - 1))
         return rows
-    width = (hi - lo) / bins
+    span = hi - lo
+    width = span / bins
+    ln, ld = lo.numerator, lo.denominator
+    mul, div = bins * span.denominator, span.numerator * ld
     counts = [0] * bins
     for v in values:
-        idx = int((v - lo) / width)
-        if idx >= bins:
-            idx = bins - 1
-        counts[idx] += 1
+        idx = (v.numerator * ld - ln * v.denominator) * mul // (v.denominator * div)
+        counts[min(idx, bins - 1)] += 1
     return [(lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(bins)]
 
 

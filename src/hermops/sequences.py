@@ -5,7 +5,7 @@ Registered selectors:
     const1              gamma_k = 1
     linear(a)           gamma_k = k + a          (a rational, e.g. linear(3))
     example311          gamma_k of e^(x/2) * (1 + x)^2
-    besselJ0            gamma_k = 1/k!
+    besselJ0            gamma_k = 1/k!           (geom-factorial(1) under its own name)
     exp-half-cosh       gamma_k of e^(x/2) * cosh(sqrt(2x))
     geom-factorial(r)   gamma_k = r^k / k!       (r rational, e.g. geom-factorial(3/5))
     file:PATH           explicit list from a JSON file {"gammas": ["p/q", ...]}
@@ -15,16 +15,17 @@ beyond the listed prefix is treated as an all-zero tail.
 
 Every selector builds a plain `GammaSeq`.  Only example311 has factored data
 (`example311_spec`), the certificate `classify` reads; besselJ0 and
-exp-half-cosh are given by their coefficient rules alone.
+exp-half-cosh are given by their coefficient rules, plus a three-term
+recurrence for their differences that `DifferenceTable` reads directly.
 """
 
+import functools
 import json
-import math
 import re
 import threading
 from fractions import Fraction
 
-from .jensen import FactoredSpec, GammaSeq
+from .jensen import FactoredSpec, GammaSeq, recurrence_heads
 from .ratpoly import parse_rat
 
 NAMES = ("const1", "linear(a)", "example311", "besselJ0", "exp-half-cosh",
@@ -62,6 +63,12 @@ class _ExpHalfCoshRule:
             return g[k]
 
 
+def _exp_half_cosh_step(k: int) -> tuple:
+    """(2k+1) d_(k+1) = (1/2 - 2k) d_k - (k/2) d_(k-1), d_0 = 1, d_1 = 1/2, from phi's
+    ODE with D + 1 for D, on d_k = e_k / D_k with D_(k+1) = 2(2k+1) D_k."""
+    return 1 - 4 * k, -2 * k * (2 * k - 1), 2 * (2 * k + 1)
+
+
 def _json_rat(value, what: str) -> Fraction:
     """A rational from JSON: a "p/q" string or an integer, never a float or bool."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
@@ -94,11 +101,14 @@ def make_sequence(selector: str) -> GammaSeq:
     if text == "example311":
         return GammaSeq.from_lpplus(example311_spec(), name="example311")
     if text == "besselJ0":
-        # generating function sum x^k/(k!)^2, a Bessel-type series
-        return GammaSeq(lambda k: Fraction(1, math.factorial(k)), name="besselJ0")
+        # generating function sum x^k/(k!)^2, a Bessel-type series: geom-factorial(1)
+        seq = GammaSeq.geometric_factorial(1)
+        seq.name = "besselJ0"
+        return seq
     if text == "exp-half-cosh":
         # sigma = 1/2 and infinitely many zeros; a stress sequence for ratio scans
-        return GammaSeq(_ExpHalfCoshRule(), name="exp-half-cosh")
+        differences = functools.partial(recurrence_heads, 1, _exp_half_cosh_step)
+        return GammaSeq(_ExpHalfCoshRule(), name="exp-half-cosh", differences=differences)
     if text.startswith("file:"):
         return _from_file(text[len("file:"):])
     match = _ARG_FORM.match(text)

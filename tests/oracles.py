@@ -65,10 +65,27 @@ def difference_via_exp_shift(phi: FactoredSpec, k: int) -> Fraction:
     rate = phi.sigma - 1
     n = k - phi.m
     total = Fraction(0)
-    for j, a in enumerate(phi.product_coeffs()):
+    product = [Fraction(1)]
+    for z in phi.zeros:
+        product = [a + b / z for a, b in zip(product + [0], [0] + product)]
+    for j, a in enumerate(product):
         if j <= n:
             total += a * rate ** (n - j) / math.factorial(n - j)
     return math.factorial(k) * phi.c * total
+
+
+def fraction_histogram_bins(values: list, bins: int) -> list:
+    """`histogram_bins` on Fractions: each value's bin is int((v - lo) / width)."""
+    if not values:
+        return []
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return [(lo, hi, len(values))] + [(lo, hi, 0)] * (bins - 1)
+    width = (hi - lo) / bins
+    counts = [0] * bins
+    for v in values:
+        counts[min(int((v - lo) / width), bins - 1)] += 1
+    return [(lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(bins)]
 
 
 def hermite_product_expand(n: int, m: int, alpha: RatLike) -> list:

@@ -9,6 +9,8 @@ import pytest
 import hermops
 from hermops import cli
 from hermops.cli import main
+from hermops.jensen import DifferenceTable, GammaSeq, ratio_csv_lines
+from hermops.sequences import factored_from_json, make_sequence
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +105,28 @@ def test_ratios_histogram_counts_sum(capsys):
     assert len(hist_rows) == 8
     total = sum(int(row.split(",")[3]) for row in hist_rows)
     assert total == len(defined)
+
+
+@pytest.mark.parametrize(
+    "source, p",
+    [
+        (["--seq", "besselJ0"], 0),
+        (["--seq", "exp-half-cosh"], 0),
+        (["--seq", "geom-factorial(-5/3)"], 0),
+        (["--factored", '{"c": "2/3", "m": 1, "sigma": "5/4", "zeros": ["1/2", "3"]}'], 3),
+    ],
+)
+def test_ratios_match_the_row_by_row_table(capsys, source, p):
+    kmax = 400
+    code, out, _ = run_cli(capsys, "ratios", *source, "--kmax", str(kmax), "--p", str(p))
+    assert code == 0
+    if source[0] == "--seq":
+        seq = make_sequence(source[1])
+    else:
+        seq = GammaSeq.from_lpplus(factored_from_json(source[1]))
+    oracle = DifferenceTable(GammaSeq(lambda k: seq[k]), kmax, p)
+    rows = [(k, oracle.ratio(k)) for k in range(1, kmax + 1)]
+    assert out == "\n".join(ratio_csv_lines(rows)) + "\n"
 
 
 def test_output_file_deterministic(tmp_path, capsys):

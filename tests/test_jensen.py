@@ -24,7 +24,7 @@ from hermops.jensen import (
 )
 from hermops.ratpoly import rat_str
 from hermops.sequences import make_sequence
-from oracles import difference_via_exp_shift
+from oracles import difference_via_exp_shift, fraction_histogram_bins
 
 F = Fraction
 
@@ -336,3 +336,88 @@ def test_output_renders_past_the_int_string_limit():
     den = "1" + "0" * 5099 + "1"
     assert ratio_csv_lines([(1, value)])[1] == f"1,{num},{den},1e+100"
     assert rat_str(-value) == f"-{num}/{den}"
+
+
+# -- direct routes against the row-by-row table --------------------------------
+
+
+def _assert_direct_route_matches(seq, k_max, p):
+    """The direct heads of `seq` give the differences, ratios and Turan values
+    of the row-by-row table of the same gammas (a wrapper with no route)."""
+    assert seq.differences is not None
+    plain = GammaSeq(lambda k: seq[k])
+    table = DifferenceTable(seq, k_max, p)
+    oracle = DifferenceTable(plain, k_max, p)
+    assert table.den > 0
+    assert len(table.heads) == k_max + 1
+    assert [table[k] for k in range(k_max + 1)] == [oracle[k] for k in range(k_max + 1)]
+    assert [table[k] for k in range(k_max + 1)] == [finite_difference(seq, k, p) for k in range(k_max + 1)]
+    assert [table.ratio(k) for k in range(1, k_max + 1)] == [oracle.ratio(k) for k in range(1, k_max + 1)]
+    assert [table.turan(k) for k in range(1, k_max + 1)] == [oracle.turan(k) for k in range(1, k_max + 1)]
+    assert ratio_sequence(seq, max(k_max, 1), p) == ratio_sequence(plain, max(k_max, 1), p)
+    if k_max >= 1:
+        assert turan_quantity(seq, k_max, p) == oracle.turan(k_max)
+
+
+sigmas = st.one_of(
+    st.just(F(0)),
+    st.just(F(1)),
+    st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9),
+    st.fractions(min_value=F(10, 9), max_value=6, max_denominator=9),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    positive_rationals,
+    st.integers(min_value=0, max_value=3),
+    sigmas,
+    st.lists(positive_rationals, max_size=4),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=60),
+)
+def test_factored_heads_match_the_table(c, m, sigma, zeros, p, k_max):
+    spec = FactoredSpec(c=c, m=m, sigma=sigma, zeros=tuple(zeros))
+    _assert_direct_route_matches(GammaSeq.from_lpplus(spec), k_max, p)
+
+
+@pytest.mark.parametrize("r", [F(-2), F(-5, 3), F(1), F(3, 7), F(0), F(5, 2)])
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_geometric_factorial_recurrence_matches_the_table(r, p):
+    for k_max in (0, 1, 2, 60):
+        _assert_direct_route_matches(GammaSeq.geometric_factorial(r), k_max, p)
+
+
+@pytest.mark.parametrize("name", ["besselJ0", "exp-half-cosh"])
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_named_series_recurrences_match_the_table(name, p):
+    _assert_direct_route_matches(make_sequence(name), 80, p)
+
+
+def test_bessel_is_geometric_factorial_of_one():
+    seq = make_sequence("besselJ0")
+    assert seq.name == "besselJ0"
+    assert seq.values(30) == GammaSeq.geometric_factorial(1).values(30)
+    table = DifferenceTable(seq, 7)
+    assert [table[k] for k in range(8)] == BESSEL_DIFFERENCES
+
+
+# -- histogram ------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_histogram_bins_match_the_fraction_oracle(data):
+    bins = data.draw(st.integers(min_value=1, max_value=20))
+    lo = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=30))
+    span = data.draw(st.one_of(st.just(F(0)), st.fractions(min_value=F(1, 30), max_value=50, max_denominator=30)))
+    edges = data.draw(st.lists(st.integers(min_value=0, max_value=bins), max_size=12))
+    inner = data.draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40), max_size=12))
+    values = [lo + span * i / bins for i in edges] + [lo + span * f for f in inner]
+    assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
+
+
+def test_histogram_of_large_ratios_matches_the_fraction_oracle():
+    values = [v for _, v in ratio_sequence(make_sequence("besselJ0"), 260) if v is not None]
+    for bins in (1, 7, 18):
+        assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
