@@ -16,7 +16,9 @@ pipe), silently.  ``--help`` prints usage and exits 0.
 """
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -55,17 +57,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_sequence(args) -> GammaSeq:
-    has_seq = getattr(args, "seq", None) is not None
-    has_factored = getattr(args, "factored", None) is not None
-    if has_seq == has_factored:
+    """The sequence of --seq or --factored; --p and --kmax are checked against the cap."""
+    if (args.seq is None) == (args.factored is None):
         raise ConfigError("exactly one of --seq or --factored is required")
     _check_range("p", args.p)  # gamma_0..gamma_(p+kmax) are cached
-    if has_seq:
-        return make_sequence(args.seq)
-    return GammaSeq.from_lpplus(factored_from_json(args.factored))
+    seq = make_sequence(args.seq) if args.seq is not None else GammaSeq.from_lpplus(factored_from_json(args.factored))
+    _check_range("kmax", args.kmax)
+    return seq
 
 
-def _check_range(name: str, value: int) -> int:
+def _check_range(name: str, value: int) -> None:
     text = os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)).strip()
     cap = int(text) if text.isascii() and text.isdigit() else 0
     if cap < 1:
@@ -74,67 +75,54 @@ def _check_range(name: str, value: int) -> int:
         raise ConfigError(f"{name} must be nonnegative")
     if value > cap:
         raise ConfigError(f"{name} {value} exceeds the configured cap {cap} (HERMOPS_KMAX_CAP)")
-    return value
 
 
 def _emit(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="\n")
+    with target as fh:
+        # Buffer-sized pieces: a longer write that a departing reader cuts short drops the rest silently.
+        for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+            fh.write(text[i : i + io.DEFAULT_BUFFER_SIZE])
+
+
+def _emit_table(args, result, header: str, rows) -> None:
+    """`result`'s JSON for --format json, else CSV lines `header` then `rows`."""
+    if args.format == "json":
+        _emit(json.dumps(result.to_json_dict(), indent=2, sort_keys=True), args.output)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+        _emit("\n".join([header, *rows]), args.output)
 
 
 def _cmd_qpoly(args) -> int:
     seq = _resolve_sequence(args)
-    kmax = _check_range("kmax", args.kmax)
-    alpha = parse_rat(args.alpha)
-    op = build_operator(alpha, seq, kmax, args.p)
-    if args.format == "json":
-        _emit(_json_text(op.to_json_dict()), args.output)
-    else:
-        lines = ["k,coeffs"]
-        for k, q in enumerate(op.qpolys):
-            lines.append(f"{k},{' '.join(rat_str(c) for c in q.coeffs)}")
-        _emit("\n".join(lines), args.output)
+    op = build_operator(parse_rat(args.alpha), seq, args.kmax, args.p)
+    rows = (f"{k},{' '.join(rat_str(c) for c in q.coeffs)}" for k, q in enumerate(op.qpolys))
+    _emit_table(args, op, "k,coeffs", rows)
     return 0
 
 
 def _cmd_reality(args) -> int:
     seq = _resolve_sequence(args)
-    kmax = _check_range("kmax", args.kmax)
-    table = coefficient_reality_table(parse_rat(args.alpha), seq, kmax, args.p)
-    if args.format == "json":
-        _emit(_json_text(table.to_json_dict()), args.output)
-    else:
-        lines = ["k,real_rooted"]
-        lines.extend(f"{row.k},{'true' if row.real_rooted else 'false'}" for row in table.rows)
-        _emit("\n".join(lines), args.output)
+    table = coefficient_reality_table(parse_rat(args.alpha), seq, args.kmax, args.p)
+    rows = (f"{row.k},{'true' if row.real_rooted else 'false'}" for row in table.rows)
+    _emit_table(args, table, "k,real_rooted", rows)
     return 0
 
 
 def _cmd_ratios(args) -> int:
     seq = _resolve_sequence(args)
-    kmax = _check_range("kmax", args.kmax)
     bins = args.histogram
     if bins is not None:
         if bins < 1:
             raise ConfigError("histogram bin count must be positive")
         _check_range("histogram", bins)
-    rows = ratio_sequence(seq, kmax, args.p)
+    rows = ratio_sequence(seq, args.kmax, args.p)
     lines = ratio_csv_lines(rows)
     if bins is not None:
         defined = [v for _, v in rows if v is not None]
-        lines.append("")
-        lines.append("bin,lo,hi,count")
+        lines += ["", "bin,lo,hi,count"]
         for i, (lo, hi, count) in enumerate(histogram_bins(defined, bins)):
             lines.append(f"{i},{approx_str(lo)},{approx_str(hi)},{count}")
     _emit("\n".join(lines), args.output)
@@ -165,24 +153,24 @@ def _verify_suites():
         yield check_eigen_action(LaguerreParam(alpha, alpha + 1), 10)
 
 
-def _cmd_verify(_args) -> int:
+def _print_reports(reports) -> int:
+    """Each report's line and its notes; 0 if every report passed, else 1."""
     all_passed = True
-    for report in _verify_suites():
-        print(report.line())
-        all_passed = all_passed and report.passed
-    return 0 if all_passed else 1
-
-
-def _cmd_examples(args) -> int:
-    ids = DEMO_IDS if args.id == "all" else (args.id,)
-    all_passed = True
-    for demo_id in ids:
-        report = run_demo(demo_id)
+    for report in reports:
         print(report.line())
         for note in report.notes:
             print(f"  {note}")
         all_passed = all_passed and report.passed
     return 0 if all_passed else 1
+
+
+def _cmd_verify(_args) -> int:
+    return _print_reports(_verify_suites())
+
+
+def _cmd_examples(args) -> int:
+    ids = DEMO_IDS if args.id == "all" else (args.id,)
+    return _print_reports(run_demo(demo_id) for demo_id in ids)
 
 
 @functools.lru_cache(maxsize=1)

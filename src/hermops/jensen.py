@@ -22,8 +22,9 @@ evaluated at -1, and also equals k! * [x^k] (e^(-x) * phi_p(x)) where phi_p
 generates the shifted sequence.  Every consumer in the package reads these
 numbers from one `DifferenceTable`.  A factored generator fills it in
 closed form (e^(-x) * phi^(p) has the factored shape with sigma - 1 for
-sigma), geom-factorial, besselJ0 and exp-half-cosh by recurrence; any other
-sequence by row-by-row differences of its gammas, which with
+sigma), a series given by its ODE (`GammaSeq.from_ode`: geom-factorial,
+besselJ0, exp-half-cosh) by the recurrence of the ODE of e^(-x) * phi; any
+other sequence by row-by-row differences of its gammas, which with
 `finite_difference` (the binomial sum) is the oracle for both.
 """
 
@@ -113,15 +114,31 @@ def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
     return Fraction(_exp_poly_head(phi._ints, s, t, k), phi._den * t**k)
 
 
-def recurrence_heads(e1: int, step: Callable[[int], tuple], k_max: int, p: int) -> tuple:
+def ode_step(ode: tuple) -> Callable[[int], tuple]:
+    """`recurrence_heads`' step for u_k = k! * [x^k] y, y a solution of
+    q2*x*y'' + (r0 + r1*x)*y' + (s0 + s1*x)*y = 0, ode = (q2, (r0, r1), (s0, s1)):
+    k derivatives at 0 give c_k u_(k+1) = -(k*r1 + s0) u_k - k*s1 u_(k-1) with
+    c_k = k*q2 + r0, so e_k = u_k * D_k has b_k = -k*s1 * c_(k-1)."""
+    q2, (r0, r1), (s0, s1) = ode
+    return lambda k: (-(k * r1 + s0), -k * s1 * ((k - 1) * q2 + r0), k * q2 + r0)
+
+
+def exp_shift_ode(ode: tuple) -> tuple:
+    """The ODE of e^(-x) * y: y = e^x * psi turns (P2, P1, P0) into
+    (P2, 2*P2 + P1, P2 + P1 + P0), here with P2 = q2*x."""
+    q2, (r0, r1), (s0, s1) = ode
+    return q2, (r0, 2 * q2 + r1), (r0 + s0, q2 + r1 + s1)
+
+
+def recurrence_heads(step: Callable[[int], tuple], k_max: int, p: int) -> tuple:
     """(heads, den) with d_(k,p) = heads[k]/den, from a three-term recurrence.
 
-    d_k = e_k / D_k, e_0 = D_0 = 1, e_1 = e1, e_(k+1) = a_k e_k + b_k e_(k-1)
+    d_k = e_k / D_k, e_0 = D_0 = 1, e_(k+1) = a_k e_k + b_k e_(k-1) (so e_1 = a_0)
     and D_(k+1) = c_k D_k for step(k) = (a_k, b_k, c_k), integers with c_k > 0.
     d_(k,p) = sum_j C(p,j) d_(k+j,0) is summed as p adjacent-pair passes.
     """
     n = k_max + p
-    es = [1, e1]
+    es = [1, step(0)[0]]
     for k in range(1, n):
         a, b, _ = step(k)
         es.append(a * es[k] + b * es[k - 1])
@@ -137,8 +154,9 @@ def recurrence_heads(e1: int, step: Callable[[int], tuple], k_max: int, p: int) 
 
 
 class GammaSeq:
-    """A lazily evaluated, memoized sequence of exact rationals; `differences`,
-    if given, maps (k_max, p) to `DifferenceTable`'s (heads, den) directly."""
+    """A lazily evaluated, memoized sequence of exact rationals: the rule is called
+    under the lock, once per k, for k = 0, 1, 2, ... in order.  `differences`, if
+    given, maps (k_max, p) to `DifferenceTable`'s (heads, den) directly."""
 
     def __init__(
         self,
@@ -201,15 +219,28 @@ class GammaSeq:
         return cls(lambda k: k + a, name=f"linear({a})", params={"a": a})
 
     @classmethod
+    def from_ode(cls, ode: tuple, name: str) -> "GammaSeq":
+        """gamma_k = k! * [x^k] phi for the solution phi(0) = 1 of `ode` (as in
+        `ode_step`): the gammas by its recurrence, the differences by that of
+        e^(-x) * phi.  The rule keeps e_(k-1), e_k and D_k only."""
+        step = ode_step(ode)
+        state = [0, 1, 1]  # e_(k-1), e_k, D_k for the next k the rule is called with
+
+        def rule(k: int) -> Fraction:
+            prev, e, d = state
+            a, b, c = step(k)
+            state[:] = e, a * e + b * prev, c * d
+            return Fraction(e, d)
+
+        return cls(rule, name, differences=functools.partial(recurrence_heads, ode_step(exp_shift_ode(ode))))
+
+    @classmethod
     def geometric_factorial(cls, r: RatLike) -> "GammaSeq":
-        """gamma_k = r^k / k!.  With r = a/b, (k+1) d_(k+1) + (2k+1-r) d_k + k d_(k-1)
-        = 0, so e_k = d_k * k! * b^k has e_(k+1) = -((2k+1)b - a) e_k - k^2 b^2 e_(k-1)."""
+        """gamma_k = r^k / k!: with r = a/b, phi = sum r^k x^k / k!^2 solves
+        b*x*phi'' + b*phi' - a*phi = 0."""
         r = rat(r)
         a, b = r.numerator, r.denominator
-        def step(k):
-            return a - (2 * k + 1) * b, -k * k * b * b, (k + 1) * b
-        differences = functools.partial(recurrence_heads, a - b, step)
-        return cls(lambda k: r**k / math.factorial(k), name=f"geom-factorial({r})", differences=differences)
+        return cls.from_ode((b, (b, 0), (-a, 0)), name=f"geom-factorial({r})")
 
 
 def jensen_reversed(seq: GammaSeq, n: int) -> RatPoly:

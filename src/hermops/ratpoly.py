@@ -41,13 +41,13 @@ def rat(value: RatLike) -> Fraction:
     """Coerce an int, string, or Fraction to an exact rational.
 
     Floats are rejected on purpose: every correctness-relevant quantity in
-    this package must stay exact.
+    this package must stay exact.  Strings go through `parse_rat`.
     """
     if isinstance(value, float):
         raise TypeError("floating-point input is not allowed; pass int, str or Fraction")
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    return parse_rat(value) if isinstance(value, str) else Fraction(value)
 
 
 def int_str(n: int) -> str:

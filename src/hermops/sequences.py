@@ -14,18 +14,18 @@ Selectors with an argument take one rational in parentheses.  `file:` data
 beyond the listed prefix is treated as an all-zero tail.
 
 Every selector builds a plain `GammaSeq`.  Only example311 has factored data
-(`example311_spec`), the certificate `classify` reads; besselJ0 and
-exp-half-cosh are given by their coefficient rules, plus a three-term
-recurrence for their differences that `DifferenceTable` reads directly.
+(`example311_spec`), the certificate `classify` reads; besselJ0,
+geom-factorial and exp-half-cosh are each given by one ODE constant, from
+which `GammaSeq.from_ode` derives both the recurrence for their gammas and
+the one for their differences that `DifferenceTable` reads directly.
 """
 
-import functools
+import contextlib
 import json
 import re
-import threading
 from fractions import Fraction
 
-from .jensen import FactoredSpec, GammaSeq, recurrence_heads
+from .jensen import FactoredSpec, GammaSeq
 from .ratpoly import parse_rat
 
 NAMES = ("const1", "linear(a)", "example311", "besselJ0", "exp-half-cosh",
@@ -39,34 +39,10 @@ def example311_spec() -> FactoredSpec:
     return FactoredSpec(c=1, m=0, sigma=Fraction(1, 2), zeros=(1, 1))
 
 
-class _ExpHalfCoshRule:
-    """gamma_k = k! * [x^k] e^(x/2) * cosh(sqrt(2x)), memoized.
-
-    phi(x) = e^(x/2) * cosh(sqrt(2x)) satisfies 2x*phi'' + (1 - 2x)*phi' +
-    (x/2 - 3/2)*phi = 0, which on gamma_k gives the three-term recurrence
-
-        (2k + 1) * gamma_(k+1) = (2k + 3/2) * gamma_k - (k/2) * gamma_(k-1),
-
-    with gamma_0 = 1 and gamma_1 = 3/2, so each new term costs O(1).
-    """
-
-    def __init__(self):
-        self._gammas = [Fraction(1), Fraction(3, 2)]
-        self._lock = threading.Lock()
-
-    def __call__(self, k: int) -> Fraction:
-        with self._lock:
-            g = self._gammas
-            while len(g) <= k:
-                n = len(g) - 1
-                g.append(((2 * n + Fraction(3, 2)) * g[n] - Fraction(n, 2) * g[n - 1]) / (2 * n + 1))
-            return g[k]
-
-
-def _exp_half_cosh_step(k: int) -> tuple:
-    """(2k+1) d_(k+1) = (1/2 - 2k) d_k - (k/2) d_(k-1), d_0 = 1, d_1 = 1/2, from phi's
-    ODE with D + 1 for D, on d_k = e_k / D_k with D_(k+1) = 2(2k+1) D_k."""
-    return 1 - 4 * k, -2 * k * (2 * k - 1), 2 * (2 * k + 1)
+# Each ODE (q2, (r0, r1), (s0, s1)) is q2*x*phi'' + (r0 + r1*x)*phi' + (s0 + s1*x)*phi = 0.
+BESSEL_J0_ODE = (1, (1, 0), (-1, 0))  # phi = sum x^k / k!^2, geom-factorial(1)
+# phi = e^(x/2) * cosh(sqrt(2x)): 2x*phi'' + (1 - 2x)*phi' + (x/2 - 3/2)*phi = 0, times 2
+EXP_HALF_COSH_ODE = (4, (2, -4), (-3, 1))
 
 
 def _json_rat(value, what: str) -> Fraction:
@@ -82,12 +58,21 @@ def _json_rat_list(value, what: str) -> list:
     return [_json_rat(v, f"each entry of {what}") for v in value]
 
 
+@contextlib.contextmanager
+def _json_input(what: str):
+    """JSON nested past the recursion limit (decoded or quoted) is a ValueError naming the input."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError(f"{what} is JSON nested too deeply") from None
+
+
 def _from_file(path: str) -> GammaSeq:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _json_input(f"sequence file {path}"):
         data = json.load(fh)
-    if not isinstance(data, dict) or "gammas" not in data:
-        raise ValueError(f"sequence file {path} must be a JSON object with a 'gammas' list")
-    values = _json_rat_list(data["gammas"], f"'gammas' in {path}")
+        if not isinstance(data, dict) or "gammas" not in data:
+            raise ValueError(f"sequence file {path} must be a JSON object with a 'gammas' list")
+        values = _json_rat_list(data["gammas"], f"'gammas' in {path}")
     return GammaSeq.from_values(values, name=f"file:{path}")
 
 
@@ -95,20 +80,14 @@ def make_sequence(selector: str) -> GammaSeq:
     """Build the sequence named by a selector string (see module docstring)."""
     text = selector.strip()
     if text == "const1":
-        seq = GammaSeq.constant(1)
-        seq.name = "const1"
-        return seq
+        return GammaSeq(lambda k: Fraction(1), name="const1")
     if text == "example311":
         return GammaSeq.from_lpplus(example311_spec(), name="example311")
     if text == "besselJ0":
-        # generating function sum x^k/(k!)^2, a Bessel-type series: geom-factorial(1)
-        seq = GammaSeq.geometric_factorial(1)
-        seq.name = "besselJ0"
-        return seq
+        return GammaSeq.from_ode(BESSEL_J0_ODE, name="besselJ0")
     if text == "exp-half-cosh":
         # sigma = 1/2 and infinitely many zeros; a stress sequence for ratio scans
-        differences = functools.partial(recurrence_heads, 1, _exp_half_cosh_step)
-        return GammaSeq(_ExpHalfCoshRule(), name="exp-half-cosh", differences=differences)
+        return GammaSeq.from_ode(EXP_HALF_COSH_ODE, name="exp-half-cosh")
     if text.startswith("file:"):
         return _from_file(text[len("file:"):])
     match = _ARG_FORM.match(text)
@@ -127,15 +106,16 @@ def factored_from_json(text: str) -> FactoredSpec:
     Keys: "sigma" (required, "p/q"), "c" (default "1"), "m" (default 0),
     "zeros" (default [], list of "p/q").
     """
-    data = json.loads(text)
-    if not isinstance(data, dict) or "sigma" not in data:
-        raise ValueError('factored generator needs a JSON object with at least "sigma"')
-    m = data.get("m", 0)
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValueError(f'factored generator: "m" must be an integer, got {json.dumps(m)}')
-    return FactoredSpec(
-        c=_json_rat(data.get("c", "1"), 'factored generator: "c"'),
-        m=m,
-        sigma=_json_rat(data["sigma"], 'factored generator: "sigma"'),
-        zeros=tuple(_json_rat_list(data.get("zeros", []), 'factored generator: "zeros"')),
-    )
+    with _json_input("factored generator"):
+        data = json.loads(text)
+        if not isinstance(data, dict) or "sigma" not in data:
+            raise ValueError('factored generator needs a JSON object with at least "sigma"')
+        m = data.get("m", 0)
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ValueError(f'factored generator: "m" must be an integer, got {json.dumps(m)}')
+        return FactoredSpec(
+            c=_json_rat(data.get("c", "1"), 'factored generator: "c"'),
+            m=m,
+            sigma=_json_rat(data["sigma"], 'factored generator: "sigma"'),
+            zeros=tuple(_json_rat_list(data.get("zeros", []), 'factored generator: "zeros"')),
+        )

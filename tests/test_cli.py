@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hermops
 from hermops import cli
@@ -271,6 +275,26 @@ def test_error_bad_factored_json(capsys):
     assert json.loads(err)["error"]
 
 
+def _assert_one_json_error_line(code, out, err):
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    return json.loads(err)["error"]
+
+
+def test_error_deeply_nested_factored_json(capsys):
+    deep = "[" * 20000 + "]" * 20000
+    code, out, err = run_cli(capsys, "ratios", "--factored", f'{{"sigma": {deep}}}', "--kmax", "3")
+    assert "factored generator" in _assert_one_json_error_line(code, out, err)
+
+
+def test_error_deeply_nested_sequence_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"gammas": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = run_cli(capsys, "ratios", "--seq", f"file:{path}", "--kmax", "3")
+    assert str(path) in _assert_one_json_error_line(code, out, err)
+
+
 def test_error_alpha_in_exponent_notation(capsys):
     code, out, err = run_cli(capsys, "qpoly", "--seq", "const1", "--alpha", "1e3", "--kmax", "1")
     assert code == 2
@@ -427,3 +451,96 @@ def test_one_parser_serves_every_call(capsys):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 0]
     assert cli.build_parser.cache_info().misses == 1
+
+
+# -- the CLI contract on drawn argv -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "good": '{"gammas": ["1", "3/2", "-2", "0", "5/7"]}',
+        "floats": '{"gammas": [0.5, 1]}',
+        "no-gammas": '{"values": ["1"]}',
+        "not-json": "{gammas",
+        "deep": '{"gammas": ' + "[" * 5000 + "]" * 5000 + "}",
+    }
+    for name, text in files.items():
+        (root / f"{name}.json").write_text(text)
+    return [f"file:{root / name}.json" for name in [*files, "missing"]] + [f"file:{root}"]
+
+
+# Each vocabulary as (well-formed, malformed); `_mostly` draws the first three times as often.
+RATIONALS = (["1", "1/2", "2/3", "3"], ["0", "-1", "-3/4", "1e5", "1/0", "abc", ""])
+INTEGERS = ([str(n) for n in range(13)], ["-2", "-1", "five", "1.5"])
+SELECTORS = (
+    ["const1", "linear(3)", "linear(-1/2)", "example311", "besselJ0", "exp-half-cosh", "geom-factorial(3/5)",
+     "geom-factorial(-2)", "geom-factorial(0)"],
+    ["linear(1e5)", "linear(1/0)", "linear()", "geom-factorial(1/0)", "nosuch", "file:"],
+)
+FACTORED = (
+    ['{"sigma": "1/2", "zeros": ["1", "1"]}', '{"sigma": "1/2"}', '{"sigma": "0", "m": 2, "c": "3"}',
+     '{"sigma": "3", "zeros": ["1/3"]}'],
+    ['{"sigma": 0.5}', '{"sigma": "1e5"}', '{"sigma": "1/0"}', '{"zeros": []}', "[1]", "{", "null",
+     '{"sigma": "1", "zeros": "12"}', '{"sigma": "1", "m": -1}', '{"sigma": "-1"}', '{"sigma": "1", "c": "0"}',
+     '{"sigma": "1", "zeros": ["-1"]}', '{"sigma": "1", "m": true}', '{"sigma": ' + "[" * 3000 + "]" * 3000 + "}"],
+)
+COMMANDS = ["qpoly", "reality", "ratios", "verify", "examples"]
+
+
+def _mostly(good, bad):
+    return st.sampled_from(good * 3 + bad)
+
+
+@st.composite
+def cli_argv(draw, files):
+    vocab = {
+        "--seq": _mostly(SELECTORS[0] + files[:1], SELECTORS[1] + files[1:]),
+        "--factored": _mostly(*FACTORED),
+        "--p": _mostly(*INTEGERS),
+        "--kmax": _mostly(*INTEGERS),
+        "--histogram": _mostly(*INTEGERS),
+        "--alpha": _mostly(*RATIONALS),
+        "--format": _mostly(["json", "csv"], ["xml"]),
+        "--id": _mostly(["all", "table1", "bessel", "linear-op", "geom-family", "laguerre"], ["nosuch"]),
+    }
+    anything = st.sampled_from(sorted({v for vs in (RATIONALS, INTEGERS, SELECTORS, FACTORED) for v in vs[0] + vs[1]}))
+    command = draw(st.sampled_from(COMMANDS + ["frobnicate", "--help"]))
+    flags = []
+    if command in ("qpoly", "reality", "ratios"):  # usually a source and the required options
+        required = [draw(st.sampled_from(["--seq", "--factored"])), "--kmax"] + (["--alpha"] if command != "ratios" else [])
+        flags = [flag for flag in required if draw(st.sampled_from([True] * 9 + [False]))]
+    flags += draw(st.lists(st.sampled_from(sorted(vocab)), max_size=2))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        # now and then a flag without its value, or with another flag's value
+        pick = draw(st.sampled_from(["own"] * 18 + ["any", "none"]))
+        if pick != "none":
+            argv.append(draw(vocab[flag] if pick == "own" else anything))
+    return argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_contract_holds_on_drawn_argv(fuzz_files, data):
+    argv = data.draw(cli_argv(fuzz_files))
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err)["error"]
+    assert _run_in_process(argv) == (code, out, err)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -14,16 +16,18 @@ from hermops.jensen import (
     check_difference_reconstruction,
     check_shift_recurrence,
     check_sum_interchange,
+    exp_shift_ode,
     finite_difference,
     histogram_bins,
     jensen_reversed,
+    ode_step,
     ratio_csv_lines,
     ratio_sequence,
     taylor_gamma,
     turan_quantity,
 )
 from hermops.ratpoly import rat_str
-from hermops.sequences import make_sequence
+from hermops.sequences import EXP_HALF_COSH_ODE, make_sequence
 from oracles import difference_via_exp_shift, fraction_histogram_bins
 
 F = Fraction
@@ -160,6 +164,12 @@ def test_geometric_factorial_values():
         assert seq[k] == F(1, 2) ** k / math.factorial(k)
 
 
+@pytest.mark.parametrize("r", [F(-2), F(-5, 3), F(0), F(1), F(3, 7), F(5, 2)])
+def test_geometric_factorial_ode_gives_r_power_over_factorial(r):
+    seq = GammaSeq.geometric_factorial(r)
+    assert seq.values(200) == [r**k / math.factorial(k) for k in range(201)]
+
+
 def test_turan_quantity_values():
     seq = make_sequence("besselJ0")
     expected = {1: F(0), 2: F(1, 4), 3: F(-2, 9), 4: F(-85, 192), 5: F(-329, 900)}
@@ -278,6 +288,36 @@ def _exp_half_cosh_sum(k):
 def test_exp_half_cosh_recurrence_matches_series_sum():
     seq = make_sequence("exp-half-cosh")
     assert seq.values(200) == [_exp_half_cosh_sum(k) for k in range(201)]
+
+
+def test_named_series_steps_are_the_hand_derived_ones():
+    # The recurrences each series ran before they were derived from its ODE.
+    for a, b in ((1, 1), (3, 5), (-5, 3), (0, 1), (5, 2)):
+        geom = ode_step(exp_shift_ode((b, (b, 0), (-a, 0))))
+        assert [geom(k) for k in range(101)] == [
+            (a - (2 * k + 1) * b, -k * k * b * b, (k + 1) * b) for k in range(101)
+        ]
+    differences = ode_step(exp_shift_ode(EXP_HALF_COSH_ODE))
+    gammas = ode_step(EXP_HALF_COSH_ODE)
+    for k in range(101):
+        assert differences(k) == (1 - 4 * k, -2 * k * (2 * k - 1), 2 * (2 * k + 1))
+        assert gammas(k) == (4 * k + 3, -2 * k * (2 * k - 1), 2 * (2 * k + 1))
+
+
+def test_ode_gammas_under_concurrent_reads():
+    # The rule keeps only two terms and relies on GammaSeq calling it in order,
+    # under its lock; a lost or repeated step would put a wrong value in the memo.
+    indices = [150, 40, 199, 3, 120, 77, 0, 200, 61, 180, 12, 99] * 2
+    expected = [_exp_half_cosh_sum(k) for k in indices]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            seq = make_sequence("exp-half-cosh")
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(seq.__getitem__, indices, timeout=60)) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_exp_half_cosh_memo_belongs_to_the_spec():

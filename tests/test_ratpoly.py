@@ -63,6 +63,14 @@ def test_parse_rat_rejects_exponent_notation():
     assert parse_rat(" 7 ") == F(7)
 
 
+def test_rat_parses_strings_like_parse_rat():
+    # Fraction("1e1000000") alone would build a 3.3-million-bit numerator.
+    for text in ("1e1000000", "1/0"):
+        with pytest.raises(ValueError):
+            rat(text)
+    assert rat("2/5") == F(2, 5)
+
+
 def test_trailing_zeros_stripped():
     p = RatPoly([1, 2, 0, 0])
     assert p.coeffs == (F(1), F(2))
