@@ -304,7 +304,8 @@ def _root_product(roots) -> tuple:
     ints = [1]
     for r in roots:
         ints = [r.denominator * a - r.numerator * b for a, b in zip([0, *ints], [*ints, 0])]
-    return RatPoly([Fraction(c, ints[-1]) for c in ints]), tuple(ints)
+    p = RatPoly._reduced(ints, ints[-1])  # already in lowest terms, so p's numerators are ints
+    return p, p._num
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,7 +316,8 @@ def _corpus_degree(n: int) -> tuple:
     rational set (n <= 3), shifted Hermite and Laguerre polynomials
     (real-rooted by classical theory) and 30 seeded random root multisets,
     deduplicated, as (candidate, primitive integer coefficients) pairs; root
-    products are multiplied out in integers.  The random stream runs through
+    products are multiplied out in integers, and a candidate whose numerators
+    are primitive shares that one tuple with its pair.  The random stream runs through
     the degrees in ascending order, so degree n starts where degree n - 1
     left it and never depends on deg_max.
     """
@@ -330,12 +332,12 @@ def _corpus_degree(n: int) -> tuple:
     if n > 1:
         for base in (hermite_polys(n, 1)[n], _laguerre.laguerre_polys(n, 1)[n]):
             for p in (base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)):
-                candidates.append((p, tuple(_int_coeffs(p))))
+                candidates.append((p, _int_coeffs(p)))
         for _ in range(30):
             candidates.append(_root_product([Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)]))
     unique = {}
     for pair in candidates:
-        unique.setdefault(pair[0].coeffs, pair)
+        unique.setdefault(pair[0], pair)
     return tuple(unique.values()), rng.getstate()
 
 
@@ -365,10 +367,10 @@ class _IntegerMap:
         cols = []
         for j in range(deg_max + 1):
             coeffs = expand_in_basis(RatPoly([0] * j + [1]), polys)
-            cols.append(combine_in_basis([seq[n] * c for n, c in enumerate(coeffs)], polys).coeffs)
-        self.den = math.lcm(*(c.denominator for col in cols for c in col))
+            cols.append(combine_in_basis([seq[n] * c for n, c in enumerate(coeffs)], polys))
+        self.den = math.lcm(*(c._den for c in cols))
         self.rows = [
-            [c[i].numerator * (self.den // c[i].denominator) if i < len(c) else 0 for c in cols[i:]]
+            [c._num[i] * (self.den // c._den) if i < len(c._num) else 0 for c in cols[i:]]
             for i in range(deg_max + 1)
         ]
 

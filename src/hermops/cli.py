@@ -39,7 +39,7 @@ from .jensen import (
     ratio_sequence,
 )
 from .laguerre import LaguerreParam, check_eigen_action
-from .ratpoly import parse_rat, rat_str
+from .ratpoly import parse_rat
 from .sequences import factored_from_json, make_sequence
 
 DEFAULT_KMAX_CAP = 2000
@@ -98,7 +98,7 @@ def _emit_table(args, result, header: str, rows) -> None:
 def _cmd_qpoly(args) -> int:
     seq = _resolve_sequence(args)
     op = build_operator(parse_rat(args.alpha), seq, args.kmax, args.p)
-    rows = (f"{k},{' '.join(rat_str(c) for c in q.coeffs)}" for k, q in enumerate(op.qpolys))
+    rows = (f"{k},{' '.join(q.to_json_dict()['coeffs'])}" for k, q in enumerate(op.qpolys))
     _emit_table(args, op, "k,coeffs", rows)
     return 0
 

@@ -98,29 +98,34 @@ def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> Her
     """Materialize the operator truncated at the given order: Q_0..Q_order.
 
     With d_i = heads[i] / den from one `DifferenceTable` and
-    -alpha/2 = step_num / step_den, the x^(k-2m) coefficient of Q_k is the
-    reduced fraction step_num^m * S / (step_den^m * den * m! * (k-2m)!),
-    where S = S_(k,m) * den is an integer built from row k-1 by the
-    module's recurrence.
+    -alpha/2 = step_num / step_den, the x^(k-2m) coefficient of Q_k is
+    step_num^m * S / (step_den^m * den * m! * (k-2m)!), where S = S_(k,m) * den
+    is an integer built from row k-1 by the module's recurrence.  Q_k is built
+    as integer numerators over step_den^(k//2) * den * k! and reduced once.
     """
     a = validate_alpha(alpha)
     if order < 0 or p < 0:
         raise ValueError("k and p must be nonnegative")
     table = DifferenceTable(seq, order, p)
-    fact = [math.factorial(i) for i in range(order + 1)]
     step_num, step_den = -a.numerator, 2 * a.denominator
+    num_pow = [step_num**m for m in range(order // 2 + 1)]
+    den_pow = [step_den**m for m in range(order // 2 + 1)]
     qpolys = []
     prev = []
+    fact = 1
     for k, head in enumerate(table.heads):
+        fact *= max(k, 1)
+        top = k // 2
         sums = [head]
-        for m in range(1, k // 2 + 1):
+        for m in range(1, top + 1):
             sums.append(sums[m - 1] + 2 * prev[m - 1])
-        coeffs = [Fraction(0)] * (k + 1)
+        num = [0] * (k + 1)
+        ways = 1  # k! / (m! (k-2m)!)
         for m, s in enumerate(sums):
-            coeffs[k - 2 * m] = Fraction(
-                step_num**m * s, step_den**m * table.den * fact[m] * fact[k - 2 * m]
-            )
-        qpolys.append(RatPoly(coeffs))
+            if m:
+                ways = ways * (k - 2 * m + 2) * (k - 2 * m + 1) // m
+            num[k - 2 * m] = num_pow[m] * den_pow[top - m] * ways * s
+        qpolys.append(RatPoly._reduced(num, den_pow[top] * table.den * fact))
         prev = sums
     return HermiteDiffOp(a, p, tuple(qpolys))
 

@@ -40,12 +40,15 @@ def hermite_polys(n_max: int, alpha: RatLike) -> list:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a = validate_alpha(alpha)
-    polys = [ONE]
-    if n_max >= 1:
-        polys.append(X)
+    u, v = a.numerator, a.denominator
+    # H_n = P_n / v^(n//2) with P_n = x*P_(n-1)*(v if n is even else 1) - u*(n-1)*P_(n-2) in integers
+    ints = [[1], [0, 1]]
     for n in range(2, n_max + 1):
-        polys.append(X * polys[n - 1] - (a * (n - 1)) * polys[n - 2])
-    return polys
+        scale = v if n % 2 == 0 else 1
+        ints.append([0, *(scale * c for c in ints[n - 1])])
+        for i, c in enumerate(ints[n - 2]):
+            ints[n][i] -= u * (n - 1) * c
+    return [RatPoly._reduced(c, v ** (n // 2)) for n, c in enumerate(ints[: n_max + 1])]
 
 
 def to_hermite_basis(p: RatPoly, alpha: RatLike) -> list:
@@ -58,14 +61,19 @@ def from_hermite_basis(coeffs: list, alpha: RatLike) -> RatPoly:
     return combine_in_basis(coeffs, hermite_polys(max(len(coeffs) - 1, 0), alpha))
 
 
-def classical_hermite(n: int) -> RatPoly:
-    """Physicists' Hermite polynomial (H_0 = 1, H_1 = 2x, H_{n+1} = 2x*H_n - 2n*H_{n-1})."""
-    if n < 0:
+def _classical_hermite_polys(n_max: int) -> list:
+    """Physicists' [H_0, ..., H_n_max] (H_0 = 1, H_1 = 2x, H_{n+1} = 2x*H_n - 2n*H_{n-1})."""
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
     polys = [ONE, 2 * X]
-    for i in range(1, n):
+    for i in range(1, n_max):
         polys.append(2 * X * polys[i] - (2 * i) * polys[i - 1])
-    return polys[n]
+    return polys[: n_max + 1]
+
+
+def classical_hermite(n: int) -> RatPoly:
+    """Physicists' Hermite polynomial H_n."""
+    return _classical_hermite_polys(n)[n]
 
 
 def check_identities(n_max: int, alpha: RatLike) -> CheckReport:
@@ -91,12 +99,13 @@ def check_identities(n_max: int, alpha: RatLike) -> CheckReport:
             rhs = X * polys[n].derivative() - a * polys[n].derivative(2)
             if lhs != rhs:
                 failures.append(f"eigenvalue equation fails at n={n}, alpha={a}")
+    classical = _classical_hermite_polys(n_max)
     for aa, root in ((Fraction(1, 2), Fraction(1)), (Fraction(2), Fraction(2))):
         scaled = hermite_polys(n_max, aa)
         sub = RatPoly([0, Fraction(1) / root])
         for n in range(n_max + 1):
             checked += 1
-            lhs = classical_hermite(n).compose(sub)
+            lhs = classical[n].compose(sub)
             rhs = (Fraction(2) / root) ** n * scaled[n]
             if lhs != rhs:
                 failures.append(f"classical rescaling fails at n={n}, alpha={aa}")

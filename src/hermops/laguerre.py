@@ -54,16 +54,17 @@ def laguerre_polys(n_max: int, alpha: RatLike) -> list:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a = validate_laguerre_alpha(alpha)
+    u, v = a.numerator, a.denominator
     out = []
     for n in range(n_max + 1):
-        coeffs = []
-        for k in range(n + 1):
-            rising = Fraction(1)
-            for j in range(k + 1, n + 1):
-                rising *= a + j
-            term = rising / math.factorial(n - k) / math.factorial(k)
-            coeffs.append(-term if k % 2 else term)
-        out.append(RatPoly(coeffs))
+        # over v^n * n!, the x^k numerator is (-1)^k C(n,k) v^k prod_(j=k+1..n) (u + j*v)
+        num = [0] * (n + 1)
+        rising = 1
+        for k in range(n, -1, -1):
+            term = math.comb(n, k) * v**k * rising
+            num[k] = -term if k % 2 else term
+            rising *= u + k * v
+        out.append(RatPoly._reduced(num, v**n * math.factorial(n)))
     return out
 
 

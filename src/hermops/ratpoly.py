@@ -1,9 +1,15 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are immutable and densely represented: a tuple of
-`fractions.Fraction` coefficients in ascending degree order with no trailing
-zeros, so the empty tuple is the zero polynomial and ``degree == len - 1``
-otherwise.  Everything here is exact; floating point never enters any
+Polynomials are immutable and densely represented: a tuple of integer
+numerators in ascending degree order over one positive denominator, in
+lowest terms (gcd(den, *num) = 1) and with no trailing zeros, so the zero
+polynomial is the empty tuple over 1 and ``degree == len - 1`` otherwise.
+That form is unique, so equality and hashing compare integers.  Sums,
+products, scalar multiples, derivatives and compositions run on the
+numerators and reduce the result once, with one gcd; `coeffs`, `coeff`,
+`leading` and `to_text` build reduced `fractions.Fraction`s only when asked,
+and `to_json_dict` reduces each numerator against the denominator as it
+renders.  Everything here is exact; floating point never enters any
 computation, only (optionally) display.
 
 Real-root counting uses Sturm sequences.  The chain is computed over the
@@ -24,8 +30,9 @@ primitive remainder sequence, `_prs`, builds every chain; its last member is
 the gcd `poly_gcd` returns.  The last chain is memoised on p's primitive
 integer coefficients, so a shortfall builds it once.
 
-The change of basis works in place on one list of Fraction coefficients
-and builds one RatPoly at the end, not a temporary polynomial per step.
+The change of basis works in place on one list of integer numerators over
+one denominator and builds one RatPoly at the end, not a temporary
+polynomial per step.
 """
 
 import functools
@@ -73,119 +80,130 @@ def rat_str(value: RatLike) -> str:
     return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction; a zero denominator is a ValueError.
+def brief(text: str) -> str:
+    """text quoted for an error message, cut to its first 20 characters."""
+    return repr(text[:20]) + ("..." if len(text) > 20 else "")
 
-    Exponent notation is a ValueError too: ``Fraction("1e10000000")`` alone
-    builds a 33-million-bit numerator, which would stall the caller.
+
+def parse_rat(text: str) -> Fraction:
+    """Parse ``"p/q"`` or ``"p"`` into a Fraction; anything else is a ValueError.
+
+    Exponent notation is refused: ``Fraction("1e10000000")`` alone builds a
+    33-million-bit numerator, which would stall the caller.  The error quotes
+    only the start of the text, however long it is.
     """
     if "e" in text or "E" in text:
-        raise ValueError(f"invalid rational {text!r}: exponent notation is not accepted")
+        raise ValueError(f"invalid rational {brief(text)}: exponent notation is not accepted")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"invalid rational {text!r}: zero denominator") from None
+        raise ValueError(f"invalid rational {brief(text)}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"invalid rational {brief(text)}") from None
+
+
+def _strip(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
 
 
 class RatPoly:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial with rational coefficients: integer numerators over one denominator."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        cs = [c if type(c) is int else rat(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        # over the lcm of reduced denominators, gcd(den, *num) is already 1
+        self._num = tuple(_strip([c.numerator * (den // c.denominator) for c in cs]))
+        self._den = den
+
+    @classmethod
+    def _reduced(cls, num: list, den: int) -> "RatPoly":
+        """num / den (den > 0) in lowest terms: trailing zeros and the common factor removed."""
+        g = math.gcd(den, *_strip(num))  # den itself when num is zero, so zero is () over 1
+        p = object.__new__(cls)
+        p._num = tuple(c // g for c in num) if g > 1 else tuple(num)
+        p._den = den // g
+        return p
 
     # -- structure ---------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        """The coefficients as reduced Fractions, ascending."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x**i (zero beyond the stored degree)."""
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
         return Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return self.coeff(len(self._num) - 1)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other) -> "RatPoly":
+    def _combine(self, other, sign: int) -> "RatPoly":
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, RatPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = RatPoly([other])
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+        den = math.lcm(self._den, other._den)
+        out = [c * (den // self._den) for c in self._num] + [0] * (len(other._num) - len(self._num))
+        for i, c in enumerate(other._num):
+            out[i] += sign * (den // other._den) * c
+        return RatPoly._reduced(out, den)
 
-    def __radd__(self, other) -> "RatPoly":
-        return self.__add__(other)
+    def __add__(self, other) -> "RatPoly":
+        return self._combine(other, 1)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self._coeffs])
+        return RatPoly._reduced([-c for c in self._num], self._den)
 
     def __sub__(self, other) -> "RatPoly":
-        if not isinstance(other, RatPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = RatPoly([other])
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "RatPoly":
-        return (-self).__add__(other)
+        return (-self)._combine(other, 1)
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, RatPoly):
-            if self.is_zero or other.is_zero:
-                return ZERO
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a:
-                    for j, b in enumerate(other._coeffs):
-                        out[i + j] += a * b
-            return RatPoly(out)
+            return RatPoly._reduced(_mul_ints(self._num, other._num), self._den * other._den)
         scalar = rat(other)
-        return RatPoly([scalar * c for c in self._coeffs])
+        return RatPoly._reduced([scalar.numerator * c for c in self._num], scalar.denominator * self._den)
 
-    def __rmul__(self, other) -> "RatPoly":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatPoly":
-        scalar = rat(other)
-        if scalar == 0:
-            raise ZeroDivisionError("division of polynomial by zero scalar")
-        return self * (Fraction(1) / scalar)
+        return self * (1 / rat(other))  # ZeroDivisionError on a zero scalar
 
     def __pow__(self, n: int) -> "RatPoly":
         if not isinstance(n, int) or n < 0:
@@ -200,52 +218,44 @@ class RatPoly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        r = list(self._coeffs)
-        q = [Fraction(0)] * max(len(r) - len(other._coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading
-        while len(r) - 1 >= d and r:
-            t = r[-1] / lead
-            k = len(r) - 1 - d
-            q[k] = t
-            for i, c in enumerate(other._coeffs):
+        r, b = list(self.coeffs), other.coeffs
+        q = [0] * max(len(r) - len(b) + 1, 0)
+        while len(r) >= len(b):
+            k = len(r) - len(b)
+            q[k] = t = r[-1] / b[-1]
+            for i, c in enumerate(b):
                 r[k + i] -= t * c
-            while r and r[-1] == 0:
-                r.pop()
+            _strip(r)
         return RatPoly(q), RatPoly(r)
-
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[1]
 
     # -- calculus / evaluation ---------------------------------------------
 
     def derivative(self, order: int = 1) -> "RatPoly":
-        """Formal derivative of the given order (order 0 returns self)."""
+        """Formal derivative of the given order (order 0 returns an equal polynomial)."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        cs = self._coeffs
-        for _ in range(order):
-            cs = tuple(i * c for i, c in enumerate(cs) if i > 0)
-            if not cs:
-                return ZERO
-        return RatPoly(cs)
+        num = self._num
+        return RatPoly._reduced([math.perm(i, order) * num[i] for i in range(order, len(num))], self._den)
 
     def __call__(self, x0: RatLike) -> Fraction:
         x = rat(x0)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def compose(self, inner: "RatPoly") -> "RatPoly":
-        """Substitute `inner` for the variable (Horner over polynomials)."""
-        acc = ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * inner + RatPoly([c])
-        return acc
+        """Substitute `inner` for the variable: Horner over integer numerators, one reduction."""
+        num = self._num
+        if not num:
+            return ZERO
+        m, e = inner._num, inner._den
+        acc, epow = [num[-1]], 1
+        for c in reversed(num[:-1]):  # after c_j: acc = sum_(i >= j) c_i m^(i-j) e^(deg-i)
+            epow *= e
+            acc = _mul_ints(acc, m) or [0]
+            acc[0] += c * epow
+        return RatPoly._reduced(acc, self._den * epow)
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
@@ -262,8 +272,9 @@ class RatPoly:
         if self.is_zero:
             return "0"
         parts = []
+        cs = self.coeffs
         for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
+            c = cs[i]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -282,11 +293,23 @@ class RatPoly:
         return text
 
     def to_json_dict(self) -> dict:
-        return {"coeffs": [rat_str(c) for c in self._coeffs]}
+        """Each coefficient as rat_str renders it, reduced from the numerators without a Fraction."""
+        gs = [math.gcd(c, self._den) for c in self._num]
+        return {"coeffs": [f"{int_str(c // g)}/{int_str(self._den // g)}" for c, g in zip(self._num, gs)]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RatPoly":
         return cls([parse_rat(c) for c in data["coeffs"]])
+
+
+def _mul_ints(a: Sequence[int], b: Sequence[int]) -> list:
+    """Product of two integer coefficient lists (zeros when either is empty)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 ZERO = RatPoly()
@@ -300,38 +323,40 @@ def expand_in_basis(p: RatPoly, basis: Sequence[RatPoly]) -> list:
     The basis must have deg basis[k] = k with any nonzero leading
     coefficient (at least deg p + 1 entries), so the change of basis is
     triangular: peeling coefficients from the top degree down, in place on
-    one residual list, ends with an exactly zero residual.  Each step
-    subtracts c_k times all of basis[k], so a basis that is not triangular
-    leaves a residual and raises ArithmeticError.  Zero expands to [].
+    one residual, ends with an exactly zero residual.  Each step subtracts
+    c_k times all of basis[k], so a basis that is not triangular leaves a
+    residual and raises ArithmeticError.  Zero expands to [].  The residual
+    is integer numerators over one (possibly negative) denominator, which a
+    step multiplies by the leading numerator of basis[k].
     """
-    residual = list(p.coeffs)
+    residual, den = list(p._num), p._den
     out = [Fraction(0)] * len(residual)
     for k in range(len(out) - 1, -1, -1):
-        c = residual[k] / basis[k].coeff(k)
-        if c != 0:
-            b = basis[k].coeffs
-            out[k] = c
-            residual.extend([Fraction(0)] * (len(b) - len(residual)))
+        r = residual[k]
+        if r:
+            b = basis[k]._num
+            lead = b[k] if k < len(b) else 0
+            out[k] = Fraction(r * basis[k]._den, den * lead)
+            residual = [c * lead for c in residual] + [0] * (len(b) - len(residual))
+            den *= lead
             for i, bc in enumerate(b):
-                if bc:
-                    residual[i] -= c * bc
+                residual[i] -= r * bc
     if any(residual):
         raise ArithmeticError("back-substitution left a nonzero residual")
     return out
 
 
 def combine_in_basis(coeffs: Iterable[RatLike], basis: Sequence[RatPoly]) -> RatPoly:
-    """Sum of c_k * basis[k] on one coefficient list; inverse of `expand_in_basis`."""
+    """Sum of c_k * basis[k] over one common denominator; inverse of `expand_in_basis`."""
+    terms = [(rat(c), basis[k]) for k, c in enumerate(coeffs)]
+    den = math.lcm(*(c.denominator * b._den for c, b in terms))
     total = []
-    for k, c in enumerate(coeffs):
-        c = rat(c)
-        if c:
-            b = basis[k].coeffs
-            total.extend([Fraction(0)] * (len(b) - len(total)))
-            for i, bc in enumerate(b):
-                if bc:
-                    total[i] += c * bc
-    return RatPoly(total)
+    for c, b in terms:
+        scale = c.numerator * (den // (c.denominator * b._den))
+        total += [0] * (len(b._num) - len(total))
+        for i, bc in enumerate(b._num):
+            total[i] += scale * bc
+    return RatPoly._reduced(total, den)
 
 
 def interpolate(points: Sequence[tuple]) -> RatPoly:
@@ -358,16 +383,13 @@ def interpolate(points: Sequence[tuple]) -> RatPoly:
 # -- gcd / squarefree / Sturm machinery -------------------------------------
 
 
-def _int_coeffs(p: RatPoly) -> list:
-    """Primitive integer coefficient list that is a positive multiple of p."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _content_strip([c.numerator * (den // c.denominator) for c in p.coeffs])
+def _int_coeffs(p: RatPoly) -> tuple:
+    """Primitive integer coefficients that are a positive multiple of p: its numerators, content stripped.
 
-
-def _strip(cs: list) -> list:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+    When the numerators are already primitive this is p's own tuple, not a copy.
+    """
+    g = math.gcd(*p._num)
+    return p._num if g <= 1 else tuple(c // g for c in p._num)
 
 
 def _content_strip(cs: list) -> list:
@@ -481,7 +503,7 @@ def count_real_roots(p: RatPoly) -> int:
         raise ValueError("cannot count roots of the zero polynomial")
     if p.degree == 0:
         return 0
-    return _sturm_count(_sturm_chain(tuple(_int_coeffs(p))))
+    return _sturm_count(_sturm_chain(_int_coeffs(p)))
 
 
 def _newton_refutes(c: tuple) -> bool:
@@ -529,4 +551,4 @@ def is_real_rooted(p: RatPoly) -> bool:
     `count_real_roots(p)`: a count of deg p settles it, and a shortfall reads
     deg gcd(p, p') off the same chain, since the count ignores multiplicity.
     """
-    return _real_rooted_ints(tuple(_int_coeffs(p)), lambda: count_real_roots(p))
+    return _real_rooted_ints(_int_coeffs(p), lambda: count_real_roots(p))

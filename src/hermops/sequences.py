@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 
 from .jensen import FactoredSpec, GammaSeq
-from .ratpoly import parse_rat
+from .ratpoly import brief, parse_rat
 
 NAMES = ("const1", "linear(a)", "example311", "besselJ0", "exp-half-cosh",
          "geom-factorial(r)", "file:PATH")
@@ -45,16 +45,33 @@ BESSEL_J0_ODE = (1, (1, 0), (-1, 0))  # phi = sum x^k / k!^2, geom-factorial(1)
 EXP_HALF_COSH_ODE = (4, (2, -4), (-3, 1))
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number"}
+
+
+def _json_kind(value) -> str:
+    """A decoded JSON value named for an error message by its type; a string or number adds its start.
+
+    A container is never rendered, so the message stays short however large
+    or deeply nested the offending value is.
+    """
+    if value is None or isinstance(value, bool):
+        return f"JSON {json.dumps(value)}"
+    kind = _JSON_TYPES[type(value)]
+    if isinstance(value, (list, dict)):
+        return f"a JSON {kind}"
+    return f"JSON {kind} {brief(value if isinstance(value, str) else json.dumps(value))}"
+
+
 def _json_rat(value, what: str) -> Fraction:
     """A rational from JSON: a "p/q" string or an integer, never a float or bool."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ValueError(f'{what} must be a rational string "p/q" or an integer, got {json.dumps(value)}')
+        raise ValueError(f'{what} must be a rational string "p/q" or an integer, got {_json_kind(value)}')
     return parse_rat(str(value))
 
 
 def _json_rat_list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be a JSON list, got {_json_kind(value)}")
     return [_json_rat(v, f"each entry of {what}") for v in value]
 
 
@@ -112,7 +129,7 @@ def factored_from_json(text: str) -> FactoredSpec:
             raise ValueError('factored generator needs a JSON object with at least "sigma"')
         m = data.get("m", 0)
         if isinstance(m, bool) or not isinstance(m, int):
-            raise ValueError(f'factored generator: "m" must be an integer, got {json.dumps(m)}')
+            raise ValueError(f'factored generator: "m" must be an integer, got {_json_kind(m)}')
         return FactoredSpec(
             c=_json_rat(data.get("c", "1"), 'factored generator: "c"'),
             m=m,

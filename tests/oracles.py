@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterable
 
 from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness, _witness_candidates
 from hermops.hermite import hermite_polys, validate_alpha
@@ -19,11 +20,15 @@ from hermops.ratpoly import (
     ONE,
     RatLike,
     RatPoly,
+    _content_strip,
     _int_coeffs,
     count_real_roots,
+    int_str,
     is_real_rooted,
+    parse_rat,
     poly_gcd,
     rat,
+    rat_str,
 )
 
 
@@ -32,11 +37,11 @@ def hermite_sum_qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) ->
 
         Q_k = sum_j (-alpha)^j / (j! (k-2j)!) * d_{k-j} * H_{k-2j},
 
-    summing the Hermite polynomials coefficientwise.
+    summing the Hermite polynomials of `fraction_hermite_polys` coefficientwise.
     """
     a = validate_alpha(alpha)
     d = [finite_difference(seq, i, p) for i in range(order + 1)]
-    polys = hermite_polys(order, a)
+    polys = fraction_hermite_polys(order, a)
     out = []
     for k in range(order + 1):
         coeffs = [Fraction(0)] * (k + 1)
@@ -177,3 +182,237 @@ def reference_corpus_degree(n: int) -> tuple:
 def reference_witness_candidates(deg_max: int) -> tuple:
     """The witness corpus of degree 1..deg_max, ascending, from `reference_corpus_degree`."""
     return tuple(itertools.chain.from_iterable(reference_corpus_degree(n)[0] for n in range(1, deg_max + 1)))
+
+
+class FractionPoly:
+    """The earlier layout of `RatPoly`: a tuple of Fractions, one Fraction operation per coefficient term."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: Iterable[RatLike] = ()):
+        cs = [rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "_coeffs", tuple(cs))
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self._coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def coeff(self, i: int) -> Fraction:
+        """Coefficient of x**i (zero beyond the stored degree)."""
+        if 0 <= i < len(self._coeffs):
+            return self._coeffs[i]
+        return Fraction(0)
+
+    @property
+    def leading(self) -> Fraction:
+        return self._coeffs[-1] if self._coeffs else Fraction(0)
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(self._coeffs)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other) -> "FractionPoly":
+        if not isinstance(other, FractionPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = FractionPoly([other])
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    def __radd__(self, other) -> "FractionPoly":
+        return self.__add__(other)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly([-c for c in self._coeffs])
+
+    def __sub__(self, other) -> "FractionPoly":
+        if not isinstance(other, FractionPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = FractionPoly([other])
+        return self + (-other)
+
+    def __rsub__(self, other) -> "FractionPoly":
+        return (-self).__add__(other)
+
+    def __mul__(self, other) -> "FractionPoly":
+        if isinstance(other, FractionPoly):
+            if self.is_zero or other.is_zero:
+                return FractionPoly()
+            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+            for i, a in enumerate(self._coeffs):
+                if a:
+                    for j, b in enumerate(other._coeffs):
+                        out[i + j] += a * b
+            return FractionPoly(out)
+        scalar = rat(other)
+        return FractionPoly([scalar * c for c in self._coeffs])
+
+    def __rmul__(self, other) -> "FractionPoly":
+        return self.__mul__(other)
+
+    def __truediv__(self, other) -> "FractionPoly":
+        scalar = rat(other)
+        if scalar == 0:
+            raise ZeroDivisionError("division of polynomial by zero scalar")
+        return self * (Fraction(1) / scalar)
+
+    def __pow__(self, n: int) -> "FractionPoly":
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = FractionPoly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __divmod__(self, other: "FractionPoly"):
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero polynomial")
+        r = list(self._coeffs)
+        q = [Fraction(0)] * max(len(r) - len(other._coeffs) + 1, 0)
+        d = other.degree
+        lead = other.leading
+        while len(r) - 1 >= d and r:
+            t = r[-1] / lead
+            k = len(r) - 1 - d
+            q[k] = t
+            for i, c in enumerate(other._coeffs):
+                r[k + i] -= t * c
+            while r and r[-1] == 0:
+                r.pop()
+        return FractionPoly(q), FractionPoly(r)
+
+    def __floordiv__(self, other: "FractionPoly") -> "FractionPoly":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other: "FractionPoly") -> "FractionPoly":
+        return divmod(self, other)[1]
+
+    # -- calculus / evaluation ---------------------------------------------
+
+    def derivative(self, order: int = 1) -> "FractionPoly":
+        """Formal derivative of the given order (order 0 returns self)."""
+        if order < 0:
+            raise ValueError("derivative order must be nonnegative")
+        cs = self._coeffs
+        for _ in range(order):
+            cs = tuple(i * c for i, c in enumerate(cs) if i > 0)
+            if not cs:
+                return FractionPoly()
+        return FractionPoly(cs)
+
+    def __call__(self, x0: RatLike) -> Fraction:
+        x = rat(x0)
+        acc = Fraction(0)
+        for c in reversed(self._coeffs):
+            acc = acc * x + c
+        return acc
+
+    def compose(self, inner: "FractionPoly") -> "FractionPoly":
+        """Substitute `inner` for the variable (Horner over polynomials)."""
+        acc = FractionPoly()
+        for c in reversed(self._coeffs):
+            acc = acc * inner + FractionPoly([c])
+        return acc
+
+    def monic(self) -> "FractionPoly":
+        if self.is_zero:
+            raise ValueError("zero polynomial has no monic normalization")
+        return self / self.leading
+
+    # -- presentation / serialization ----------------------------------------
+
+    def __repr__(self) -> str:
+        return f"FractionPoly({self.to_text()!r})"
+
+    def to_text(self) -> str:
+        """Human-readable rendering such as ``x^3 - 3*x``."""
+        if self.is_zero:
+            return "0"
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeff(i)
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else "+"
+            mag = abs(c)
+            mag_text = int_str(mag.numerator) if mag.denominator == 1 else rat_str(mag)
+            if i == 0:
+                body = mag_text
+            else:
+                var = "x" if i == 1 else f"x^{i}"
+                body = var if mag == 1 else f"{mag_text}*{var}"
+            parts.append((sign, body))
+        first_sign, first_body = parts[0]
+        text = first_body if first_sign == "+" else f"-{first_body}"
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text
+
+    def to_json_dict(self) -> dict:
+        return {"coeffs": [rat_str(c) for c in self._coeffs]}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "FractionPoly":
+        return cls([parse_rat(c) for c in data["coeffs"]])
+
+
+def lcm_int_coeffs(p) -> list:
+    """Primitive integer coefficients of p by the lcm of its Fraction coefficients' denominators."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _content_strip([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def fraction_hermite_polys(n_max: int, alpha: RatLike) -> list:
+    """[H_0, ..., H_n_max] by H_n = x*H_(n-1) - alpha*(n-1)*H_(n-2) on `FractionPoly`."""
+    a = validate_alpha(alpha)
+    x = FractionPoly([0, 1])
+    polys = [FractionPoly([1]), x]
+    for n in range(2, n_max + 1):
+        polys.append(x * polys[n - 1] - (a * (n - 1)) * polys[n - 2])
+    return polys[: n_max + 1]
+
+
+def fraction_laguerre_polys(n_max: int, alpha: RatLike) -> list:
+    """[L_0, ..., L_n_max] by the closed form, one Fraction per coefficient."""
+    a = rat(alpha)
+    out = []
+    for n in range(n_max + 1):
+        coeffs = []
+        for k in range(n + 1):
+            rising = Fraction(1)
+            for j in range(k + 1, n + 1):
+                rising *= a + j
+            term = rising / math.factorial(n - k) / math.factorial(k)
+            coeffs.append(-term if k % 2 else term)
+        out.append(FractionPoly(coeffs))
+    return out

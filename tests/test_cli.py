@@ -295,6 +295,31 @@ def test_error_deeply_nested_sequence_file(tmp_path, capsys):
     assert str(path) in _assert_one_json_error_line(code, out, err)
 
 
+@pytest.mark.parametrize(
+    "gammas",
+    [
+        "[" + "[" * 900 + "]" * 900 + "]",  # one entry nested 900 deep
+        json.dumps([list(range(100000))]),  # one entry a list of 100,000 integers
+        json.dumps(["x" * 100000]),  # one entry a 100,000-character string that is no rational
+        json.dumps({"zeros": list(range(100000))}),  # an object where the list belongs
+    ],
+    ids=["nested-900", "int-list-entry", "long-string-entry", "object-for-list"],
+)
+def test_error_on_a_large_sequence_file_entry_is_short(tmp_path, capsys, gammas):
+    path = tmp_path / "big.json"
+    path.write_text('{"gammas": ' + gammas + "}")
+    code, out, err = run_cli(capsys, "ratios", "--seq", f"file:{path}", "--kmax", "3")
+    _assert_one_json_error_line(code, out, err)
+    assert len(err) < 200 + len(str(path))
+
+
+def test_error_on_an_object_for_the_zeros_list_is_short(capsys):
+    zeros = {str(k): k for k in range(100000)}
+    code, out, err = run_cli(capsys, "ratios", "--factored", json.dumps({"sigma": "1/2", "zeros": zeros}), "--kmax", "3")
+    assert "JSON object" in _assert_one_json_error_line(code, out, err)
+    assert len(err) < 200
+
+
 def test_error_alpha_in_exponent_notation(capsys):
     code, out, err = run_cli(capsys, "qpoly", "--seq", "const1", "--alpha", "1e3", "--kmax", "1")
     assert code == 2

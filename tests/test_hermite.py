@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermops import hermite
 from hermops.hermite import (
     check_identities,
     classical_hermite,
@@ -64,6 +65,13 @@ def test_classical_rescaling(alpha, root):
         assert scaled == F(2, root) ** n * H[n]
 
 
+def test_classical_hermite_list_is_built_once_by_the_recurrence():
+    polys = hermite._classical_hermite_polys(12)
+    assert len(polys) == 13
+    assert polys == [classical_hermite(n) for n in range(13)]
+    assert hermite._classical_hermite_polys(0) == [ONE]
+
+
 def test_classical_hermite_values():
     assert classical_hermite(0) == ONE
     assert classical_hermite(1) == 2 * X
@@ -106,7 +114,7 @@ def test_check_identities_passes():
     report = check_identities(12, F(1))
     assert report.passed
     assert report.checked > 0
-    assert report.line().startswith("PASS")
+    assert report.line() == "PASS hermite-identities (51 checks)"
 
 
 def test_check_identities_alpha_zero():
