@@ -1,8 +1,9 @@
 """Exact diagonal differential operators on generalized Hermite bases.
 
-The package works entirely over the rationals: polynomial coefficients,
-sequence entries, and operator data are `fractions.Fraction` values, so every
-check is an exact identity rather than a floating-point comparison.
+The package works entirely over the rationals: a polynomial is integer
+numerators over one denominator, and sequence entries and operator data are
+`fractions.Fraction` values, so every check is an exact identity rather than
+a floating-point comparison.
 """
 
 from .classify import (

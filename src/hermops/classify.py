@@ -16,12 +16,12 @@ The falsifier acts on one basis type, `Basis`: a label and a triangular
 polynomial family, expanded and reconstructed through `ratpoly`'s one
 change of basis.  `StandardBasis`, `HermiteBasis` and `LaguerreBasis` are
 its three constructors; the standard basis is the Hermite family at
-alpha = 0 (H_n = x^n).  A basis keeps its polynomial list, and each degree of
-the witness corpus is built once, so a search builds neither per candidate.
+alpha = 0 (H_n = x^n).  Each degree of the witness corpus is built once, and
+a search reads its basis's family once, so neither is built per candidate.
 A search applies one integer matrix, the sequence's map on degree <= deg_max
-over one denominator, to each candidate's primitive integer coefficients, and
-runs the root test on that primitive integer image directly; the verdict is the
-same on that multiple, and only a witness gets the exact image.
+over one denominator, to each candidate's integer numerators, and runs the
+root test on that image with its content stripped; the verdict is the same on
+that positive multiple, and only a witness gets the exact image.
 """
 
 import functools
@@ -41,11 +41,9 @@ from .ratpoly import (
     RatLike,
     RatPoly,
     _content_strip,
-    _int_coeffs,
     _real_rooted_ints,
     _strip,
     combine_in_basis,
-    count_real_roots,
     expand_in_basis,
     is_real_rooted,
     rat,
@@ -101,26 +99,11 @@ class Verdict:
 class Basis:
     """A triangular basis b_0, b_1, ... (deg b_n = n) for coefficientwise action.
 
-    `family(n)` returns [b_0, ..., b_n].  The list is kept and rebuilt only
-    when a higher degree is asked for, so a search over polynomials of
-    degree <= deg_max builds it at most once.  Bases compare by
-    label.
+    `family(n)` returns [b_0, ..., b_n].  Bases compare by label.
     """
 
     label: str
     family: Callable[[int], list] = field(compare=False, repr=False)
-    _polys: list = field(init=False, default_factory=list, compare=False, repr=False)
-
-    def _polys_to(self, n: int) -> list:
-        if len(self._polys) <= n:
-            self._polys[:] = self.family(n)
-        return self._polys
-
-    def expand(self, p: RatPoly) -> list:
-        return expand_in_basis(p, self._polys_to(p.degree))
-
-    def reconstruct(self, coeffs: list) -> RatPoly:
-        return combine_in_basis(coeffs, self._polys_to(len(coeffs) - 1))
 
 
 def StandardBasis() -> Basis:
@@ -187,19 +170,11 @@ def is_classical_ms(phi) -> Verdict:
 
 @dataclass(frozen=True)
 class RealityRow:
-    """Whether Q_k is real-rooted; its degree and distinct real roots are read from q on demand."""
+    """Whether Q_k is real-rooted."""
 
     k: int
     real_rooted: bool
     q: RatPoly
-
-    @property
-    def degree(self) -> int:
-        return self.q.degree
-
-    @property
-    def distinct_real_roots(self) -> int:
-        return count_real_roots(self.q) if self.q else 0
 
 
 @dataclass(frozen=True)
@@ -294,18 +269,17 @@ def ratio_limit_check(
 # -- falsification -------------------------------------------------------------
 
 
-def _root_product(roots) -> tuple:
-    """The monic polynomial with the given rational roots, and its primitive integer coefficients.
+def _root_product(roots) -> RatPoly:
+    """The monic polynomial with the given rational roots, multiplied out in integers.
 
-    The integers are the product of the primitive factors q x - p, one per
+    Its numerators are the product of the primitive factors q x - p, one per
     root p/q in lowest terms; by Gauss's lemma the product is primitive, and
-    its leading coefficient prod q is positive.
+    its leading coefficient prod q, the denominator, is positive.
     """
     ints = [1]
     for r in roots:
         ints = [r.denominator * a - r.numerator * b for a, b in zip([0, *ints], [*ints, 0])]
-    p = RatPoly._reduced(ints, ints[-1])  # already in lowest terms, so p's numerators are ints
-    return p, p._num
+    return RatPoly._reduced(ints, ints[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,11 +289,9 @@ def _corpus_degree(n: int) -> tuple:
     Degree n: powers of linear factors, every product of n roots from a fixed
     rational set (n <= 3), shifted Hermite and Laguerre polynomials
     (real-rooted by classical theory) and 30 seeded random root multisets,
-    deduplicated, as (candidate, primitive integer coefficients) pairs; root
-    products are multiplied out in integers, and a candidate whose numerators
-    are primitive shares that one tuple with its pair.  The random stream runs through
-    the degrees in ascending order, so degree n starts where degree n - 1
-    left it and never depends on deg_max.
+    deduplicated; root products are multiplied out in integers.  The random
+    stream runs through the degrees in ascending order, so degree n starts
+    where degree n - 1 left it and never depends on deg_max.
     """
     half = Fraction(1, 2)
     rng = random.Random(0x5EED)
@@ -331,14 +303,10 @@ def _corpus_degree(n: int) -> tuple:
         candidates += [_root_product(r) for r in itertools.combinations_with_replacement(root_set, n)]
     if n > 1:
         for base in (hermite_polys(n, 1)[n], _laguerre.laguerre_polys(n, 1)[n]):
-            for p in (base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)):
-                candidates.append((p, _int_coeffs(p)))
+            candidates += [base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)]
         for _ in range(30):
             candidates.append(_root_product([Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)]))
-    unique = {}
-    for pair in candidates:
-        unique.setdefault(pair[0], pair)
-    return tuple(unique.values()), rng.getstate()
+    return tuple(dict.fromkeys(candidates)), rng.getstate()
 
 
 @functools.lru_cache(maxsize=8)
@@ -347,8 +315,7 @@ def _witness_candidates(deg_max: int) -> tuple:
 
     The order is fixed so falsification results are reproducible run to
     run.  It is the degree <= deg_max prefix of any larger corpus, so each
-    degree is built once; the result is an immutable tuple of (candidate,
-    its primitive integer coefficients) pairs.
+    degree is built once; the result is an immutable tuple of polynomials.
     """
     if deg_max < 1:
         raise ValueError("deg_max must be at least 1")
@@ -363,7 +330,7 @@ class _IntegerMap:
     """
 
     def __init__(self, seq: GammaSeq, basis: Basis, deg_max: int):
-        polys = basis._polys_to(deg_max)
+        polys = basis.family(deg_max)
         cols = []
         for j in range(deg_max + 1):
             coeffs = expand_in_basis(RatPoly([0] * j + [1]), polys)
@@ -390,13 +357,13 @@ def falsify_sequence(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
     """
     corpus = _witness_candidates(deg_max)  # raises on deg_max < 1 before the map is built
     action = _IntegerMap(seq, basis, deg_max)
-    for candidate, ints in corpus:
-        image = _strip(action.expand(ints))
+    for candidate in corpus:
+        image = _strip(action.expand(candidate._num))
         if not _real_rooted_ints(tuple(_content_strip(image))):
             if not is_real_rooted(candidate):
                 continue
-            # ints is candidate * ints[-1] / lc(candidate), so this is the exact image
-            exact = RatPoly(image) * (candidate.leading / (action.den * ints[-1]))
+            # image is den * T * num for the candidate num / _den
+            exact = RatPoly._reduced(image, action.den * candidate._den)
             return Verdict(
                 FALSIFIED,
                 f"degree-{candidate.degree} witness on basis {basis.label}",

@@ -57,11 +57,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_sequence(args) -> GammaSeq:
-    """The sequence of --seq or --factored; --p and --kmax are checked against the cap."""
+    """The sequence of --seq or --factored; --p, --kmax and the factored sizes are checked against the cap."""
     if (args.seq is None) == (args.factored is None):
         raise ConfigError("exactly one of --seq or --factored is required")
     _check_range("p", args.p)  # gamma_0..gamma_(p+kmax) are cached
-    seq = make_sequence(args.seq) if args.seq is not None else GammaSeq.from_lpplus(factored_from_json(args.factored))
+    seq = make_sequence(args.seq) if args.seq is not None else GammaSeq.from_lpplus(factored_from_json(args.factored, _check_range))
     _check_range("kmax", args.kmax)
     return seq
 

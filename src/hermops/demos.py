@@ -156,13 +156,14 @@ def bessel_demo() -> CheckReport:
     )
 
 
-def linear_operator_demo(a: int = 3) -> CheckReport:
-    """The operator of the linear family gamma_k = k + a.
+def linear_operator_demo() -> CheckReport:
+    """The operator of the linear family gamma_k = k + a at a = 3.
 
     Its coefficient list is (a, x, -alpha, 0, 0, ...) for every alpha > 0,
     the eigenvalues interpolate to the polynomial x + a, and for a < 0 the
     falsifier produces a concrete witness on the Hermite basis.
     """
+    a = 3
     failures = []
     checked = 0
     seq = GammaSeq.linear(a)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .hermite import hermite_polys, validate_alpha
 from .jensen import DifferenceTable, GammaSeq
-from .ratpoly import ONE, RatLike, RatPoly, interpolate, parse_rat, rat, rat_str
+from .ratpoly import ONE, RatLike, RatPoly, interpolate, rat, rat_str
 from .reporting import CheckReport
 
 
@@ -68,14 +68,6 @@ class HermiteDiffOp:
             "p_shift": self.p_shift,
             "Q": [q.to_json_dict() for q in self.qpolys],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HermiteDiffOp":
-        return cls(
-            parse_rat(data["alpha"]),
-            int(data["p_shift"]),
-            tuple(RatPoly.from_json_dict(q) for q in data["Q"]),
-        )
 
 
 def coefficient_polynomial(alpha: RatLike, seq: GammaSeq, k: int, p: int = 0) -> RatPoly:

@@ -71,11 +71,6 @@ def _classical_hermite_polys(n_max: int) -> list:
     return polys[: n_max + 1]
 
 
-def classical_hermite(n: int) -> RatPoly:
-    """Physicists' Hermite polynomial H_n."""
-    return _classical_hermite_polys(n)[n]
-
-
 def check_identities(n_max: int, alpha: RatLike) -> CheckReport:
     """Verify the structural identities of the family up to degree n_max.
 

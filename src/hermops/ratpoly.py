@@ -40,7 +40,6 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 
@@ -296,10 +295,6 @@ class RatPoly:
         """Each coefficient as rat_str renders it, reduced from the numerators without a Fraction."""
         gs = [math.gcd(c, self._den) for c in self._num]
         return {"coeffs": [f"{int_str(c // g)}/{int_str(self._den // g)}" for c, g in zip(self._num, gs)]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RatPoly":
-        return cls([parse_rat(c) for c in data["coeffs"]])
 
 
 def _mul_ints(a: Sequence[int], b: Sequence[int]) -> list:

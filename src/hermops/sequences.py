@@ -24,6 +24,7 @@ import contextlib
 import json
 import re
 from fractions import Fraction
+from typing import Callable
 
 from .jensen import FactoredSpec, GammaSeq
 from .ratpoly import brief, parse_rat
@@ -117,11 +118,13 @@ def make_sequence(selector: str) -> GammaSeq:
     raise ValueError(f"unknown sequence selector {selector!r}; known: {', '.join(NAMES)}")
 
 
-def factored_from_json(text: str) -> FactoredSpec:
+def factored_from_json(text: str, check_size: Callable[[str, int], None] = lambda name, n: None) -> FactoredSpec:
     """Parse a factored generator from a JSON object string.
 
     Keys: "sigma" (required, "p/q"), "c" (default "1"), "m" (default 0),
-    "zeros" (default [], list of "p/q").
+    "zeros" (default [], list of "p/q").  `check_size(name, n)` sees "m" and
+    the number of zeros before the generator is multiplied out, so it can
+    refuse sizes whose cost grows with them.
     """
     with _json_input("factored generator"):
         data = json.loads(text)
@@ -130,9 +133,9 @@ def factored_from_json(text: str) -> FactoredSpec:
         m = data.get("m", 0)
         if isinstance(m, bool) or not isinstance(m, int):
             raise ValueError(f'factored generator: "m" must be an integer, got {_json_kind(m)}')
-        return FactoredSpec(
-            c=_json_rat(data.get("c", "1"), 'factored generator: "c"'),
-            m=m,
-            sigma=_json_rat(data["sigma"], 'factored generator: "sigma"'),
-            zeros=tuple(_json_rat_list(data.get("zeros", []), 'factored generator: "zeros"')),
-        )
+        c = _json_rat(data.get("c", "1"), 'factored generator: "c"')
+        sigma = _json_rat(data["sigma"], 'factored generator: "sigma"')
+        zeros = tuple(_json_rat_list(data.get("zeros", []), 'factored generator: "zeros"'))
+        check_size('factored generator: "m"', m)
+        check_size('factored generator: number of "zeros"', len(zeros))
+        return FactoredSpec(c=c, m=m, sigma=sigma, zeros=zeros)

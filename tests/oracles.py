@@ -21,8 +21,9 @@ from hermops.ratpoly import (
     RatLike,
     RatPoly,
     _content_strip,
-    _int_coeffs,
+    combine_in_basis,
     count_real_roots,
+    expand_in_basis,
     int_str,
     is_real_rooted,
     parse_rat,
@@ -114,9 +115,10 @@ def reference_falsify(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
     reconstructed, so the map is rebuilt per candidate instead of applied as
     one integer matrix.
     """
-    for candidate, _ in _witness_candidates(deg_max):
-        coeffs = basis.expand(candidate)
-        image = basis.reconstruct([seq[n] * c for n, c in enumerate(coeffs)])
+    polys = basis.family(deg_max)
+    for candidate in _witness_candidates(deg_max):
+        coeffs = expand_in_basis(candidate, polys)
+        image = combine_in_basis([seq[n] * c for n, c in enumerate(coeffs)], polys)
         if not is_real_rooted(image):
             if not is_real_rooted(candidate):
                 continue
@@ -156,9 +158,9 @@ def from_roots(roots) -> RatPoly:
 def reference_corpus_degree(n: int) -> tuple:
     """Degree n of the witness corpus built in Fractions, and its random stream's end state.
 
-    Every candidate comes from `from_roots` or `RatPoly.compose`, and its
-    integers from `_int_coeffs`; the same candidates, order, deduplication
-    and random stream as `classify._corpus_degree`.
+    Every candidate comes from `from_roots` or `RatPoly.compose`; the same
+    candidates, order, deduplication and random stream as
+    `classify._corpus_degree`.
     """
     half = Fraction(1, 2)
     rng = random.Random(0x5EED)
@@ -176,7 +178,7 @@ def reference_corpus_degree(n: int) -> tuple:
     unique = {}
     for p in candidates:
         unique.setdefault(p.coeffs, p)
-    return tuple((p, tuple(_int_coeffs(p))) for p in unique.values()), rng.getstate()
+    return tuple(unique.values()), rng.getstate()
 
 
 def reference_witness_candidates(deg_max: int) -> tuple:

@@ -349,6 +349,28 @@ def test_error_histogram_cap(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "field, over, at_cap",
+    [
+        ('"m"', '{"sigma": "1/2", "m": 11}', '{"sigma": "1/2", "m": 10}'),
+        ('"zeros"', '{"sigma": "1/2", "zeros": [%s]}' % ", ".join(["1"] * 11),
+         '{"sigma": "1/2", "zeros": [%s]}' % ", ".join(["1"] * 10)),
+    ],
+    ids=["m", "zeros"],
+)
+def test_error_factored_size_cap(capsys, monkeypatch, field, over, at_cap):
+    # m and the zeros size the generator's polynomial, so they are capped like --kmax before it is built.
+    monkeypatch.setenv("HERMOPS_KMAX_CAP", "10")
+    for command in (["ratios"], ["qpoly", "--alpha", "1"], ["reality", "--alpha", "1"]):
+        code, out, err = run_cli(capsys, *command, "--factored", over, "--kmax", "3")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)["error"]
+        assert field in message and "HERMOPS_KMAX_CAP" in message
+        code, _, _ = run_cli(capsys, *command, "--factored", at_cap, "--kmax", "3")
+        assert code == 0
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["ratios", "--seq", "const1", "--kmax", "0"],

@@ -21,7 +21,7 @@ from hermops.diffop import (
 )
 from hermops.hermite import hermite_polys
 from hermops.jensen import GammaSeq, finite_difference
-from hermops.ratpoly import ONE, X, ZERO, RatPoly
+from hermops.ratpoly import ONE, X, ZERO, RatPoly, parse_rat
 from hermops.sequences import make_sequence
 from oracles import hermite_sum_qpolys
 
@@ -119,7 +119,9 @@ def test_shifted_operator_matches_shifted_sequence():
 
 def test_operator_json_round_trip():
     op = build_operator(F(1, 2), make_sequence("besselJ0"), 5, 1)
-    assert HermiteDiffOp.from_json_dict(op.to_json_dict()) == op
+    data = op.to_json_dict()
+    qpolys = tuple(RatPoly([parse_rat(c) for c in q["coeffs"]]) for q in data["Q"])
+    assert HermiteDiffOp(parse_rat(data["alpha"]), data["p_shift"], qpolys) == op
 
 
 def test_standard_coefficient_alpha_zero():

@@ -6,7 +6,6 @@ import pytest
 from hermops import hermite
 from hermops.hermite import (
     check_identities,
-    classical_hermite,
     from_hermite_basis,
     hermite_polys,
     to_hermite_basis,
@@ -59,24 +58,23 @@ def test_eigen_identity():
 
 @pytest.mark.parametrize("alpha,root", [(F(1, 2), 1), (F(2), 2)])
 def test_classical_rescaling(alpha, root):
-    H = hermite_polys(8, alpha)
+    H, classical = hermite_polys(8, alpha), hermite._classical_hermite_polys(8)
     for n in range(9):
-        scaled = classical_hermite(n).compose(X / root)
+        scaled = classical[n].compose(X / root)
         assert scaled == F(2, root) ** n * H[n]
 
 
 def test_classical_hermite_list_is_built_once_by_the_recurrence():
     polys = hermite._classical_hermite_polys(12)
     assert len(polys) == 13
-    assert polys == [classical_hermite(n) for n in range(13)]
+    for n in range(1, 12):
+        assert polys[n + 1] == 2 * X * polys[n] - 2 * n * polys[n - 1]
+    assert [hermite._classical_hermite_polys(n) for n in range(13)] == [polys[: n + 1] for n in range(13)]
     assert hermite._classical_hermite_polys(0) == [ONE]
 
 
 def test_classical_hermite_values():
-    assert classical_hermite(0) == ONE
-    assert classical_hermite(1) == 2 * X
-    assert classical_hermite(2) == 4 * X**2 - 2
-    assert classical_hermite(3) == 8 * X**3 - 12 * X
+    assert hermite._classical_hermite_polys(3) == [ONE, 2 * X, 4 * X**2 - 2, 8 * X**3 - 12 * X]
 
 
 def test_basis_round_trip_seeded():
