@@ -40,9 +40,7 @@ from .jensen import (
 )
 from .laguerre import LaguerreParam, check_eigen_action
 from .ratpoly import parse_rat
-from .sequences import factored_from_json, make_sequence
-
-DEFAULT_KMAX_CAP = 2000
+from .sequences import check_range, factored_from_json, make_sequence
 
 
 class ConfigError(ValueError):
@@ -60,21 +58,10 @@ def _resolve_sequence(args) -> GammaSeq:
     """The sequence of --seq or --factored; --p, --kmax and the factored sizes are checked against the cap."""
     if (args.seq is None) == (args.factored is None):
         raise ConfigError("exactly one of --seq or --factored is required")
-    _check_range("p", args.p)  # gamma_0..gamma_(p+kmax) are cached
-    seq = make_sequence(args.seq) if args.seq is not None else GammaSeq.from_lpplus(factored_from_json(args.factored, _check_range))
-    _check_range("kmax", args.kmax)
+    check_range("p", args.p)  # gamma_0..gamma_(p+kmax) are cached
+    seq = make_sequence(args.seq) if args.seq is not None else GammaSeq.from_lpplus(factored_from_json(args.factored))
+    check_range("kmax", args.kmax)
     return seq
-
-
-def _check_range(name: str, value: int) -> None:
-    text = os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)).strip()
-    cap = int(text) if text.isascii() and text.isdigit() else 0
-    if cap < 1:
-        raise ConfigError(f"HERMOPS_KMAX_CAP must be a positive integer, got {text!r}")
-    if value < 0:
-        raise ConfigError(f"{name} must be nonnegative")
-    if value > cap:
-        raise ConfigError(f"{name} {value} exceeds the configured cap {cap} (HERMOPS_KMAX_CAP)")
 
 
 def _emit(text: str, path) -> None:
@@ -117,7 +104,7 @@ def _cmd_ratios(args) -> int:
     if bins is not None:
         if bins < 1:
             raise ConfigError("histogram bin count must be positive")
-        _check_range("histogram", bins)
+        check_range("histogram", bins)
     rows = ratio_sequence(seq, args.kmax, args.p)
     lines = ratio_csv_lines(rows)
     if bins is not None:

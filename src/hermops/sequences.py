@@ -22,9 +22,9 @@ the one for their differences that `DifferenceTable` reads directly.
 
 import contextlib
 import json
+import os
 import re
 from fractions import Fraction
-from typing import Callable
 
 from .jensen import FactoredSpec, GammaSeq
 from .ratpoly import brief, parse_rat
@@ -33,6 +33,20 @@ NAMES = ("const1", "linear(a)", "example311", "besselJ0", "exp-half-cosh",
          "geom-factorial(r)", "file:PATH")
 
 _ARG_FORM = re.compile(r"^([a-zA-Z0-9-]+)\(([^)]+)\)$")
+
+DEFAULT_KMAX_CAP = 2000
+
+
+def check_range(name: str, value: int) -> None:
+    """A size whose cost grows with it must lie in 0..HERMOPS_KMAX_CAP (default DEFAULT_KMAX_CAP)."""
+    text = os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)).strip()
+    cap = int(text) if text.isascii() and text.isdigit() else 0
+    if cap < 1:
+        raise ValueError(f"HERMOPS_KMAX_CAP must be a positive integer, got {text!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if value > cap:
+        raise ValueError(f"{name} {value} exceeds the configured cap {cap} (HERMOPS_KMAX_CAP)")
 
 
 def example311_spec() -> FactoredSpec:
@@ -118,13 +132,13 @@ def make_sequence(selector: str) -> GammaSeq:
     raise ValueError(f"unknown sequence selector {selector!r}; known: {', '.join(NAMES)}")
 
 
-def factored_from_json(text: str, check_size: Callable[[str, int], None] = lambda name, n: None) -> FactoredSpec:
+def factored_from_json(text: str) -> FactoredSpec:
     """Parse a factored generator from a JSON object string.
 
     Keys: "sigma" (required, "p/q"), "c" (default "1"), "m" (default 0),
-    "zeros" (default [], list of "p/q").  `check_size(name, n)` sees "m" and
-    the number of zeros before the generator is multiplied out, so it can
-    refuse sizes whose cost grows with them.
+    "zeros" (default [], list of "p/q").  "m" and the number of zeros size the
+    generator's polynomial, so both are checked by `check_range` before it is
+    multiplied out.
     """
     with _json_input("factored generator"):
         data = json.loads(text)
@@ -136,6 +150,6 @@ def factored_from_json(text: str, check_size: Callable[[str, int], None] = lambd
         c = _json_rat(data.get("c", "1"), 'factored generator: "c"')
         sigma = _json_rat(data["sigma"], 'factored generator: "sigma"')
         zeros = tuple(_json_rat_list(data.get("zeros", []), 'factored generator: "zeros"'))
-        check_size('factored generator: "m"', m)
-        check_size('factored generator: number of "zeros"', len(zeros))
+        check_range('factored generator: "m"', m)
+        check_range('factored generator: number of "zeros"', len(zeros))
         return FactoredSpec(c=c, m=m, sigma=sigma, zeros=zeros)

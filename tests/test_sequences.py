@@ -113,3 +113,17 @@ def test_factored_from_json_errors():
 def test_factored_from_json_accepts_integer_rationals():
     spec = factored_from_json('{"sigma": 2, "c": 3, "zeros": [1, "1/2"]}')
     assert (spec.c, spec.sigma, spec.zeros) == (F(3), F(2), (F(1), F(1, 2)))
+
+
+def test_factored_from_json_checks_the_cap(monkeypatch):
+    # The parser itself refuses sizes past HERMOPS_KMAX_CAP: no caller can build (0,)*m unchecked.
+    monkeypatch.setenv("HERMOPS_KMAX_CAP", "10")
+    assert factored_from_json('{"sigma": "1/2", "m": 10}').m == 10
+    assert len(factored_from_json('{"sigma": "1/2", "zeros": [%s]}' % ", ".join(["1"] * 10)).zeros) == 10
+    for text, field in (
+        ('{"sigma": "1/2", "m": 11}', '"m" 11 exceeds'),
+        ('{"sigma": "1/2", "m": -1}', '"m" must be nonnegative'),
+        ('{"sigma": "1/2", "zeros": [%s]}' % ", ".join(["1"] * 11), '"zeros" 11 exceeds'),
+    ):
+        with pytest.raises(ValueError, match=field):
+            factored_from_json(text)
