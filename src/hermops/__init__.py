@@ -39,7 +39,6 @@ from .jensen import (
     FactoredSpec,
     GammaSeq,
     finite_difference,
-    jensen_reversed,
     ratio_sequence,
     taylor_gamma,
     turan_quantity,
@@ -85,7 +84,6 @@ __all__ = [
     "is_classical_ms",
     "is_hermite_ms",
     "is_real_rooted",
-    "jensen_reversed",
     "laguerre_polys",
     "make_sequence",
     "rat",

@@ -20,16 +20,17 @@ difference of the sequence taken at offset p,
 which equals the reversed Jensen polynomial of the p-shifted sequence
 evaluated at -1, and also equals k! * [x^k] (e^(-x) * phi_p(x)) where phi_p
 generates the shifted sequence.  Every consumer in the package reads these
-numbers from one `DifferenceTable`.  A factored generator fills it in
-closed form (e^(-x) * phi^(p) has the factored shape with sigma - 1 for
-sigma), a series given by its ODE (`GammaSeq.from_ode`: geom-factorial,
-besselJ0, exp-half-cosh) by the recurrence of the ODE of e^(-x) * phi; any
-other sequence by row-by-row differences of its gammas, which with
-`finite_difference` (the binomial sum) is the oracle for both.
+numbers from one `DifferenceTable`.  A generator runs one integer recurrence
+for its gammas and its differences: a factored one steps R -> t*R' + u*R
+(`FactoredSpec._steps`, sigma = s/t), a series given by its ODE
+(`GammaSeq.from_ode`: geom-factorial, besselJ0, exp-half-cosh) its
+three-term recurrence (`ode_terms`).  Any other sequence gets row-by-row
+differences of its gammas, the oracle for both with `finite_difference`.
 """
 
 import decimal
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -38,13 +39,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .ratpoly import RatLike, RatPoly, int_str, rat, rat_str
+from .ratpoly import RatLike, int_str, rat
 from .reporting import CheckReport
 
 
 @dataclass(frozen=True)
 class FactoredSpec:
-    """Factored form c * x^m * e^(sigma*x) * prod(1 + x/x_k)."""
+    """Factored form c * x^m * e^(sigma*x) * prod(1 + x/x_k) = e^(sigma*x) * R/den, R the
+    integer polynomial `_ints`: its gammas, p-shift and differences all come from `_steps`."""
 
     c: Fraction = Fraction(1)
     m: int = 0
@@ -71,51 +73,40 @@ class FactoredSpec:
         object.__setattr__(self, "_den", self.c.denominator * math.prod(z.numerator for z in self.zeros))
 
     def difference_heads(self, k_max: int, p: int) -> tuple:
-        """(heads, den) with d_(k,p) = heads[k]/den for k = 0..k_max, in closed form.
-
-        phi^(p) = e^(sigma*x) * R, R = (D + sigma)^p (c * x^m * prod(1 + x/x_k)),
-        so e^(-x) * phi^(p) = e^((sigma-1)*x) * R and no gamma is read.  With
-        sigma = s/t each D + sigma is t*R' + s*R on integers.
-        """
+        """(heads, den) with d_(k,p) = heads[k]/den for k = 0..k_max, reading no gamma:
+        e^(-x) * phi^(p) = e^((s-t)*x/t) * R_p/(den * t^p), R_p = (t*D + s)^p R, so
+        d_(k,p) = ((t*D + s - t)^k R_p)(0)/(den * t^(p+k)), from R_p[0..k_max] only."""
         s, t = self.sigma.numerator, self.sigma.denominator
-        ints = list(self._ints)
-        for _ in range(p):
-            ints = [s * a + t * (j + 1) * b for j, (a, b) in enumerate(zip(ints, ints[1:] + [0]))]
-        heads = [_exp_poly_head(ints, s - t, t, k) * t ** (k_max - k) for k in range(k_max + 1)]
+        shifted = next(itertools.islice(self._steps(self._ints, s), p, None))
+        steps = self._steps(shifted[: k_max + 1], s - t)
+        heads = [next(steps)[0] * t ** (k_max - k) for k in range(k_max + 1)]
         return heads, self._den * t ** (p + k_max)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c": rat_str(self.c),
-            "m": self.m,
-            "sigma": rat_str(self.sigma),
-            "zeros": [rat_str(z) for z in self.zeros],
-        }
-
-
-def _exp_poly_head(ints: list, u: int, t: int, k: int) -> int:
-    """t^k * k! * [x^k] e^(u*x/t) * sum_j ints[j] * x^j, an integer:
-    sum_(j <= J) ints[j] * k!/(k-j)! * u^(k-j) * t^j with J = min(k, deg)."""
-    top = min(k, len(ints) - 1)
-    total = 0
-    falling = 1  # k!/(k-j)!
-    for j in range(top + 1):
-        total += ints[j] * falling * u ** (top - j) * t**j
-        falling *= k - j
-    return total * u ** (k - top)
+    def _steps(self, ints, u: int):
+        """R = ints, then t*R' + u*R of the previous R, for ever (sigma = s/t): the k-th
+        is (t*D + u)^k R, whose value at 0, t^k * k! * [x^k] e^(u*x/t) * R, reads ints[0..k]
+        only.  This is the D-finite recurrence of e^(u*x/t) * R (Stanley, 1980); u = s
+        gives the p-shift and the gammas, u = s - t the differences."""
+        t = self.sigma.denominator
+        while True:
+            yield ints
+            ints = [u * a + t * j * b for j, (a, b) in enumerate(zip(ints, [*ints[1:], 0]), 1)]
 
 
 def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
     """gamma_k = k! * [x^k] of c * x^m * e^(sigma*x) * prod(1 + x/x_k), exactly:
-    `FactoredSpec.difference_heads`' closed form with sigma for sigma - 1, p = 0."""
+    ((t*D + s)^k R)(0)/(den * t^k) from k steps of `FactoredSpec._steps` on
+    R[0..k], O(k * min(k, deg R)) integer products per call.  Nothing in the
+    package calls it: `GammaSeq.from_lpplus` reads the same steps in order."""
     if k < 0:
         raise ValueError("index must be nonnegative")
     s, t = phi.sigma.numerator, phi.sigma.denominator
-    return Fraction(_exp_poly_head(phi._ints, s, t, k), phi._den * t**k)
+    head = next(itertools.islice(phi._steps(phi._ints[: k + 1], s), k, None))[0]
+    return Fraction(head, phi._den * t**k)
 
 
 def ode_step(ode: tuple) -> Callable[[int], tuple]:
-    """`recurrence_heads`' step for u_k = k! * [x^k] y, y a solution of
+    """`ode_terms`' step for u_k = k! * [x^k] y, y a solution of
     q2*x*y'' + (r0 + r1*x)*y' + (s0 + s1*x)*y = 0, ode = (q2, (r0, r1), (s0, s1)):
     k derivatives at 0 give c_k u_(k+1) = -(k*r1 + s0) u_k - k*s1 u_(k-1) with
     c_k = k*q2 + r0, so e_k = u_k * D_k has b_k = -k*s1 * c_(k-1)."""
@@ -130,22 +121,26 @@ def exp_shift_ode(ode: tuple) -> tuple:
     return q2, (r0, 2 * q2 + r1), (r0 + s0, q2 + r1 + s1)
 
 
-def recurrence_heads(step: Callable[[int], tuple], k_max: int, p: int) -> tuple:
-    """(heads, den) with d_(k,p) = heads[k]/den, from a three-term recurrence.
+def ode_terms(step: Callable[[int], tuple]):
+    """(e_k, D_k) for k = 0, 1, ..., for ever: e_0 = D_0 = 1,
+    e_(k+1) = a_k e_k + b_k e_(k-1) (so e_1 = a_0) and D_(k+1) = c_k D_k for
+    step(k) = (a_k, b_k, c_k), integers with c_k > 0."""
+    prev, e, d = 0, 1, 1
+    for k in itertools.count():
+        yield e, d
+        a, b, c = step(k)
+        prev, e, d = e, a * e + b * prev, c * d
 
-    d_k = e_k / D_k, e_0 = D_0 = 1, e_(k+1) = a_k e_k + b_k e_(k-1) (so e_1 = a_0)
-    and D_(k+1) = c_k D_k for step(k) = (a_k, b_k, c_k), integers with c_k > 0.
-    d_(k,p) = sum_j C(p,j) d_(k+j,0) is summed as p adjacent-pair passes.
-    """
+
+def recurrence_heads(step: Callable[[int], tuple], k_max: int, p: int) -> tuple:
+    """(heads, den) with d_(k,p) = heads[k]/den, where d_k = e_k/D_k are the
+    `ode_terms` of step, over den = D_(k_max+p).  d_(k,p) = sum_j C(p,j) d_(k+j,0)
+    is summed as p adjacent-pair passes."""
     n = k_max + p
-    es = [1, step(0)[0]]
-    for k in range(1, n):
-        a, b, _ = step(k)
-        es.append(a * es[k] + b * es[k - 1])
-    heads = [0] * (n + 1)
+    heads = [e for e, _ in itertools.islice(ode_terms(step), n + 1)]
     scale = 1  # D_n / D_k
     for k in range(n, -1, -1):
-        heads[k] = es[k] * scale
+        heads[k] *= scale
         if k:
             scale *= step(k - 1)[2]
     for _ in range(p):
@@ -199,18 +194,18 @@ class GammaSeq:
 
     @classmethod
     def from_lpplus(cls, spec: FactoredSpec, name: Optional[str] = None) -> "GammaSeq":
-        return cls(lambda k: taylor_gamma(spec, k), name=name or "factored", differences=spec.difference_heads)
+        """gamma_k = ((t*D + s)^k R)(0)/(den * t^k), stepping R once per k."""
+        s, t = spec.sigma.numerator, spec.sigma.denominator
+        steps = spec._steps(spec._ints, s)
+        return cls(
+            lambda k: Fraction(next(steps)[0], spec._den * t**k), name=name or "factored", differences=spec.difference_heads
+        )
 
     @classmethod
     def from_values(cls, values, name=None) -> "GammaSeq":
         """The listed values, then zeros."""
         vals = tuple(rat(v) for v in values)
         return cls(lambda k: vals[k] if k < len(vals) else Fraction(0), name=name or "explicit-list")
-
-    @classmethod
-    def constant(cls, c: RatLike = 1) -> "GammaSeq":
-        value = rat(c)
-        return cls(lambda k: value, name=f"const({value})")
 
     @classmethod
     def linear(cls, a: RatLike) -> "GammaSeq":
@@ -221,18 +216,12 @@ class GammaSeq:
     @classmethod
     def from_ode(cls, ode: tuple, name: str) -> "GammaSeq":
         """gamma_k = k! * [x^k] phi for the solution phi(0) = 1 of `ode` (as in
-        `ode_step`): the gammas by its recurrence, the differences by that of
-        e^(-x) * phi.  The rule keeps e_(k-1), e_k and D_k only."""
-        step = ode_step(ode)
-        state = [0, 1, 1]  # e_(k-1), e_k, D_k for the next k the rule is called with
-
-        def rule(k: int) -> Fraction:
-            prev, e, d = state
-            a, b, c = step(k)
-            state[:] = e, a * e + b * prev, c * d
-            return Fraction(e, d)
-
-        return cls(rule, name, differences=functools.partial(recurrence_heads, ode_step(exp_shift_ode(ode))))
+        `ode_step`): gamma_k = e_k/D_k from `ode_terms` of its step, read once
+        per k in order, and the differences from `recurrence_heads` on the
+        step of e^(-x) * phi."""
+        terms = ode_terms(ode_step(ode))
+        differences = functools.partial(recurrence_heads, ode_step(exp_shift_ode(ode)))
+        return cls(lambda k: Fraction(*next(terms)), name, differences=differences)
 
     @classmethod
     def geometric_factorial(cls, r: RatLike) -> "GammaSeq":
@@ -241,20 +230,6 @@ class GammaSeq:
         r = rat(r)
         a, b = r.numerator, r.denominator
         return cls.from_ode((b, (b, 0), (-a, 0)), name=f"geom-factorial({r})")
-
-
-def jensen_reversed(seq: GammaSeq, n: int) -> RatPoly:
-    """The reversed Jensen polynomial sum_k C(n,k) * gamma_k * x^(n-k).
-
-    Its degree is exactly n whenever gamma_0 != 0, and its value at -1 is the
-    n-th finite difference of the sequence.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        out[n - k] = math.comb(n, k) * seq[k]
-    return RatPoly(out)
 
 
 def finite_difference(seq: GammaSeq, k: int, p: int = 0) -> Fraction:

@@ -80,6 +80,49 @@ def difference_via_exp_shift(phi: FactoredSpec, k: int) -> Fraction:
     return math.factorial(k) * phi.c * total
 
 
+def exp_poly_head(ints, u: int, t: int, k: int) -> int:
+    """t^k * k! * [x^k] e^(u*x/t) * sum_j ints[j] * x^j, an integer, in closed form:
+    sum_(j <= J) ints[j] * k!/(k-j)! * u^(k-j) * t^j with J = min(k, deg)."""
+    top = min(k, len(ints) - 1)
+    total = 0
+    falling = 1  # k!/(k-j)!
+    for j in range(top + 1):
+        total += ints[j] * falling * u ** (top - j) * t**j
+        falling *= k - j
+    return total * u ** (k - top)
+
+
+def closed_form_gamma(phi: FactoredSpec, k: int) -> Fraction:
+    """gamma_k of a factored phi = e^(sigma*x) * R/den, one closed form per k."""
+    s, t = phi.sigma.numerator, phi.sigma.denominator
+    return Fraction(exp_poly_head(phi._ints, s, t, k), phi._den * t**k)
+
+
+def closed_form_difference_heads(phi: FactoredSpec, k_max: int, p: int) -> tuple:
+    """`FactoredSpec.difference_heads` with each head in closed form: R_p by p
+    steps R -> t*R' + s*R, then d_(k,p) = k! * [x^k] e^((sigma-1)*x) * R_p/(den*t^p)."""
+    s, t = phi.sigma.numerator, phi.sigma.denominator
+    ints = list(phi._ints)
+    for _ in range(p):
+        ints = [s * a + t * (j + 1) * b for j, (a, b) in enumerate(zip(ints, ints[1:] + [0]))]
+    heads = [exp_poly_head(ints, s - t, t, k) * t ** (k_max - k) for k in range(k_max + 1)]
+    return heads, phi._den * t ** (p + k_max)
+
+
+def jensen_reversed(seq: GammaSeq, n: int) -> RatPoly:
+    """The reversed Jensen polynomial sum_k C(n,k) * gamma_k * x^(n-k).
+
+    Its degree is exactly n whenever gamma_0 != 0, and its value at -1 is the
+    n-th finite difference of the sequence.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        out[n - k] = math.comb(n, k) * seq[k]
+    return RatPoly(out)
+
+
 def fraction_histogram_bins(values: list, bins: int) -> list:
     """`histogram_bins` on Fractions: each value's bin is int((v - lo) / width)."""
     if not values:

@@ -19,7 +19,6 @@ from hermops.jensen import (
     exp_shift_ode,
     finite_difference,
     histogram_bins,
-    jensen_reversed,
     ode_step,
     ratio_csv_lines,
     ratio_sequence,
@@ -28,7 +27,13 @@ from hermops.jensen import (
 )
 from hermops.ratpoly import rat_str
 from hermops.sequences import EXP_HALF_COSH_ODE, make_sequence
-from oracles import difference_via_exp_shift, fraction_histogram_bins
+from oracles import (
+    closed_form_difference_heads,
+    closed_form_gamma,
+    difference_via_exp_shift,
+    fraction_histogram_bins,
+    jensen_reversed,
+)
 
 F = Fraction
 
@@ -44,13 +49,6 @@ def test_factored_spec_validation():
         FactoredSpec(sigma=F(-1, 2))
     with pytest.raises(ValueError):
         FactoredSpec(zeros=(F(0),))
-
-
-def test_factored_json_dict():
-    spec = FactoredSpec(sigma=F(1, 2), zeros=(F(1), F(1)))
-    d = spec.to_json_dict()
-    assert d["sigma"] == "1/2"
-    assert d["zeros"] == ["1/1", "1/1"]
 
 
 def test_pure_exponential_gammas():
@@ -96,7 +94,7 @@ def test_difference_two_routes_agree():
 
 
 def test_difference_of_constant_vanishes():
-    seq = GammaSeq.constant(F(5))
+    seq = GammaSeq(lambda k: F(5))
     assert finite_difference(seq, 0) == 5
     for k in range(1, 8):
         assert finite_difference(seq, k) == 0
@@ -112,9 +110,9 @@ def test_difference_of_linear():
 
 def test_jensen_reversed_at_minus_one():
     seq = make_sequence("besselJ0")
+    table = DifferenceTable(seq, 7)
     for n in range(8):
-        p = jensen_reversed(seq, n)
-        assert p(F(-1)) == finite_difference(seq, n)
+        assert jensen_reversed(seq, n)(F(-1)) == table[n]
 
 
 def test_jensen_reversed_coefficients():
@@ -153,7 +151,7 @@ def test_from_values_tail():
 
 
 def test_negative_index():
-    seq = GammaSeq.constant(1)
+    seq = make_sequence("const1")
     with pytest.raises(IndexError):
         seq[-1]
 
@@ -246,7 +244,7 @@ def test_histogram_empty_and_bad_bins():
 
 
 def test_difference_reconstruction_reports():
-    for seq in (GammaSeq.constant(1), make_sequence("besselJ0")):
+    for seq in (make_sequence("const1"), make_sequence("besselJ0")):
         report = check_difference_reconstruction(seq, 10)
         assert report.passed
         assert report.checked == 11
@@ -304,20 +302,29 @@ def test_named_series_steps_are_the_hand_derived_ones():
         assert gammas(k) == (4 * k + 3, -2 * k * (2 * k - 1), 2 * (2 * k + 1))
 
 
-def test_ode_gammas_under_concurrent_reads():
-    # The rule keeps only two terms and relies on GammaSeq calling it in order,
-    # under its lock; a lost or repeated step would put a wrong value in the memo.
+def _assert_in_order_rule_under_concurrent_reads(make_seq, gamma):
+    # The rule keeps only its last step and relies on GammaSeq calling it in
+    # order, under its lock; a lost or repeated step would put a wrong value in the memo.
     indices = [150, 40, 199, 3, 120, 77, 0, 200, 61, 180, 12, 99] * 2
-    expected = [_exp_half_cosh_sum(k) for k in indices]
+    expected = [gamma(k) for k in indices]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            seq = make_sequence("exp-half-cosh")
+            seq = make_seq()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 assert list(pool.map(seq.__getitem__, indices, timeout=60)) == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_ode_gammas_under_concurrent_reads():
+    _assert_in_order_rule_under_concurrent_reads(lambda: make_sequence("exp-half-cosh"), _exp_half_cosh_sum)
+
+
+def test_factored_gammas_under_concurrent_reads():
+    spec = FactoredSpec(c=F(3, 2), m=1, sigma=F(4, 3), zeros=(F(1), F(5, 2), F(7, 3)))
+    _assert_in_order_rule_under_concurrent_reads(lambda: GammaSeq.from_lpplus(spec), lambda k: closed_form_gamma(spec, k))
 
 
 def test_exp_half_cosh_memo_belongs_to_the_spec():
@@ -361,7 +368,7 @@ def test_difference_table_matches_binomial_sum(values, p, k_max):
 
 
 def test_difference_table_rejects_negative_indices():
-    seq = GammaSeq.constant(1)
+    seq = make_sequence("const1")
     for k_max, p in ((-1, 0), (3, -1)):
         with pytest.raises(ValueError):
             DifferenceTable(seq, k_max, p)
@@ -412,13 +419,26 @@ sigmas = st.one_of(
     positive_rationals,
     st.integers(min_value=0, max_value=3),
     sigmas,
-    st.lists(positive_rationals, max_size=4),
+    st.lists(positive_rationals, max_size=10),
     st.integers(min_value=0, max_value=5),
     st.integers(min_value=0, max_value=60),
 )
 def test_factored_heads_match_the_table(c, m, sigma, zeros, p, k_max):
+    # The gammas and heads of the (t*D + u) steps against one closed form per k.
     spec = FactoredSpec(c=c, m=m, sigma=sigma, zeros=tuple(zeros))
+    gammas = [closed_form_gamma(spec, k) for k in range(k_max + p + 1)]
+    assert GammaSeq.from_lpplus(spec).values(k_max + p) == gammas
+    assert [taylor_gamma(spec, k) for k in range(k_max + p + 1)] == gammas
+    assert spec.difference_heads(k_max, p) == closed_form_difference_heads(spec, k_max, p)
     _assert_direct_route_matches(GammaSeq.from_lpplus(spec), k_max, p)
+
+
+def test_factored_heads_with_many_zeros_match_the_table():
+    # deg R = 241 > K: every step runs over the whole of R.
+    rng = random.Random(16)
+    zeros = tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(240))
+    spec = FactoredSpec(c=F(2, 3), m=1, sigma=F(5, 3), zeros=zeros)
+    _assert_direct_route_matches(GammaSeq.from_lpplus(spec), 300, 2)
 
 
 @pytest.mark.parametrize("r", [F(-2), F(-5, 3), F(1), F(3, 7), F(0), F(5, 2)])
