@@ -66,31 +66,32 @@ class FactoredSpec:
         if any(z <= 0 for z in self.zeros):
             raise ValueError("all x_k must be positive")
         prod = [1]  # prod_k (n_k + d_k*x) for x_k = n_k/d_k, over prod_k n_k
-        for z in self.zeros:
-            prod = [z.numerator * a + z.denominator * b for a, b in zip(prod + [0], [0] + prod)]
+        for n, d in ((z.numerator, z.denominator) for z in self.zeros):
+            prod = [n * a + d * b for a, b in zip(prod + [0], [0] + prod)]
         ints = (0,) * self.m + tuple(self.c.numerator * a for a in prod)
         object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_den", self.c.denominator * math.prod(z.numerator for z in self.zeros))
 
     def difference_heads(self, k_max: int, p: int) -> tuple:
-        """(heads, den) with d_(k,p) = heads[k]/den for k = 0..k_max, reading no gamma:
-        e^(-x) * phi^(p) = e^((s-t)*x/t) * R_p/(den * t^p), R_p = (t*D + s)^p R, so
-        d_(k,p) = ((t*D + s - t)^k R_p)(0)/(den * t^(p+k)), from R_p[0..k_max] only."""
+        """(nums, factors) with d_(k,p) = nums[k]/(factors[0] * ... * factors[k]) for
+        k = 0..k_max, reading no gamma: e^(-x) * phi^(p) = e^((s-t)*x/t) * R_p/(den * t^p),
+        R_p = (t*D + s)^p R, so d_(k,p) = ((t*D + s - t)^k R_p)(0)/(den * t^p * t^k)."""
         s, t = self.sigma.numerator, self.sigma.denominator
-        shifted = next(itertools.islice(self._steps(self._ints, s), p, None))
-        steps = self._steps(shifted[: k_max + 1], s - t)
-        heads = [next(steps)[0] * t ** (k_max - k) for k in range(k_max + 1)]
-        return heads, self._den * t ** (p + k_max)
+        shifted = next(itertools.islice(self._steps(self._ints[: k_max + p + 1], s, k_max + p), p, None))
+        nums = [ints[0] for ints in itertools.islice(self._steps(shifted, s - t, k_max), k_max + 1)]
+        return nums, [self._den * t**p] + [t] * k_max
 
-    def _steps(self, ints, u: int):
-        """R = ints, then t*R' + u*R of the previous R, for ever (sigma = s/t): the k-th
-        is (t*D + u)^k R, whose value at 0, t^k * k! * [x^k] e^(u*x/t) * R, reads ints[0..k]
+    def _steps(self, ints, u: int, last: Optional[int] = None):
+        """R = ints, then t*R' + u*R of the previous R (sigma = s/t): the k-th is
+        (t*D + u)^k R, whose value at 0, t^k * k! * [x^k] e^(u*x/t) * R, reads ints[0..k]
         only.  This is the D-finite recurrence of e^(u*x/t) * R (Stanley, 1980); u = s
-        gives the p-shift and the gammas, u = s - t the differences."""
+        gives the p-shift and the gammas, u = s - t the differences.  Given the `last`
+        step whose value at 0 is read, the k-th keeps only [0..last-k]: a triangle."""
         t = self.sigma.denominator
-        while True:
+        for k in itertools.count():
             yield ints
-            ints = [u * a + t * j * b for j, (a, b) in enumerate(zip(ints, [*ints[1:], 0]), 1)]
+            tail = ints[1:] if last is not None and len(ints) > last - k else [*ints[1:], 0]
+            ints = [u * a + t * j * b for j, (a, b) in enumerate(zip(ints, tail), 1)]
 
 
 def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
@@ -101,7 +102,7 @@ def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
     if k < 0:
         raise ValueError("index must be nonnegative")
     s, t = phi.sigma.numerator, phi.sigma.denominator
-    head = next(itertools.islice(phi._steps(phi._ints[: k + 1], s), k, None))[0]
+    head = next(itertools.islice(phi._steps(phi._ints[: k + 1], s, k), k, None))[0]
     return Fraction(head, phi._den * t**k)
 
 
@@ -133,25 +134,21 @@ def ode_terms(step: Callable[[int], tuple]):
 
 
 def recurrence_heads(step: Callable[[int], tuple], k_max: int, p: int) -> tuple:
-    """(heads, den) with d_(k,p) = heads[k]/den, where d_k = e_k/D_k are the
-    `ode_terms` of step, over den = D_(k_max+p).  d_(k,p) = sum_j C(p,j) d_(k+j,0)
-    is summed as p adjacent-pair passes."""
+    """(nums, factors) with d_(k,p) = nums[k]/D_(k+p), d_k = e_k/D_k the `ode_terms` of step,
+    D_(k+p) = factors[0] * ... * factors[k] = D_p * c_p * ... * c_(k+p-1).  Each of the p
+    passes d_(k,q+1) = d_(k,q) + d_(k+1,q) is nums[k] * c_(k+q) + nums[k+1] over D_(k+q+1)."""
     n = k_max + p
-    heads = [e for e, _ in itertools.islice(ode_terms(step), n + 1)]
-    scale = 1  # D_n / D_k
-    for k in range(n, -1, -1):
-        heads[k] *= scale
-        if k:
-            scale *= step(k - 1)[2]
-    for _ in range(p):
-        heads = list(map(operator.add, heads, heads[1:]))
-    return heads, scale
+    nums = [e for e, _ in itertools.islice(ode_terms(step), n + 1)]
+    c = [step(k)[2] for k in range(n)]
+    for q in range(p):
+        nums = [a * c[k + q] + b for k, (a, b) in enumerate(zip(nums, nums[1:]))]
+    return nums, [math.prod(c[:p])] + c[p:]
 
 
 class GammaSeq:
     """A lazily evaluated, memoized sequence of exact rationals: the rule is called
     under the lock, once per k, for k = 0, 1, 2, ... in order.  `differences`, if
-    given, maps (k_max, p) to `DifferenceTable`'s (heads, den) directly."""
+    given, maps (k_max, p) to `DifferenceTable`'s (nums, factors) directly."""
 
     def __init__(
         self,
@@ -250,31 +247,41 @@ def finite_difference(seq: GammaSeq, k: int, p: int = 0) -> Fraction:
 class DifferenceTable:
     """The forward differences d_(k,p) for k = 0..k_max at one offset p.
 
-    `heads[k]` is d_(k,p) * den for a positive common denominator `den`, not
-    necessarily the least; indexing gives d_(k,p) as a reduced Fraction.  A
-    sequence's `differences` route (factored generators, geom-factorial,
-    besselJ0, exp-half-cosh) supplies both.  Otherwise gamma_p..gamma_(p+k_max)
-    are scaled to integers over their lcm: row 0 is those integers, row k+1
-    the adjacent differences of row k, and heads[k] heads row k.
+    d_(k,p) = nums[k] / (factors[0] * ... * factors[k]): integer numerators over a
+    running product of positive step factors.  A sequence's `differences` route
+    (factored generators, geom-factorial, besselJ0, exp-half-cosh) supplies both.
+    Otherwise gamma_p..gamma_(p+k_max) are scaled to integers over their lcm, the
+    first factor: row 0 is those integers, row k+1 the adjacent differences of row
+    k, nums[k] heads row k and every later factor is 1.  `heads` and `den`, with
+    d_(k,p) = heads[k]/den, are built from these on first use and kept.
     """
 
-    __slots__ = ("heads", "den")
+    __slots__ = ("nums", "factors", "heads", "den")
 
     def __init__(self, seq: GammaSeq, k_max: int, p: int = 0):
         if k_max < 0 or p < 0:
             raise ValueError("indices must be nonnegative")
         if seq.differences is not None:
-            self.heads, self.den = seq.differences(k_max, p)
+            self.nums, self.factors = seq.differences(k_max, p)
             return
         gammas = [seq[p + i] for i in range(k_max + 1)]
         den = math.lcm(*(g.denominator for g in gammas))
         row = [g.numerator * (den // g.denominator) for g in gammas]
-        heads = []
+        nums = []
         while row:
-            heads.append(row[0])
+            nums.append(row[0])
             row = list(map(operator.sub, row[1:], row))
-        self.heads = heads
-        self.den = den
+        self.nums = nums
+        self.factors = [den] + [1] * k_max
+
+    def __getattr__(self, name: str):
+        """`heads` and `den` when first read: heads[k] = nums[k] * factors[k+1] * ... *
+        factors[k_max] from one backward pass, over den = the product of every factor."""
+        if name not in ("heads", "den"):
+            raise AttributeError(name)
+        *scales, self.den = itertools.accumulate(reversed(self.factors), operator.mul, initial=1)
+        self.heads = list(map(operator.mul, self.nums, reversed(scales)))
+        return getattr(self, name)
 
     def __getitem__(self, k: int) -> Fraction:
         return Fraction(self.heads[k], self.den)
@@ -282,11 +289,11 @@ class DifferenceTable:
     def ratio(self, k: int) -> Optional[Fraction]:
         """d_k / d_(k-1) for 1 <= k <= k_max, or None when d_(k-1) = 0.
 
-        The common denominator cancels, so the ratio comes straight from the
-        two integer heads.
+        The running product up to k - 1 cancels, so the ratio comes from the two
+        numerators and the one step factor between them.
         """
-        prev = self.heads[k - 1]
-        return None if prev == 0 else Fraction(self.heads[k], prev)
+        prev = self.nums[k - 1]
+        return None if prev == 0 else Fraction(self.nums[k], prev * self.factors[k])
 
     def turan(self, k: int) -> Fraction:
         """d_k^2 + 2*d_k*d_(k-1) for 1 <= k <= k_max."""
@@ -325,14 +332,15 @@ def approx_str(value: Fraction) -> str:
     raises or loses digits, so there the exact value is rounded to 12
     digits in decimal.
     """
+    num, den = value.numerator, value.denominator
     try:
-        x = float(value)
+        x = num / den  # what float(value) computes
     except OverflowError:
         x = 0.0
-    if abs(x) >= sys.float_info.min or not value:
+    if abs(x) >= sys.float_info.min or not num:
         return f"{x:.12g}"
     ctx = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    return f"{ctx.divide(value.numerator, value.denominator).normalize(ctx):.12g}"
+    return f"{ctx.divide(num, den).normalize(ctx):.12g}"
 
 
 def ratio_csv_lines(rows: list) -> list:
@@ -371,14 +379,14 @@ def histogram_bins(values: list, bins: int) -> list:
         rows.extend((lo, hi, 0) for _ in range(bins - 1))
         return rows
     span = hi - lo
-    width = span / bins
     ln, ld = lo.numerator, lo.denominator
     mul, div = bins * span.denominator, span.numerator * ld
     counts = [0] * bins
     for v in values:
         idx = (v.numerator * ld - ln * v.denominator) * mul // (v.denominator * div)
         counts[min(idx, bins - 1)] += 1
-    return [(lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(bins)]
+    edges = [Fraction(ln * mul + i * div, ld * mul) for i in range(bins + 1)]  # lo + i*span/bins
+    return [(edges[i], edges[i + 1], counts[i]) for i in range(bins)]
 
 
 # -- identity checks ---------------------------------------------------------

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermops.jensen import (
@@ -220,6 +220,20 @@ def test_approx_column_past_the_float_range():
     assert ratio_csv_lines([(1, big)])[1] == f"1,{'9' * 400},1,1e+400"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_approx_str_is_float_formatting_inside_the_float_range(data):
+    # Numerators and denominators up to 4000 bits, the value between the
+    # smallest normal float and the largest float.
+    num_bits = data.draw(st.integers(min_value=1, max_value=4000))
+    den_bits = data.draw(st.integers(min_value=max(1, num_bits - 1020), max_value=min(4000, num_bits + 1020)))
+    num = data.draw(st.integers(min_value=2 ** (num_bits - 1), max_value=2**num_bits))
+    den = data.draw(st.integers(min_value=2 ** (den_bits - 1), max_value=2**den_bits))
+    value = F(num, den) * data.draw(st.sampled_from((1, -1)))
+    assume(F(sys.float_info.min) <= abs(value) < F(sys.float_info.max))
+    assert approx_str(value) == f"{float(value):.12g}"
+
+
 def test_histogram_bins_exact():
     values = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
     out = histogram_bins(values, 2)
@@ -389,12 +403,19 @@ def test_output_renders_past_the_int_string_limit():
 
 
 def _assert_direct_route_matches(seq, k_max, p):
-    """The direct heads of `seq` give the differences, ratios and Turan values
-    of the row-by-row table of the same gammas (a wrapper with no route)."""
+    """The direct route of `seq` gives the differences, ratios and Turan values
+    of the row-by-row table of the same gammas (a wrapper with no route): each
+    d_(k,p) read in its per-k form nums[k]/(factors[0] * ... * factors[k]), and
+    in the common form heads[k]/den."""
     assert seq.differences is not None
     plain = GammaSeq(lambda k: seq[k])
     table = DifferenceTable(seq, k_max, p)
     oracle = DifferenceTable(plain, k_max, p)
+    nums, factors = seq.differences(k_max, p)
+    assert len(nums) == len(factors) == k_max + 1
+    assert all(f > 0 for f in factors)
+    per_k = [F(num, math.prod(factors[: k + 1])) for k, num in enumerate(nums)]
+    assert per_k == [oracle[k] for k in range(k_max + 1)]
     assert table.den > 0
     assert len(table.heads) == k_max + 1
     assert [table[k] for k in range(k_max + 1)] == [oracle[k] for k in range(k_max + 1)]
@@ -429,16 +450,37 @@ def test_factored_heads_match_the_table(c, m, sigma, zeros, p, k_max):
     gammas = [closed_form_gamma(spec, k) for k in range(k_max + p + 1)]
     assert GammaSeq.from_lpplus(spec).values(k_max + p) == gammas
     assert [taylor_gamma(spec, k) for k in range(k_max + p + 1)] == gammas
-    assert spec.difference_heads(k_max, p) == closed_form_difference_heads(spec, k_max, p)
+    table = DifferenceTable(GammaSeq.from_lpplus(spec), k_max, p)
+    assert (table.heads, table.den) == closed_form_difference_heads(spec, k_max, p)
     _assert_direct_route_matches(GammaSeq.from_lpplus(spec), k_max, p)
 
 
 def test_factored_heads_with_many_zeros_match_the_table():
-    # deg R = 241 > K: every step runs over the whole of R.
+    # deg R = 241 < K: the steps run over the whole of R until the trim.
     rng = random.Random(16)
     zeros = tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(240))
     spec = FactoredSpec(c=F(2, 3), m=1, sigma=F(5, 3), zeros=zeros)
     _assert_direct_route_matches(GammaSeq.from_lpplus(spec), 300, 2)
+
+
+@pytest.mark.parametrize(
+    "sigma, zeros, p, k_max",
+    [
+        (F(1), (F(1), F(2), F(3, 4)), 0, 12),  # u = 0: d_k = 0 from k = 4 on
+        (F(1), (F(1), F(2), F(3, 4)), 2, 12),
+        (F(2), (F(1, 3), F(5)), 3, 20),  # t = 1
+        (F(1, 2), tuple(F(j, 3) for j in range(1, 41)), 3, 12),  # deg R > K + p: trimmed from step 0
+        (F(7, 5), tuple(F(1) for _ in range(30)), 0, 30),  # deg R = K
+    ],
+)
+def test_factored_per_k_form_on_edge_cases(sigma, zeros, p, k_max):
+    spec = FactoredSpec(c=F(3, 2), sigma=sigma, zeros=zeros)
+    seq = GammaSeq.from_lpplus(spec)
+    _assert_direct_route_matches(seq, k_max, p)
+    table = DifferenceTable(seq, k_max, p)
+    assert (table.heads, table.den) == closed_form_difference_heads(spec, k_max, p)
+    if sigma == 1:
+        assert [table.ratio(k) for k in range(len(zeros) + 2, k_max + 1)] == [None] * (k_max - len(zeros) - 1)
 
 
 @pytest.mark.parametrize("r", [F(-2), F(-5, 3), F(1), F(3, 7), F(0), F(5, 2)])
