@@ -20,8 +20,8 @@ alpha = 0 (H_n = x^n).  Each degree of the witness corpus is built once, and
 a search reads its basis's family once, so neither is built per candidate.
 A search applies one integer matrix, the sequence's map on degree <= deg_max
 over one denominator, to each candidate's integer numerators, and runs the
-root test on that image with its content stripped; the verdict is the same on
-that positive multiple, and only a witness gets the exact image.
+root test on that integer image; the verdict is the same on that positive
+multiple, and only a witness gets the exact image.
 """
 
 import functools
@@ -40,7 +40,6 @@ from .diffop import build_operator
 from .ratpoly import (
     RatLike,
     RatPoly,
-    _content_strip,
     _real_rooted_ints,
     _strip,
     combine_in_basis,
@@ -341,7 +340,7 @@ class _IntegerMap:
             for i in range(deg_max + 1)
         ]
 
-    # perfbench counts one call of a classify `expand` per candidate (ROADMAP item 6 removes this).
+    # perfbench counts one call of a classify `expand` per candidate (ROADMAP item 1 removes this).
     def expand(self, ints: Sequence[int]) -> list:
         """T * ints, the image of the polynomial with coefficients ints, times den."""
         return [sum(map(operator.mul, self.rows[i], ints[i:])) for i in range(len(ints))]
@@ -359,7 +358,7 @@ def falsify_sequence(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
     action = _IntegerMap(seq, basis, deg_max)
     for candidate in corpus:
         image = _strip(action.expand(candidate._num))
-        if not _real_rooted_ints(tuple(_content_strip(image))):
+        if not _real_rooted_ints(tuple(image)):
             if not is_real_rooted(candidate):
                 continue
             # image is den * T * num for the candidate num / _den

@@ -22,13 +22,14 @@ the whole line.  The chain of p and p' ends in gcd(p, p'), a factor common
 to every member, so the count holds for p with repeated roots too and
 needs no squarefree part.  A root test below degree 4 is a closed form on
 the integer coefficients: true at degree 1, the discriminant's sign at
-degrees 2 and 3.  From degree 4 on it first checks Newton's inequalities,
-which every real-rooted polynomial satisfies, so one violation is an exact
-"no" in O(n) integer work; else it is one chain: a count of deg p means
-distinct real roots, and only a shortfall reads deg gcd(p, p') too.  One
-primitive remainder sequence, `_prs`, builds every chain; its last member is
-the gcd `poly_gcd` returns.  The last chain is memoised on p's primitive
-integer coefficients, so a shortfall builds it once.
+degrees 2 and 3, and at degree 4 the signs of the discriminant and two more
+forms unless the discriminant is 0.  Else it first checks Newton's
+inequalities, which every real-rooted polynomial satisfies, so one violation
+is an exact "no" in O(n) integer work; else it is one chain: a count of
+deg p means distinct real roots, and only a shortfall reads deg gcd(p, p')
+too.  One primitive remainder sequence, `_prs`, builds every chain; its last
+member is the gcd `poly_gcd` returns.  The last chain is memoised on p's
+primitive integer coefficients, so a shortfall builds it once.
 
 The change of basis works in place on one list of integer numerators over
 one denominator and builds one RatPoly at the end, not a temporary
@@ -354,27 +355,6 @@ def combine_in_basis(coeffs: Iterable[RatLike], basis: Sequence[RatPoly]) -> Rat
     return RatPoly._reduced(total, den)
 
 
-def interpolate(points: Sequence[tuple]) -> RatPoly:
-    """Lagrange interpolation through ``(x, y)`` pairs with distinct x."""
-    xs = [rat(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    total = ZERO
-    for i, (_, y) in enumerate(points):
-        yi = rat(y)
-        if yi == 0:
-            continue
-        num = ONE
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * RatPoly([-xj, 1])
-            den *= xs[i] - xj
-        total = total + num * (yi / den)
-    return total
-
-
 # -- gcd / squarefree / Sturm machinery -------------------------------------
 
 
@@ -514,12 +494,20 @@ def _newton_refutes(c: tuple) -> bool:
 
 
 def _real_rooted_ints(c: tuple, count: Optional[Callable[[], int]] = None) -> bool:
-    """Root test on primitive integer coefficients: a closed form below degree 4, else Newton, then Sturm.
+    """Root test on integer coefficients: closed forms up to degree 4, else Newton, then Sturm.
 
     A quadratic or cubic is real-rooted exactly when its discriminant is >= 0
-    (a zero one means a repeated root, which is real).  `count` returns c's
-    number of distinct real roots (by default read off c's chain); a count
-    below deg c also reads deg gcd(c, c') off the kept chain.
+    (a zero one means a repeated root, which is real).  A quartic
+    a4 x^4 + ... + a0 with discriminant disc = (4 I^3 - J^2) / 27 != 0 has
+    distinct roots: two real ones when disc < 0; when disc > 0, four exactly
+    when P = 8 a4 a2 - 3 a3^2 < 0 and
+    D = 64 a4^3 a0 - 16 a4^2 a2^2 + 16 a4 a3^2 a2 - 16 a4^2 a3 a1 - 3 a3^4 < 0,
+    else none (Rees 1922; Lazard 1988).  disc = 0 goes on to Newton and Sturm.
+    All these forms and Newton's inequalities are homogeneous of even degree,
+    so c may be any nonzero multiple of the polynomial; its content is
+    stripped only for the memoised chain.  `count` returns c's number of
+    distinct real roots (by default read off c's chain); a count below deg c
+    also reads deg gcd(c, c') off the kept chain.
     """
     n = len(c) - 1
     if n == 2:
@@ -527,8 +515,18 @@ def _real_rooted_ints(c: tuple, count: Optional[Callable[[], int]] = None) -> bo
     if n == 3:
         a0, a1, a2, a3 = c
         return 18 * a0 * a1 * a2 * a3 - 4 * a0 * a2**3 + a1 * a1 * a2 * a2 - 4 * a3 * a1**3 - 27 * a0 * a0 * a3 * a3 >= 0
+    if n == 4:
+        a0, a1, a2, a3, a4 = c
+        i = 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2
+        j = 72 * a4 * a2 * a0 + 9 * a3 * a2 * a1 - 27 * a4 * a1 * a1 - 27 * a0 * a3 * a3 - 2 * a2**3
+        disc = 4 * i**3 - j * j
+        if disc:
+            return disc > 0 and 8 * a4 * a2 < 3 * a3 * a3 and (
+                64 * a4**3 * a0 - 16 * a4 * a4 * (a2 * a2 + a3 * a1) + 16 * a4 * a3 * a3 * a2 < 3 * a3**4
+            )
     if n < 2 or _newton_refutes(c):
         return n < 2
+    c = tuple(_content_strip(c))
     roots = count() if count else _sturm_count(_sturm_chain(c))
     return roots == n or roots == n - (len(_sturm_chain(c)[-1]) - 1)
 
@@ -540,9 +538,11 @@ def is_real_rooted(p: RatPoly) -> bool:
     convention: they have no roots at all, so the condition holds vacuously.
     Up to degree 3 a closed form on p's primitive integer coefficients
     decides: a line is real-rooted, and a quadratic or cubic exactly when its
-    discriminant is >= 0.  From degree 4 on, Newton's inequalities go first;
-    every real-rooted polynomial satisfies them, so one strict violation is
-    an exact "no".  Only when they all hold is one Sturm chain built, through
+    discriminant is >= 0.  A quartic with a nonzero discriminant is decided by
+    the signs of the discriminant and two more forms (see `_real_rooted_ints`).
+    Else, from degree 4 on, Newton's inequalities go first; every
+    real-rooted polynomial satisfies them, so one strict violation is an
+    exact "no".  Only when they all hold is one Sturm chain built, through
     `count_real_roots(p)`: a count of deg p settles it, and a shortfall reads
     deg gcd(p, p') off the same chain, since the count ignores multiplicity.
     """

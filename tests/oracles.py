@@ -10,7 +10,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness, _witness_candidates
 from hermops.hermite import hermite_polys, validate_alpha
@@ -195,6 +195,31 @@ def from_roots(roots) -> RatPoly:
     for r in roots:
         p = p * RatPoly([-rat(r), 1])
     return p
+
+
+def interpolate(points: Sequence[tuple]) -> RatPoly:
+    """Lagrange interpolation through ``(x, y)`` pairs with distinct x.
+
+    The oracle for `diffop._interpolant_degree`, which reads only the degree,
+    off Newton divided differences, with no polynomial built.
+    """
+    xs = [rat(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    total = RatPoly()
+    for i, (_, y) in enumerate(points):
+        yi = rat(y)
+        if yi == 0:
+            continue
+        num = ONE
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = num * RatPoly([-xj, 1])
+            den *= xs[i] - xj
+        total = total + num * (yi / den)
+    return total
 
 
 @functools.lru_cache(maxsize=None)

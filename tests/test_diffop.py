@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermops.diffop import (
     HermiteDiffOp,
     TruncationError,
+    _interpolant_degree,
     apply_operator,
     binomial_poly,
     build_operator,
@@ -23,7 +24,7 @@ from hermops.hermite import hermite_polys
 from hermops.jensen import GammaSeq, finite_difference
 from hermops.ratpoly import ONE, X, ZERO, RatPoly, parse_rat
 from hermops.sequences import make_sequence
-from oracles import hermite_sum_qpolys
+from oracles import hermite_sum_qpolys, interpolate
 
 F = Fraction
 
@@ -146,6 +147,25 @@ def test_standard_basis_limit_reports():
         assert report.passed, report.failures[:1]
 
 
+small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(small_fracs, min_size=1, max_size=7, unique=True),
+    st.lists(small_fracs, max_size=7),
+    st.lists(small_fracs, max_size=7),
+)
+@example([F(0), F(1), F(1, 2)], [], [])  # all-zero values: degree -1
+@example([F(0), F(1), F(1, 2), F(1, 4)], [F(3)], [F(3)] * 4)  # constants
+def test_interpolant_degree_matches_lagrange_oracle(xs, coeffs, free):
+    known = RatPoly(coeffs[: len(xs)])  # degree < len(xs), so the interpolant is known itself
+    ys = [known(x) for x in xs]
+    assert _interpolant_degree(xs, ys) == interpolate(list(zip(xs, ys))).degree == known.degree
+    free = (free + [F(0)] * len(xs))[: len(xs)]
+    assert _interpolant_degree(xs, free) == interpolate(list(zip(xs, free))).degree
+
+
 def test_binomial_poly():
     assert binomial_poly(0) == ONE
     assert binomial_poly(1) == X
@@ -202,6 +222,8 @@ def test_build_operator_matches_action_solve_on_random_input(alpha, values, orde
     op = build_operator(alpha, seq, order, p)
     assert op.qpolys == solve_operator_from_action(alpha, seq.shifted(p), order).qpolys
     assert op.qpolys[order] == coefficient_polynomial(alpha, seq, order, p)
+    # Q_k does not depend on the truncation, which check_standard_basis_limit relies on.
+    assert all(build_operator(alpha, seq, n, p).qpolys == op.qpolys[: n + 1] for n in range(order + 1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,6 @@ from hermops.ratpoly import (
     combine_in_basis,
     count_real_roots,
     expand_in_basis,
-    interpolate,
     is_real_rooted,
     parse_rat,
     poly_gcd,
@@ -28,7 +27,7 @@ from hermops.ratpoly import (
     rat_str,
     squarefree_part,
 )
-from oracles import from_roots, sturm_real_rooted
+from oracles import from_roots, interpolate, sturm_real_rooted
 
 F = Fraction
 
@@ -384,6 +383,23 @@ def test_shortfall_root_test_builds_one_chain(monkeypatch):
     assert calls == []
 
 
+def test_quartic_with_nonzero_discriminant_builds_no_chain(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append(len(f) - 1)
+        return original(f, g)
+
+    original = ratpoly._prs
+    monkeypatch.setattr(ratpoly, "_prs", counted)
+    ratpoly._sturm_chain.cache_clear()
+    # Both discriminants are nonzero, so the signs of the discriminant, P and D decide;
+    # the first meets Newton's inequalities, so only those signs keep it from a chain.
+    assert is_real_rooted((X - 1) * (X + 1) * (X - 2) * (X + 3))
+    assert not is_real_rooted((X**2 + 1) * (X**2 + 4))
+    assert calls == []
+
+
 # Real-rooted inputs for the certificate: rational linear factors with
 # multiplicities times x^m (zero low coefficients), and x^e R(x^2) with R's
 # roots the squares r^2, even or odd with every other coefficient zero, as Q_k is.
@@ -436,8 +452,8 @@ def test_is_real_rooted_matches_sturm_only_oracle(p):
 
 
 # Integer polynomials of degree 1-4 for the closed forms: rational roots
-# (the list repeated, then cut to degree 4) times at most one irreducible
-# quadratic (x - a)^2 + b, scaled by any nonzero integer, so the leading
+# (the list repeated, then cut to degree 4) times at most two irreducible
+# quadratics (x - a)^2 + b, scaled by any nonzero integer, so the leading
 # coefficient may be negative.
 low_degree_polys = st.builds(
     lambda roots, reps, quads, scale: from_roots((roots * reps)[: 4 - 2 * len(quads)])
@@ -447,7 +463,7 @@ low_degree_polys = st.builds(
     st.integers(min_value=1, max_value=3),
     st.lists(
         st.builds(lambda a, b: (X - a) ** 2 + b, small_rats, small_rats.filter(lambda b: b > 0)),
-        max_size=1,
+        max_size=2,
     ),
     st.integers(min_value=-6, max_value=6).filter(bool),
 ).filter(lambda p: p.degree >= 1)
@@ -461,11 +477,21 @@ low_degree_polys = st.builds(
 @example(-(X**3) + 3 * X)  # zero middle coefficients, negative leading coefficient
 @example(X**3 + 1)  # one real root, zero middle coefficients
 @example(-3 * X**2 + 2)
-@example(X**4 - 1)
+@example(X**4 - 1)  # quartic, negative discriminant: two real roots
+@example((X**2 + 1) ** 2)  # quartic, zero discriminant, no real root
+@example((X**2 + 1) * (X**2 + 4))  # positive discriminant, no real root
+@example((X - 1) ** 2 * (X**2 + 1))  # zero discriminant, two real roots
+@example(X**4 + X**2)
+@example((X - 1) ** 4)  # zero discriminant, real-rooted
+@example((X - 1) ** 3 * (X + 2))
+@example((X**2 - 1) ** 2)
+@example((X - 1) * (X + 1) * (X - 2) * (X + 3))  # positive discriminant, four real roots
 def test_closed_form_root_tests_match_sturm_only_oracle(p):
     c = tuple(ratpoly._int_coeffs(p))
     assert ratpoly._real_rooted_ints(c) == sturm_real_rooted(p)
     assert ratpoly._real_rooted_ints(tuple(-x for x in c)) == sturm_real_rooted(-p)
+    for m in (2, -3):  # the falsifier passes images that are not primitive
+        assert ratpoly._real_rooted_ints(tuple(m * x for x in c)) == sturm_real_rooted(p)
 
 
 def test_squarefree_degree_known():
