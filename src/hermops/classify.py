@@ -29,7 +29,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -48,7 +47,7 @@ from .ratpoly import (
     rat,
     rat_str,
 )
-from .reporting import CheckReport
+from .reporting import CheckReport, Record
 
 IS_MS = "is_hms"
 NOT_MS = "not_hms"
@@ -58,13 +57,13 @@ INCONCLUSIVE = "inconclusive"
 RATIO_SEARCH_CAP = 200
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A concrete counterexample: a real-rooted input whose image is not."""
 
-    basis: str
-    input_poly: RatPoly
-    image_poly: RatPoly
+    __slots__ = ("basis", "input_poly", "image_poly")
+
+    def __init__(self, basis: str, input_poly: RatPoly, image_poly: RatPoly):
+        super().__init__(basis, input_poly, image_poly)
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,12 +74,11 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    reason: str
-    witness: Optional[Witness] = None
-    bound: Optional[int] = None
+class Verdict(Record):
+    __slots__ = ("status", "reason", "witness", "bound")
+
+    def __init__(self, status: str, reason: str, witness: Optional[Witness] = None, bound: Optional[int] = None):
+        super().__init__(status, reason, witness, bound)
 
     def to_json_dict(self) -> dict:
         out = {"status": self.status, "reason": self.reason}
@@ -94,15 +92,15 @@ class Verdict:
 # -- bases for coefficientwise action ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Basis:
-    """A triangular basis b_0, b_1, ... (deg b_n = n) for coefficientwise action.
+class Basis(Record):
+    """A triangular basis b_0, b_1, ... (deg b_n = n) for coefficientwise action: `family(n)`
+    returns [b_0, ..., b_n].  Bases compare, hash and show by label."""
 
-    `family(n)` returns [b_0, ..., b_n].  Bases compare by label.
-    """
+    __slots__ = ("label", "family")
+    _fields = ("label",)
 
-    label: str
-    family: Callable[[int], list] = field(compare=False, repr=False)
+    def __init__(self, label: str, family: Callable[[int], list]):
+        super().__init__(label, family)
 
 
 def StandardBasis() -> Basis:
@@ -167,20 +165,20 @@ def is_classical_ms(phi) -> Verdict:
 # -- reality tables and necessity checks --------------------------------------
 
 
-@dataclass(frozen=True)
-class RealityRow:
+class RealityRow(Record):
     """Whether Q_k is real-rooted."""
 
-    k: int
-    real_rooted: bool
-    q: RatPoly
+    __slots__ = ("k", "real_rooted", "q")
+
+    def __init__(self, k: int, real_rooted: bool, q: RatPoly):
+        super().__init__(k, real_rooted, q)
 
 
-@dataclass(frozen=True)
-class RealityTable:
-    alpha: Fraction
-    p_shift: int
-    rows: tuple
+class RealityTable(Record):
+    __slots__ = ("alpha", "p_shift", "rows")
+
+    def __init__(self, alpha: Fraction, p_shift: int, rows: tuple):
+        super().__init__(alpha, p_shift, rows)
 
     def to_json_dict(self) -> dict:
         return {

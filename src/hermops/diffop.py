@@ -26,13 +26,12 @@ x^n and the coefficients collapse to `standard_coefficient`.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hermite import hermite_polys, validate_alpha
 from .jensen import DifferenceTable, GammaSeq
 from .ratpoly import ONE, RatLike, RatPoly, rat, rat_str
-from .reporting import CheckReport
+from .reporting import CheckReport, Record
 
 
 class TruncationError(ValueError):
@@ -42,17 +41,13 @@ class TruncationError(ValueError):
     would be silently dropped, so this is a hard error."""
 
 
-@dataclass(frozen=True)
-class HermiteDiffOp:
+class HermiteDiffOp(Record):
     """A truncated diagonal operator: alpha, offset p, and [Q_0, ..., Q_K]."""
 
-    alpha: Fraction
-    p_shift: int
-    qpolys: tuple
+    __slots__ = ("alpha", "p_shift", "qpolys")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", validate_alpha(self.alpha))
-        object.__setattr__(self, "qpolys", tuple(self.qpolys))
+    def __init__(self, alpha: RatLike, p_shift: int, qpolys: tuple):
+        super().__init__(validate_alpha(alpha), p_shift, tuple(qpolys))
         if self.p_shift < 0:
             raise ValueError("p_shift must be nonnegative")
         if not self.qpolys:

@@ -35,28 +35,21 @@ import math
 import operator
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .ratpoly import RatLike, int_str, rat
-from .reporting import CheckReport
+from .reporting import CheckReport, Record
 
 
-@dataclass(frozen=True)
-class FactoredSpec:
+class FactoredSpec(Record):
     """Factored form c * x^m * e^(sigma*x) * prod(1 + x/x_k) = e^(sigma*x) * R/den, R the
     integer polynomial `_ints`: its gammas, p-shift and differences all come from `_steps`."""
 
-    c: Fraction = Fraction(1)
-    m: int = 0
-    sigma: Fraction = Fraction(0)
-    zeros: tuple = ()
+    __slots__ = ("c", "m", "sigma", "zeros", "_ints", "_den")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", rat(self.c))
-        object.__setattr__(self, "sigma", rat(self.sigma))
-        object.__setattr__(self, "zeros", tuple(rat(z) for z in self.zeros))
+    def __init__(self, c: RatLike = Fraction(1), m: int = 0, sigma: RatLike = Fraction(0), zeros: tuple = ()):
+        super().__init__(rat(c), m, rat(sigma), tuple(rat(z) for z in zeros))
         if self.c <= 0:
             raise ValueError("leading constant c must be positive")
         if self.m < 0:
@@ -68,9 +61,8 @@ class FactoredSpec:
         prod = [1]  # prod_k (n_k + d_k*x) for x_k = n_k/d_k, over prod_k n_k
         for n, d in ((z.numerator, z.denominator) for z in self.zeros):
             prod = [n * a + d * b for a, b in zip(prod + [0], [0] + prod)]
-        ints = (0,) * self.m + tuple(self.c.numerator * a for a in prod)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_den", self.c.denominator * math.prod(z.numerator for z in self.zeros))
+        self._ints = (0,) * self.m + tuple(self.c.numerator * a for a in prod)
+        self._den = self.c.denominator * math.prod(z.numerator for z in self.zeros)
 
     def difference_heads(self, k_max: int, p: int) -> tuple:
         """(nums, factors) with d_(k,p) = nums[k]/(factors[0] * ... * factors[k]) for
@@ -372,12 +364,13 @@ def histogram_bins(values: list, bins: int) -> list:
         raise ValueError("bin count must be positive")
     if not values:
         return []
-    lo = min(values)
-    hi = max(values)
+    try:  # n/d rounds correctly, so it is monotone in v: only equal floats need an exact comparison
+        keys = [v.numerator / v.denominator for v in values]
+    except OverflowError:  # a value beyond the float range
+        keys = values
+    (_, lo), (_, hi) = min(zip(keys, values)), max(zip(keys, values))
     if lo == hi:
-        rows = [(lo, hi, len(values))]
-        rows.extend((lo, hi, 0) for _ in range(bins - 1))
-        return rows
+        return [(lo, hi, len(values))] + [(lo, hi, 0)] * (bins - 1)
     span = hi - lo
     ln, ld = lo.numerator, lo.denominator
     mul, div = bins * span.denominator, span.numerator * ld

@@ -23,11 +23,10 @@ triangular change of basis of `ratpoly.expand_in_basis` and
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratpoly import RatLike, RatPoly, X, combine_in_basis, expand_in_basis, rat
-from .reporting import CheckReport
+from .reporting import CheckReport, Record
 
 
 def validate_laguerre_alpha(alpha: RatLike) -> Fraction:
@@ -37,16 +36,13 @@ def validate_laguerre_alpha(alpha: RatLike) -> Fraction:
     return a
 
 
-@dataclass(frozen=True)
-class LaguerreParam:
+class LaguerreParam(Record):
     """Basis parameter alpha > -1 together with the eigenvalue offset a."""
 
-    alpha: Fraction
-    a: Fraction
+    __slots__ = ("alpha", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", validate_laguerre_alpha(self.alpha))
-        object.__setattr__(self, "a", rat(self.a))
+    def __init__(self, alpha: RatLike, a: RatLike):
+        super().__init__(validate_laguerre_alpha(alpha), rat(a))
 
 
 def laguerre_polys(n_max: int, alpha: RatLike) -> list:

@@ -473,6 +473,18 @@ def test_broken_stdout_pipe_exits_1_silently():
     assert err == b""
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every command pays for `import hermops, hermops.cli`; `inspect` alone brings in
+    `ast`, `dis` and `tokenize`.  -S keeps the host's .pth files out of the count."""
+    src = str(Path(hermops.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hermops, hermops.cli; "
+        "print(hermops.__file__); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines() == [hermops.__file__, "[]"]
+
+
 def test_one_parser_serves_every_call(capsys):
     """main reuses one parser; a config error or a usage error in between changes nothing."""
     argvs = [

@@ -519,6 +519,28 @@ def test_histogram_bins_match_the_fraction_oracle(data):
     assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
 
 
+# beyond the float range both ways, and three that underflow to 0.0 or -0.0
+FLOAT_EDGES = (F(10**400, 3), F(-(10**400), 3), F(1, 10**400), F(-1, 10**400), F(2, 10**400))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_histogram_bounds_match_plain_min_and_max(data):
+    """The bounds come from float keys with exact tie-breaks; the oracle takes plain min and max."""
+    bins = data.draw(st.integers(min_value=1, max_value=12))
+    bases = data.draw(st.lists(st.fractions(max_denominator=10**6) | st.sampled_from(FLOAT_EDGES), min_size=1, max_size=6))
+    values = []
+    for x in bases:  # x +- eps rounds to x's float, as a different value
+        eps = F(1, 10**40 * x.denominator)
+        values += data.draw(st.lists(st.sampled_from((x, x + eps, x - eps)), min_size=1, max_size=3))
+    assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
+
+
+@pytest.mark.parametrize("values", [[F(5, 7)], [F(1, 3) + F(1, 10**41), F(1, 3), F(1, 3) - F(1, 10**41)], list(FLOAT_EDGES)])
+def test_histogram_bounds_on_single_tied_and_extreme_values(values):
+    assert histogram_bins(values, 3) == fraction_histogram_bins(values, 3)
+
+
 def test_histogram_of_large_ratios_matches_the_fraction_oracle():
     values = [v for _, v in ratio_sequence(make_sequence("besselJ0"), 260) if v is not None]
     for bins in (1, 7, 18):
