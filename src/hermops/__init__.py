@@ -14,7 +14,6 @@ from .classify import (
     HermiteBasis,
     LaguerreBasis,
     RealityTable,
-    StandardBasis,
     Verdict,
     Witness,
     check_turan_necessity,
@@ -65,7 +64,6 @@ __all__ = [
     "NOT_MS",
     "RatPoly",
     "RealityTable",
-    "StandardBasis",
     "TruncationError",
     "Verdict",
     "Witness",

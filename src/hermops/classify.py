@@ -14,14 +14,14 @@ counterexample and returns a re-checkable witness when it finds one.
 
 The falsifier acts on one basis type, `Basis`: a label and a triangular
 polynomial family, expanded and reconstructed through `ratpoly`'s one
-change of basis.  `StandardBasis`, `HermiteBasis` and `LaguerreBasis` are
-its three constructors; the standard basis is the Hermite family at
-alpha = 0 (H_n = x^n).  Each degree of the witness corpus is built once, and
-a search reads its basis's family once, so neither is built per candidate.
-A search applies one integer matrix, the sequence's map on degree <= deg_max
-over one denominator, to each candidate's integer numerators, and runs the
-root test on that integer image; the verdict is the same on that positive
-multiple, and only a witness gets the exact image.
+change of basis.  `HermiteBasis` and `LaguerreBasis` are its two
+constructors; the standard basis is the Hermite family at alpha = 0
+(`HermiteBasis(0)`, H_n = x^n).  Each degree of the witness corpus is built
+once, and a search reads its basis's family once, so neither is built per
+candidate.  A search applies one integer matrix, the sequence's map on
+degree <= deg_max over one denominator, to each candidate's integer
+numerators, and runs the root test on that integer image; the verdict is
+the same on that positive multiple, and only a witness gets the exact image.
 """
 
 import functools
@@ -103,16 +103,10 @@ class Basis(Record):
         super().__init__(label, family)
 
 
-def StandardBasis() -> Basis:
-    """The monomials x^n: the Hermite family at alpha = 0."""
-    return Basis("standard", lambda n: hermite_polys(n, 0))
-
-
 def HermiteBasis(alpha: RatLike) -> Basis:
-    """The generalized Hermite family H_n^(alpha), alpha > 0."""
+    """The generalized Hermite family H_n^(alpha), alpha >= 0; at alpha = 0 it is
+    the standard basis x^n."""
     a = validate_alpha(alpha)
-    if a == 0:
-        raise ValueError("use StandardBasis for alpha = 0")
     return Basis(f"hermite({a})", lambda n: hermite_polys(n, a))
 
 

@@ -16,7 +16,8 @@ gives the monomial form that `build_operator` evaluates:
              * S_(k,m) * x^(k-2m),   S_(k,m) = sum_j C(m,j) 2^j d_{k-j}.
 
 S_(k,0) = d_k and S_(k,m) = S_(k,m-1) + 2*S_(k-1,m-1), so Q_0..Q_K come
-from the integer heads of one difference table with no Hermite polynomials;
+from the per-k numerators and step factors of one difference table, each row
+on its own denominator, with no Hermite polynomials;
 alpha enters only through the factor (-alpha/2)^m, which is the dilation
 covariance Q_k^(c^2 alpha)(x) = c^k * Q_k^(alpha)(x/c).
 `solve_operator_from_action` recovers the same coefficients with no
@@ -84,11 +85,12 @@ def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
 def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> HermiteDiffOp:
     """Materialize the operator truncated at the given order: Q_0..Q_order.
 
-    With d_i = heads[i] / den from one `DifferenceTable` and
-    -alpha/2 = step_num / step_den, the x^(k-2m) coefficient of Q_k is
-    step_num^m * S / (step_den^m * den * m! * (k-2m)!), where S = S_(k,m) * den
-    is an integer built from row k-1 by the module's recurrence.  Q_k is built
-    as integer numerators over step_den^(k//2) * den * k! and reduced once.
+    With d_i = nums[i] / D_i from one `DifferenceTable`, D_i = factors[0] * ... *
+    factors[i], and -alpha/2 = step_num / step_den, the x^(k-2m) coefficient of
+    Q_k is step_num^m * S / (step_den^m * D_k * m! * (k-2m)!), where S = S_(k,m) * D_k
+    is an integer: nums[k] at m = 0, and by the module's recurrence, since
+    D_k = factors[k] * D_(k-1), S_(k,m-1) * D_k + 2 * factors[k] * S_(k-1,m-1) * D_(k-1).
+    Q_k is built as integer numerators over step_den^(k//2) * D_k * k! and reduced once.
     """
     a = validate_alpha(alpha)
     if order < 0 or p < 0:
@@ -99,20 +101,21 @@ def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> Her
     den_pow = [step_den**m for m in range(order // 2 + 1)]
     qpolys = []
     prev = []
-    fact = 1
-    for k, head in enumerate(table.heads):
+    fact = den = 1
+    for k, (head, factor) in enumerate(zip(table.nums, table.factors)):
         fact *= max(k, 1)
+        den *= factor
         top = k // 2
         sums = [head]
         for m in range(1, top + 1):
-            sums.append(sums[m - 1] + 2 * prev[m - 1])
+            sums.append(sums[m - 1] + 2 * factor * prev[m - 1])
         num = [0] * (k + 1)
         ways = 1  # k! / (m! (k-2m)!)
         for m, s in enumerate(sums):
             if m:
                 ways = ways * (k - 2 * m + 2) * (k - 2 * m + 1) // m
             num[k - 2 * m] = num_pow[m] * den_pow[top - m] * ways * s
-        qpolys.append(RatPoly._reduced(num, den_pow[top] * table.den * fact))
+        qpolys.append(RatPoly._reduced(num, den_pow[top] * den * fact))
         prev = sums
     return HermiteDiffOp(a, p, tuple(qpolys))
 

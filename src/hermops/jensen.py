@@ -240,15 +240,14 @@ class DifferenceTable:
     """The forward differences d_(k,p) for k = 0..k_max at one offset p.
 
     d_(k,p) = nums[k] / (factors[0] * ... * factors[k]): integer numerators over a
-    running product of positive step factors.  A sequence's `differences` route
-    (factored generators, geom-factorial, besselJ0, exp-half-cosh) supplies both.
-    Otherwise gamma_p..gamma_(p+k_max) are scaled to integers over their lcm, the
-    first factor: row 0 is those integers, row k+1 the adjacent differences of row
-    k, nums[k] heads row k and every later factor is 1.  `heads` and `den`, with
-    d_(k,p) = heads[k]/den, are built from these on first use and kept.
+    running product of positive step factors, the one form every reader uses.  A
+    sequence's `differences` route (factored generators, geom-factorial, besselJ0,
+    exp-half-cosh) supplies both.  Otherwise gamma_p..gamma_(p+k_max) are scaled to
+    integers over their lcm, the first factor: row 0 is those integers, row k+1 the
+    adjacent differences of row k, nums[k] heads row k and every later factor is 1.
     """
 
-    __slots__ = ("nums", "factors", "heads", "den")
+    __slots__ = ("nums", "factors")
 
     def __init__(self, seq: GammaSeq, k_max: int, p: int = 0):
         if k_max < 0 or p < 0:
@@ -266,17 +265,13 @@ class DifferenceTable:
         self.nums = nums
         self.factors = [den] + [1] * k_max
 
-    def __getattr__(self, name: str):
-        """`heads` and `den` when first read: heads[k] = nums[k] * factors[k+1] * ... *
-        factors[k_max] from one backward pass, over den = the product of every factor."""
-        if name not in ("heads", "den"):
-            raise AttributeError(name)
-        *scales, self.den = itertools.accumulate(reversed(self.factors), operator.mul, initial=1)
-        self.heads = list(map(operator.mul, self.nums, reversed(scales)))
-        return getattr(self, name)
+    def _check(self, k: int, low: int) -> None:
+        if not low <= k < len(self.nums):
+            raise IndexError(f"difference index {k} is outside {low}..{len(self.nums) - 1}")
 
     def __getitem__(self, k: int) -> Fraction:
-        return Fraction(self.heads[k], self.den)
+        self._check(k, 0)
+        return Fraction(self.nums[k], math.prod(self.factors[: k + 1]))
 
     def ratio(self, k: int) -> Optional[Fraction]:
         """d_k / d_(k-1) for 1 <= k <= k_max, or None when d_(k-1) = 0.
@@ -284,13 +279,16 @@ class DifferenceTable:
         The running product up to k - 1 cancels, so the ratio comes from the two
         numerators and the one step factor between them.
         """
+        self._check(k, 1)
         prev = self.nums[k - 1]
         return None if prev == 0 else Fraction(self.nums[k], prev * self.factors[k])
 
     def turan(self, k: int) -> Fraction:
-        """d_k^2 + 2*d_k*d_(k-1) for 1 <= k <= k_max."""
-        dk = self[k]
-        return dk * dk + 2 * dk * self[k - 1]
+        """d_k^2 + 2*d_k*d_(k-1) for 1 <= k <= k_max: with d_(k-1) = nums[k-1] *
+        factors[k] / D_k, it is nums[k] * (nums[k] + 2*factors[k]*nums[k-1]) / D_k^2."""
+        self._check(k, 1)
+        num = self.nums[k]
+        return Fraction(num * (num + 2 * self.factors[k] * self.nums[k - 1]), math.prod(self.factors[: k + 1]) ** 2)
 
 
 def turan_quantity(seq: GammaSeq, k: int, p: int = 0) -> Fraction:

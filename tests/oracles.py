@@ -98,15 +98,15 @@ def closed_form_gamma(phi: FactoredSpec, k: int) -> Fraction:
     return Fraction(exp_poly_head(phi._ints, s, t, k), phi._den * t**k)
 
 
-def closed_form_difference_heads(phi: FactoredSpec, k_max: int, p: int) -> tuple:
-    """`FactoredSpec.difference_heads` with each head in closed form: R_p by p
-    steps R -> t*R' + s*R, then d_(k,p) = k! * [x^k] e^((sigma-1)*x) * R_p/(den*t^p)."""
+def closed_form_differences(phi: FactoredSpec, k_max: int, p: int) -> list:
+    """The differences d_(0,p)..d_(k_max,p) of `GammaSeq.from_lpplus(phi)`, each in
+    closed form: R_p by p steps R -> t*R' + s*R, then
+    d_(k,p) = k! * [x^k] e^((sigma-1)*x) * R_p/(den*t^p)."""
     s, t = phi.sigma.numerator, phi.sigma.denominator
     ints = list(phi._ints)
     for _ in range(p):
         ints = [s * a + t * (j + 1) * b for j, (a, b) in enumerate(zip(ints, ints[1:] + [0]))]
-    heads = [exp_poly_head(ints, s - t, t, k) * t ** (k_max - k) for k in range(k_max + 1)]
-    return heads, phi._den * t ** (p + k_max)
+    return [Fraction(exp_poly_head(ints, s - t, t, k), phi._den * t ** (p + k)) for k in range(k_max + 1)]
 
 
 def jensen_reversed(seq: GammaSeq, n: int) -> RatPoly:

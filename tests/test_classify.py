@@ -16,7 +16,6 @@ from hermops.classify import (
     NOT_MS,
     HermiteBasis,
     LaguerreBasis,
-    StandardBasis,
     _IntegerMap,
     _witness_candidates,
     check_turan_necessity,
@@ -178,19 +177,14 @@ def test_ratio_limit_rejects_sigma_one():
 
 def test_bases_round_trip():
     p = (X - 2) * (X + 5) * X
-    for basis in (StandardBasis(), HermiteBasis(F(1, 2)), LaguerreBasis(F(1))):
+    for basis in (HermiteBasis(F(0)), HermiteBasis(F(1, 2)), LaguerreBasis(F(1))):
         polys = basis.family(p.degree)
         assert combine_in_basis(expand_in_basis(p, polys), polys) == p
 
 
-def test_hermite_basis_rejects_alpha_zero():
-    with pytest.raises(ValueError):
-        HermiteBasis(F(0))
-
-
 def test_basis_labels():
     # The labels appear in witness JSON.
-    assert StandardBasis().label == "standard"
+    assert HermiteBasis(F(0)).label == "hermite(0)"
     assert HermiteBasis(F(1, 2)).label == "hermite(1/2)"
     assert LaguerreBasis(F(1)).label == "laguerre(1)"
     assert HermiteBasis(F(2, 4)) == HermiteBasis(F(1, 2))
@@ -200,7 +194,7 @@ def test_basis_labels():
 @pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(1), F(7, 3)])
 def test_hermite_expansion_of_powers_matches_closed_form(alpha):
     # x^n = sum_j n! / (2^j j! (n-2j)!) alpha^j H_(n-2j)
-    polys = (StandardBasis() if alpha == 0 else HermiteBasis(alpha)).family(8)
+    polys = HermiteBasis(alpha).family(8)
     for n in range(9):
         expected = [F(0)] * (n + 1)
         for j in range(n // 2 + 1):
@@ -242,7 +236,7 @@ def test_bases_round_trip_random(family, alpha, p):
         basis, to_basis, from_basis = LaguerreBasis(a), to_laguerre_basis, from_laguerre_basis
     else:
         a = F(0) if family == "standard" else alpha + F(1, 7)
-        basis = StandardBasis() if family == "standard" else HermiteBasis(a)
+        basis = HermiteBasis(a)
         to_basis, from_basis = to_hermite_basis, from_hermite_basis
     polys = basis.family(8)
     coeffs = expand_in_basis(p, polys)
@@ -258,10 +252,8 @@ def test_bases_round_trip_random(family, alpha, p):
 def test_public_names_resolve():
     for name in hermops.__all__:
         assert getattr(hermops, name) is not None, name
-    for gone in ("SeriesSpec", "bessel_j0_spec", "exp_half_cosh_spec"):
+    for gone in ("SeriesSpec", "bessel_j0_spec", "exp_half_cosh_spec", "StandardBasis"):
         assert not hasattr(hermops, gone), gone
-    with pytest.raises(ValueError):
-        hermops.HermiteBasis(F(0))
 
 
 def test_falsify_linear_negative_on_hermite():
@@ -297,13 +289,13 @@ def test_falsify_inconclusive_inside_laguerre_band():
 
 def test_falsify_classical_shift_is_inconclusive():
     # k+1 is a classical multiplier sequence; the search must not "find" anything.
-    verdict = falsify_sequence(GammaSeq.linear(F(1)), StandardBasis(), 5)
+    verdict = falsify_sequence(GammaSeq.linear(F(1)), HermiteBasis(F(0)), 5)
     assert verdict.status == INCONCLUSIVE
 
 
 def test_falsify_standard_negative_entry():
     # gamma with mixed signs on the standard basis: x+1 -> gamma_0 + gamma_1 x.
-    verdict = falsify_sequence(GammaSeq.from_values([1, 2, -3]), StandardBasis(), 4)
+    verdict = falsify_sequence(GammaSeq.from_values([1, 2, -3]), HermiteBasis(F(0)), 4)
     assert verdict.status == FALSIFIED
 
 
@@ -334,7 +326,7 @@ def test_verdict_json():
     assert "input" in data["witness"]
     json.dumps(data)
 
-    inconclusive = falsify_sequence(GammaSeq.linear(F(1)), StandardBasis(), 3)
+    inconclusive = falsify_sequence(GammaSeq.linear(F(1)), HermiteBasis(F(0)), 3)
     data = inconclusive.to_json_dict()
     assert data["status"] == INCONCLUSIVE
     assert data["bound"] == 3
@@ -344,7 +336,7 @@ def test_verdict_json():
 def _basis(family, alpha):
     """A basis from a drawn alpha >= 0: Hermite at alpha + 1/7, Laguerre at alpha - 1/2."""
     if family == "standard":
-        return StandardBasis()
+        return HermiteBasis(F(0))
     if family == "hermite":
         return HermiteBasis(alpha + F(1, 7))
     return LaguerreBasis(alpha - F(1, 2))
@@ -437,4 +429,4 @@ def test_one_counted_expand_per_candidate(monkeypatch):
 def test_falsify_rejects_deg_max_below_one():
     for deg_max in (0, -1):
         with pytest.raises(ValueError, match="^deg_max must be at least 1$"):
-            falsify_sequence(GammaSeq.linear(F(1)), StandardBasis(), deg_max)
+            falsify_sequence(GammaSeq.linear(F(1)), HermiteBasis(F(0)), deg_max)

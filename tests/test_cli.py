@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -131,6 +132,32 @@ def test_ratios_match_the_row_by_row_table(capsys, source, p):
     oracle = DifferenceTable(GammaSeq(lambda k: seq[k]), kmax, p)
     rows = [(k, oracle.ratio(k)) for k in range(1, kmax + 1)]
     assert out == "\n".join(ratio_csv_lines(rows)) + "\n"
+
+
+_PIN_SOURCES = {
+    "besselJ0": ("--seq", "besselJ0", "--alpha", "1"),
+    "factored": ("--factored", '{"sigma": "3/2", "zeros": ["1", "2"]}', "--alpha", "7/3", "--p", "3"),
+    "linear(3)": ("--seq", "linear(3)", "--alpha", "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, source, digest",
+    [
+        ("qpoly", "besselJ0", "0c7ef17ad1ac4d7bef4c269dce95fdf8afd786eebc30dd83aeeca30ff5cf2e02"),
+        ("qpoly", "factored", "70de49675aa130c95a63b8c0beb1cd06d85c8644fc3a1c2e5b30287bc25e540b"),
+        ("qpoly", "linear(3)", "edac4f8503215915ec89aa9b5cd37ddbc0630bcbca07bc346958dba09c337e54"),
+        ("reality", "besselJ0", "2713292a582a880cff09cfd151f3f4d0b3ffef1d9ee683dfbe80a96670b67b3d"),
+        ("reality", "factored", "a8bb29eaa8d3edb99910822316abfe7568f3124dee159c996c6100b6271d441d"),
+        ("reality", "linear(3)", "b9c93cd090aef0b744bc9ca9c646a480f33053b59488fd93fb78f79e853b2b51"),
+    ],
+)
+def test_output_bytes_at_k_120_are_pinned(capsys, command, source, digest):
+    # The bench's reference hashes stop at K = 60; these pin the bytes at twice that.
+    extra = ("--format", "csv") if command == "qpoly" else ()
+    code, out, err = run_cli(capsys, command, *_PIN_SOURCES[source], "--kmax", "120", *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_file_deterministic(tmp_path, capsys):

@@ -21,7 +21,7 @@ from hermops.diffop import (
     standard_coefficient,
 )
 from hermops.hermite import hermite_polys
-from hermops.jensen import GammaSeq, finite_difference
+from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
 from hermops.ratpoly import ONE, X, ZERO, RatPoly, parse_rat
 from hermops.sequences import make_sequence
 from oracles import hermite_sum_qpolys, interpolate
@@ -210,15 +210,35 @@ def test_build_operator_rejects_negative_order():
         build_operator(F(1), make_sequence("const1"), -1)
 
 
-@settings(max_examples=40, deadline=None)
+_positive = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
+
+# One draw per difference route: row by row (every step factor after the first
+# is 1), a factored generator (factors t, sigma = s/t) and the geom-factorial ODE.
+_random_sequences = st.one_of(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), min_size=1, max_size=14).map(
+        GammaSeq.from_values
+    ),
+    st.builds(
+        lambda c, m, sigma, zeros: GammaSeq.from_lpplus(FactoredSpec(c=c, m=m, sigma=sigma, zeros=tuple(zeros))),
+        _positive,
+        st.integers(min_value=0, max_value=2),
+        st.one_of(st.just(F(0)), st.fractions(min_value=F(1, 7), max_value=4, max_denominator=7)),
+        st.lists(_positive, max_size=4),
+    ),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).map(GammaSeq.geometric_factorial),
+)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=5, max_denominator=7)),
-    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), min_size=1, max_size=14),
+    _random_sequences,
     st.integers(min_value=0, max_value=7),
     st.integers(min_value=0, max_value=4),
 )
-def test_build_operator_matches_action_solve_on_random_input(alpha, values, order, p):
-    seq = GammaSeq.from_values(values)
+@example(F(3, 2), GammaSeq.from_lpplus(FactoredSpec(sigma=F(3, 2), zeros=(F(1), F(2)))), 7, 3)
+@example(F(1), GammaSeq.geometric_factorial(F(3, 5)), 7, 2)
+def test_build_operator_matches_action_solve_on_random_input(alpha, seq, order, p):
     op = build_operator(alpha, seq, order, p)
     assert op.qpolys == solve_operator_from_action(alpha, seq.shifted(p), order).qpolys
     assert op.qpolys[order] == coefficient_polynomial(alpha, seq, order, p)

@@ -28,7 +28,7 @@ from hermops.jensen import (
 from hermops.ratpoly import rat_str
 from hermops.sequences import EXP_HALF_COSH_ODE, make_sequence
 from oracles import (
-    closed_form_difference_heads,
+    closed_form_differences,
     closed_form_gamma,
     difference_via_exp_shift,
     fraction_histogram_bins,
@@ -390,6 +390,21 @@ def test_difference_table_rejects_negative_indices():
         ratio_sequence(seq, 3, -1)
 
 
+@pytest.mark.parametrize("seq", [make_sequence("besselJ0"), GammaSeq.from_values([1, 2, 5, 3, 7, 4])])
+def test_difference_table_rejects_indices_outside_its_rows(seq):
+    # A negative index must not wrap to the last row: ratio(0) would read nums[-1].
+    table = DifferenceTable(seq, 5)
+    assert [table[k] for k in range(6)] == [finite_difference(seq, k) for k in range(6)]
+    for k in (-1, 6):
+        with pytest.raises(IndexError):
+            table[k]
+    for k in (-1, 0, 6):
+        with pytest.raises(IndexError):
+            table.ratio(k)
+        with pytest.raises(IndexError):
+            table.turan(k)
+
+
 def test_output_renders_past_the_int_string_limit():
     # Both parts are longer than str() allows by default (4300 digits), and coprime.
     value = F(10**5200 - 3, 10**5100 + 1)
@@ -406,7 +421,7 @@ def _assert_direct_route_matches(seq, k_max, p):
     """The direct route of `seq` gives the differences, ratios and Turan values
     of the row-by-row table of the same gammas (a wrapper with no route): each
     d_(k,p) read in its per-k form nums[k]/(factors[0] * ... * factors[k]), and
-    in the common form heads[k]/den."""
+    through the table's indexing."""
     assert seq.differences is not None
     plain = GammaSeq(lambda k: seq[k])
     table = DifferenceTable(seq, k_max, p)
@@ -416,8 +431,7 @@ def _assert_direct_route_matches(seq, k_max, p):
     assert all(f > 0 for f in factors)
     per_k = [F(num, math.prod(factors[: k + 1])) for k, num in enumerate(nums)]
     assert per_k == [oracle[k] for k in range(k_max + 1)]
-    assert table.den > 0
-    assert len(table.heads) == k_max + 1
+    assert (table.nums, table.factors) == (nums, factors)
     assert [table[k] for k in range(k_max + 1)] == [oracle[k] for k in range(k_max + 1)]
     assert [table[k] for k in range(k_max + 1)] == [finite_difference(seq, k, p) for k in range(k_max + 1)]
     assert [table.ratio(k) for k in range(1, k_max + 1)] == [oracle.ratio(k) for k in range(1, k_max + 1)]
@@ -451,7 +465,7 @@ def test_factored_heads_match_the_table(c, m, sigma, zeros, p, k_max):
     assert GammaSeq.from_lpplus(spec).values(k_max + p) == gammas
     assert [taylor_gamma(spec, k) for k in range(k_max + p + 1)] == gammas
     table = DifferenceTable(GammaSeq.from_lpplus(spec), k_max, p)
-    assert (table.heads, table.den) == closed_form_difference_heads(spec, k_max, p)
+    assert [table[k] for k in range(k_max + 1)] == closed_form_differences(spec, k_max, p)
     _assert_direct_route_matches(GammaSeq.from_lpplus(spec), k_max, p)
 
 
@@ -478,7 +492,7 @@ def test_factored_per_k_form_on_edge_cases(sigma, zeros, p, k_max):
     seq = GammaSeq.from_lpplus(spec)
     _assert_direct_route_matches(seq, k_max, p)
     table = DifferenceTable(seq, k_max, p)
-    assert (table.heads, table.den) == closed_form_difference_heads(spec, k_max, p)
+    assert [table[k] for k in range(k_max + 1)] == closed_form_differences(spec, k_max, p)
     if sigma == 1:
         assert [table.ratio(k) for k in range(len(zeros) + 2, k_max + 1)] == [None] * (k_max - len(zeros) - 1)
 
