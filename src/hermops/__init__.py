@@ -32,18 +32,16 @@ from .diffop import (
     interpolation_poly,
     solve_operator_from_action,
 )
-from .hermite import from_hermite_basis, hermite_polys, to_hermite_basis
+from .hermite import hermite_polys
 from .jensen import (
     DifferenceTable,
     FactoredSpec,
     GammaSeq,
-    finite_difference,
     ratio_sequence,
-    taylor_gamma,
     turan_quantity,
 )
-from .laguerre import LaguerreParam, from_laguerre_basis, laguerre_polys, to_laguerre_basis
-from .ratpoly import RatPoly, count_real_roots, is_real_rooted, rat, rat_str, squarefree_part
+from .laguerre import LaguerreParam, laguerre_polys
+from .ratpoly import RatPoly, count_real_roots, is_real_rooted, rat, rat_str
 from .reporting import CheckReport
 from .sequences import make_sequence
 
@@ -74,9 +72,6 @@ __all__ = [
     "coefficient_reality_table",
     "count_real_roots",
     "falsify_sequence",
-    "finite_difference",
-    "from_hermite_basis",
-    "from_laguerre_basis",
     "hermite_polys",
     "interpolation_poly",
     "is_classical_ms",
@@ -89,9 +84,5 @@ __all__ = [
     "ratio_limit_check",
     "ratio_sequence",
     "solve_operator_from_action",
-    "squarefree_part",
-    "taylor_gamma",
-    "to_hermite_basis",
-    "to_laguerre_basis",
     "turan_quantity",
 ]

@@ -28,6 +28,7 @@ three-term recurrence (`ode_terms`).  Any other sequence gets row-by-row
 differences of its gammas, the oracle for both with `finite_difference`.
 """
 
+import bisect
 import decimal
 import functools
 import itertools
@@ -354,30 +355,29 @@ def histogram_bins(values: list, bins: int) -> list:
 
     Returns [(lo, hi, count)] with `bins` rows spanning [min, max]; interior
     bins are half-open on the right and the final bin is closed so every
-    value lands exactly once.  Empty input gives an empty list.  A value's
-    bin is floor((v - lo) * bins / (hi - lo)), one integer floor division
-    with the denominators cross-multiplied.
+    value lands exactly once.  Empty input gives an empty list.  One sort of
+    (float, value) pairs gives the bounds and the order; a bin counts the
+    values between the bisections of that order at its two edges.
     """
     if bins < 1:
         raise ValueError("bin count must be positive")
     if not values:
         return []
-    try:  # n/d rounds correctly, so it is monotone in v: only equal floats need an exact comparison
-        keys = [v.numerator / v.denominator for v in values]
-    except OverflowError:  # a value beyond the float range
-        keys = values
-    (_, lo), (_, hi) = min(zip(keys, values)), max(zip(keys, values))
+    try:  # n/d rounds correctly, so it is monotone in v: only equal floats compare Fractions
+        key = lambda v: v.numerator / v.denominator
+        order = sorted((key(v), v) for v in values)
+    except OverflowError:  # a value beyond the float range; edges lie in [lo, hi], so only then
+        key = lambda v: v
+        order = sorted((v, v) for v in values)
+    lo, hi = order[0][1], order[-1][1]
     if lo == hi:
         return [(lo, hi, len(values))] + [(lo, hi, 0)] * (bins - 1)
     span = hi - lo
     ln, ld = lo.numerator, lo.denominator
     mul, div = bins * span.denominator, span.numerator * ld
-    counts = [0] * bins
-    for v in values:
-        idx = (v.numerator * ld - ln * v.denominator) * mul // (v.denominator * div)
-        counts[min(idx, bins - 1)] += 1
     edges = [Fraction(ln * mul + i * div, ld * mul) for i in range(bins + 1)]  # lo + i*span/bins
-    return [(edges[i], edges[i + 1], counts[i]) for i in range(bins)]
+    below = [0] + [bisect.bisect_left(order, (key(e), e)) for e in edges[1:-1]] + [len(values)]
+    return [(edges[i], edges[i + 1], below[i + 1] - below[i]) for i in range(bins)]
 
 
 # -- identity checks ---------------------------------------------------------

@@ -160,6 +160,26 @@ def test_output_bytes_at_k_120_are_pinned(capsys, command, source, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "source, extra, digest",
+    [
+        ("exp-half-cosh", ("--kmax", "1000", "--histogram", "7"), "2577605d11654e6289bf2242c9f304223cb1da70c4e9a1fbec68a0f4c08a3cb8"),
+        ("exp-half-cosh", ("--kmax", "1000", "--histogram", "100"), "1aa17f870e2e76d10f91db42d588cd6e670955243cad9522d10d184183e154d5"),
+        ("besselJ0", ("--kmax", "600", "--p", "3", "--histogram", "20"), "deba99be75872a62b7923dfa674fee602edbefe670208a17178286d31070233f"),
+        ("file", ("--kmax", "9", "--histogram", "4"), "619da0de0942f78ac93421ba3633f1ac3aaa84455b996896fa54a5825060c1ec"),
+    ],
+)
+def test_histogram_bytes_above_the_bench_sizes_are_pinned(tmp_path, capsys, source, extra, digest):
+    # The bench's histograms stop at K = 300; "file" has ratios near 10^450, past the float range.
+    if source == "file":
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"gammas": [f"{k + 1}{'0' * (450 * k)}/{k + 2}" for k in range(10)]}))
+        source = f"file:{path}"
+    code, out, err = run_cli(capsys, "ratios", "--seq", source, *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_output_file_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

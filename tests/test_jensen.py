@@ -521,6 +521,9 @@ def test_bessel_is_geometric_factorial_of_one():
 # -- histogram ------------------------------------------------------------------
 
 
+EDGE_EPS = F(1, 10**45)  # far below a float's resolution at any edge drawn here
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_histogram_bins_match_the_fraction_oracle(data):
@@ -530,6 +533,18 @@ def test_histogram_bins_match_the_fraction_oracle(data):
     edges = data.draw(st.lists(st.integers(min_value=0, max_value=bins), max_size=12))
     inner = data.draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40), max_size=12))
     values = [lo + span * i / bins for i in edges] + [lo + span * f for f in inner]
+    assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_histogram_bins_at_interior_edges_match_the_fraction_oracle(data):
+    """Values on an interior edge and 1/10^45 either side of it, whose floats tie, in any order."""
+    bins = data.draw(st.integers(min_value=2, max_value=20))
+    lo = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=30))
+    span = data.draw(st.fractions(min_value=F(1, 30), max_value=50, max_denominator=30))
+    near = data.draw(st.lists(st.tuples(st.integers(min_value=1, max_value=bins - 1), st.sampled_from((-1, 0, 1))), max_size=12))
+    values = data.draw(st.permutations([lo, lo + span] + [lo + span * i / bins + o * EDGE_EPS for i, o in near]))
     assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
 
 
@@ -550,12 +565,41 @@ def test_histogram_bounds_match_plain_min_and_max(data):
     assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
 
 
-@pytest.mark.parametrize("values", [[F(5, 7)], [F(1, 3) + F(1, 10**41), F(1, 3), F(1, 3) - F(1, 10**41)], list(FLOAT_EDGES)])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_histogram_bins_beyond_the_float_range_match_the_fraction_oracle(data):
+    """One value past the float range puts every key, the edges' too, on exact values."""
+    bins = data.draw(st.integers(min_value=1, max_value=12))
+    big = data.draw(st.sampled_from(FLOAT_EDGES[:2]))
+    lo = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=30))
+    a, b = min(lo, big), max(lo, big)
+    near = data.draw(st.lists(st.tuples(st.integers(min_value=0, max_value=bins), st.sampled_from((-1, 0, 1))), max_size=8))
+    inner = data.draw(st.lists(st.fractions(max_denominator=10**6) | st.sampled_from(FLOAT_EDGES[2:]), max_size=8))
+    edge_values = [min(b, max(a, a + (b - a) * i / bins + o * EDGE_EPS)) for i, o in near]
+    values = data.draw(st.permutations([a, b] + edge_values + inner))
+    assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [F(5, 7)],
+        [F(1, 3) + F(1, 10**41), F(1, 3), F(1, 3) - F(1, 10**41)],
+        list(FLOAT_EDGES),
+        [F(10**400, 3)],
+        [F(1, 3) + EDGE_EPS, F(1, 3)],  # two values whose floats tie
+        [F(5, 7), F(-(10**400), 3)],
+        [F(1, 10**400), F(-1, 10**400)],  # 0.0 and -0.0
+    ],
+)
 def test_histogram_bounds_on_single_tied_and_extreme_values(values):
     assert histogram_bins(values, 3) == fraction_histogram_bins(values, 3)
 
 
 def test_histogram_of_large_ratios_matches_the_fraction_oracle():
-    values = [v for _, v in ratio_sequence(make_sequence("besselJ0"), 260) if v is not None]
-    for bins in (1, 7, 18):
+    bessel = [v for _, v in ratio_sequence(make_sequence("besselJ0"), 260) if v is not None]
+    cosh = [v for _, v in ratio_sequence(make_sequence("exp-half-cosh"), 600) if v is not None]
+    # exp-half-cosh's ratios tend to sigma - 1 = -1/2; those within 1/100 of it span about 0.02
+    cluster = [v for v in cosh if abs(v + F(1, 2)) < F(1, 100)]
+    for values, bins in ((bessel, 1), (bessel, 7), (bessel, 18), (cosh, 7), (cluster, 7), (cluster, 100)):
         assert histogram_bins(values, bins) == fraction_histogram_bins(values, bins)
