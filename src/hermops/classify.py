@@ -17,20 +17,20 @@ polynomial family, expanded and reconstructed through `ratpoly`'s one
 change of basis.  `HermiteBasis` and `LaguerreBasis` are its two
 constructors; the standard basis is the Hermite family at alpha = 0
 (`HermiteBasis(0)`, H_n = x^n).  Each degree of the witness corpus is built
-once, and a search reads its basis's family once, so neither is built per
-candidate.  A search applies one integer matrix, the sequence's map on
-degree <= deg_max over one denominator, to each candidate's integer
-numerators, and runs the root test on that integer image; the verdict is
-the same on that positive multiple, and only a witness gets the exact image.
+once, with its integer coefficient columns, and a search reads its basis's
+family once, so neither is built per candidate.  A search applies one
+integer matrix, the sequence's map on degree <= deg_max over one
+denominator, to one corpus degree's columns at a time, and runs the root
+test on each integer image in corpus order; the verdict is the same on that
+positive multiple, and only a witness gets the exact image.
 """
 
 import functools
 import itertools
 import math
-import operator
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import laguerre as _laguerre
 from .hermite import hermite_polys, validate_alpha
@@ -275,19 +275,20 @@ def _root_product(roots) -> RatPoly:
 
 @functools.lru_cache(maxsize=None)
 def _corpus_degree(n: int) -> tuple:
-    """Degree n of the witness corpus, and the state its random stream ends in.
+    """Degree n of the witness corpus, its coefficient columns, and the state its random stream ends in.
 
     Degree n: powers of linear factors, every product of n roots from a fixed
     rational set (n <= 3), shifted Hermite and Laguerre polynomials
     (real-rooted by classical theory) and 30 seeded random root multisets,
-    deduplicated; root products are multiplied out in integers.  The random
+    deduplicated; root products are multiplied out in integers.  Column j
+    holds every candidate's x^j numerator, in corpus order.  The random
     stream runs through the degrees in ascending order, so degree n starts
     where degree n - 1 left it and never depends on deg_max.
     """
     half = Fraction(1, 2)
     rng = random.Random(0x5EED)
     if n > 1:
-        rng.setstate(_corpus_degree(n - 1)[1])
+        rng.setstate(_corpus_degree(n - 1)[2])
     candidates = [_root_product([c] * n) for c in (0, 1, -1, 2, -2, half, -half, 3, -3, 5, -5)]
     if 1 < n <= 3:
         root_set = (0, 1, -1, 2, -2, 3, -3, half, -half, 5, -5)
@@ -297,20 +298,8 @@ def _corpus_degree(n: int) -> tuple:
             candidates += [base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)]
         for _ in range(30):
             candidates.append(_root_product([Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)]))
-    return tuple(dict.fromkeys(candidates)), rng.getstate()
-
-
-@functools.lru_cache(maxsize=8)
-def _witness_candidates(deg_max: int) -> tuple:
-    """Deterministic corpus of real-rooted polynomials of degree 1..deg_max, ascending.
-
-    The order is fixed so falsification results are reproducible run to
-    run.  It is the degree <= deg_max prefix of any larger corpus, so each
-    degree is built once; the result is an immutable tuple of polynomials.
-    """
-    if deg_max < 1:
-        raise ValueError("deg_max must be at least 1")
-    return tuple(itertools.chain.from_iterable(_corpus_degree(n)[0] for n in range(1, deg_max + 1)))
+    candidates = tuple(dict.fromkeys(candidates))
+    return candidates, tuple(zip(*(c._num for c in candidates))), rng.getstate()
 
 
 class _IntegerMap:
@@ -318,6 +307,7 @@ class _IntegerMap:
 
     Column j is the image of x^j; T is upper triangular, so row i keeps only
     T[i][i..deg_max], and the matrix serves every degree up to deg_max.
+    `expand` maps one corpus degree's columns at once; T[n][n] = den * gamma_n.
     """
 
     def __init__(self, seq: GammaSeq, basis: Basis, deg_max: int):
@@ -332,10 +322,17 @@ class _IntegerMap:
             for i in range(deg_max + 1)
         ]
 
-    # perfbench counts one call of a classify `expand` per candidate (ROADMAP item 1 removes this).
-    def expand(self, ints: Sequence[int]) -> list:
-        """T * ints, the image of the polynomial with coefficients ints, times den."""
-        return [sum(map(operator.mul, self.rows[i], ints[i:])) for i in range(len(ints))]
+    # perfbench counts calls of a classify `expand`: one per corpus degree searched (ROADMAP item 1).
+    def expand(self, cols: Sequence[tuple]) -> Iterator[tuple]:
+        """One degree's images times den, a tuple per candidate: row i is sum_{j >= i} T[i][j] * cols[j]."""
+        rows = []
+        for i, row in enumerate(self.rows[: len(cols)]):
+            acc = zero = (0,) * len(cols[0])
+            for t, col in zip(row, cols[i:]):
+                if t:  # a zero entry adds no products
+                    acc = [t * c for c in col] if acc is zero else [a + t * c for a, c in zip(acc, col)]
+            rows.append(acc)
+        return zip(*rows)  # tuples made as the search reads them
 
 
 def falsify_sequence(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
@@ -346,20 +343,25 @@ def falsify_sequence(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
     No hit proves nothing; the verdict is then inconclusive with the searched
     degree bound attached, never an affirmation.
     """
-    corpus = _witness_candidates(deg_max)  # raises on deg_max < 1 before the map is built
+    if deg_max < 1:
+        raise ValueError("deg_max must be at least 1")
     action = _IntegerMap(seq, basis, deg_max)
-    for candidate in corpus:
-        image = _strip(action.expand(candidate._num))
-        if not _real_rooted_ints(tuple(image)):
-            if not is_real_rooted(candidate):
-                continue
-            # image is den * T * num for the candidate num / _den
-            exact = RatPoly._reduced(image, action.den * candidate._den)
-            return Verdict(
-                FALSIFIED,
-                f"degree-{candidate.degree} witness on basis {basis.label}",
-                witness=Witness(basis.label, candidate, exact),
-            )
+    for n in range(1, deg_max + 1):
+        corpus, cols, _ = _corpus_degree(n)
+        images = action.expand(cols)
+        if not action.rows[n][0]:  # gamma_n = 0: every image loses its top coefficient, some lose more
+            images = (tuple(_strip(list(image))) for image in images)
+        for candidate, image in zip(corpus, images):
+            if not _real_rooted_ints(image):
+                if not is_real_rooted(candidate):
+                    continue
+                # image is den * T * num for the candidate num / _den
+                exact = RatPoly._reduced(list(image), action.den * candidate._den)
+                return Verdict(
+                    FALSIFIED,
+                    f"degree-{n} witness on basis {basis.label}",
+                    witness=Witness(basis.label, candidate, exact),
+                )
     return Verdict(
         INCONCLUSIVE,
         f"no witness among real-rooted polynomials of degree <= {deg_max}",

@@ -372,10 +372,8 @@ def histogram_bins(values: list, bins: int) -> list:
     lo, hi = order[0][1], order[-1][1]
     if lo == hi:
         return [(lo, hi, len(values))] + [(lo, hi, 0)] * (bins - 1)
-    span = hi - lo
-    ln, ld = lo.numerator, lo.denominator
-    mul, div = bins * span.denominator, span.numerator * ld
-    edges = [Fraction(ln * mul + i * div, ld * mul) for i in range(bins + 1)]  # lo + i*span/bins
+    step = (hi - lo) / bins
+    edges = [lo + step * i for i in range(bins + 1)]  # exact; each sum reduces by a gcd of denominators
     below = [0] + [bisect.bisect_left(order, (key(e), e)) for e in edges[1:-1]] + [len(values)]
     return [(edges[i], edges[i + 1], below[i + 1] - below[i]) for i in range(bins)]
 

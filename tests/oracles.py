@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness, _witness_candidates
+from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness
 from hermops.hermite import hermite_polys, validate_alpha
 from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
 from hermops.laguerre import laguerre_polys
@@ -154,12 +154,12 @@ def hermite_product_expand(n: int, m: int, alpha: RatLike) -> list:
 def reference_falsify(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
     """`falsify_sequence` one candidate at a time, on Fractions.
 
-    Each candidate is expanded in the basis, scaled by gamma and
-    reconstructed, so the map is rebuilt per candidate instead of applied as
-    one integer matrix.
+    Each candidate of the Fraction-built corpus is expanded in the basis,
+    scaled by gamma and reconstructed, so the map is rebuilt per candidate
+    instead of applied as one integer matrix to a degree's columns.
     """
     polys = basis.family(deg_max)
-    for candidate in _witness_candidates(deg_max):
+    for candidate in reference_witness_candidates(deg_max):
         coeffs = expand_in_basis(candidate, polys)
         image = combine_in_basis([seq[n] * c for n, c in enumerate(coeffs)], polys)
         if not is_real_rooted(image):

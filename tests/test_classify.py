@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hermops.classify import (
     HermiteBasis,
     LaguerreBasis,
     _IntegerMap,
-    _witness_candidates,
+    _corpus_degree,
     check_turan_necessity,
     coefficient_reality_table,
     falsify_sequence,
@@ -41,7 +42,7 @@ from hermops.ratpoly import (
 )
 from hermops.sequences import example311_spec, make_sequence
 
-from oracles import reference_falsify, reference_witness_candidates
+from oracles import reference_corpus_degree, reference_falsify
 
 F = Fraction
 
@@ -303,24 +304,28 @@ def test_falsify_standard_negative_entry():
     assert verdict.status == FALSIFIED
 
 
-def test_witness_corpus_is_built_once_per_deg_max():
-    seq, basis = GammaSeq.linear(F(3)), LaguerreBasis(F(1))
-    _witness_candidates.cache_clear()
+def test_each_corpus_degree_and_its_columns_are_built_once_per_process():
+    seq, basis = GammaSeq.linear(F(1)), LaguerreBasis(F(1))
+    _corpus_degree.cache_clear()
     first = json.dumps(falsify_sequence(seq, basis, 5).to_json_dict(), sort_keys=True)
     second = json.dumps(falsify_sequence(seq, basis, 5).to_json_dict(), sort_keys=True)
-    assert first == second
-    corpus = _witness_candidates(5)
-    assert isinstance(corpus, tuple)
-    assert _witness_candidates(5) is corpus
-    info = _witness_candidates.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert first == second and json.loads(first)["status"] == INCONCLUSIVE
+    # The first search builds degrees 1..5 (each degree above 1 reads its predecessor's stream); the second builds none.
+    info = _corpus_degree.cache_info()
+    assert (info.misses, info.hits) == (5, 4 + 5)
+    assert _corpus_degree(5) is _corpus_degree(5)
+    assert _corpus_degree.cache_info().misses == 5
 
 
 def test_witness_corpus_matches_the_fraction_built_oracle():
-    # Integer root products give the same candidates in the same order as from_roots in Fractions.
-    ours, reference = _witness_candidates(6), reference_witness_candidates(6)
-    assert ours == reference
-    assert all(type(c) is int for candidate in ours for c in candidate._num)
+    # Integer root products give the same candidates in the same order as from_roots in Fractions, degree by degree.
+    for n in range(1, 7):
+        ours, cols, state = _corpus_degree(n)
+        reference, reference_state = reference_corpus_degree(n)
+        assert ours == reference and state == reference_state
+        assert all(c.degree == n for c in ours)
+        assert cols == tuple(zip(*(c._num for c in reference)))
+        assert all(type(c) is int for col in cols for c in col)
 
 
 def test_verdict_json():
@@ -363,7 +368,8 @@ def test_integer_map_is_a_positive_multiple_of_the_exact_image(values, family, a
     # p's numerators times g >= 1 stand for a candidate whose numerators are not primitive.
     basis, seq = _basis(family, alpha), GammaSeq.from_values(values)
     action, polys = _IntegerMap(seq, basis, 6), basis.family(6)
-    scaled = _strip(action.expand([g * c for c in p._num]))
+    [ints] = action.expand([(g * c,) for c in p._num])  # a batch of one candidate
+    scaled = _strip(list(ints))
     exact = combine_in_basis([seq[n] * c for n, c in enumerate(expand_in_basis(p, polys))], polys)
     image = RatPoly(scaled)
     if exact.is_zero:
@@ -403,6 +409,87 @@ def test_falsify_on_images_that_lose_degree(values, family):
     assert json.dumps(ours, sort_keys=True) == json.dumps(reference_falsify(seq, basis, 4).to_json_dict(), sort_keys=True)
 
 
+_BASES = (HermiteBasis(0), HermiteBasis(F(3, 2)), LaguerreBasis(F(3, 2)))
+
+
+def _same_verdict_as_the_per_candidate_route(seq, basis, deg_max):
+    ours = falsify_sequence(seq, basis, deg_max)
+    reference = reference_falsify(seq, basis, deg_max)
+    assert json.dumps(ours.to_json_dict(), sort_keys=True) == json.dumps(reference.to_json_dict(), sort_keys=True)
+    return ours
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        GammaSeq.linear(F(1)),
+        GammaSeq.linear(F(-1, 2)),
+        # k(k - 1), inconclusive on all three: zero rows and entries skip their products, degree 1 loses its top
+        GammaSeq.from_values([0, 0, 2, 6, 12, 20, 30]),
+        # gamma_6 = 0 and the identity below: every degree-6 image loses its top, x^6's all of it
+        GammaSeq.from_values([1, 1, 1, 1, 1, 1]),
+    ],
+    ids=lambda seq: seq.name,
+)
+@pytest.mark.parametrize("basis", _BASES, ids=lambda basis: basis.label)
+def test_falsify_at_degree_six_matches_the_per_candidate_route(seq, basis):
+    # HermiteBasis(0) maps x^j to gamma_j x^j, so every entry off the diagonal is zero.
+    _same_verdict_as_the_per_candidate_route(seq, basis, 6)
+
+
+@pytest.mark.parametrize("basis", _BASES, ids=lambda basis: basis.label)
+def test_falsify_the_zero_sequence(basis):
+    # Every image is zero, which is real-rooted by convention.
+    action = _IntegerMap(GammaSeq.from_values([]), basis, 6)
+    assert all(not any(image) for image in action.expand(_corpus_degree(6)[1]))
+    verdict = _same_verdict_as_the_per_candidate_route(GammaSeq.from_values([]), basis, 6)
+    assert verdict.status == INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "values, basis, degree, at",
+    [
+        ([6, 4, 5, 3], LaguerreBasis(F(1)), 2, 0),
+        ([0, 0, 4, 1, 0, 4], LaguerreBasis(F(1)), 5, 0),
+        ([1, -2, 3, -3], HermiteBasis(F(1)), 4, -1),  # gamma_4 = 0, so the witness's image is stripped too
+    ],
+)
+def test_witness_at_either_end_of_its_degree(values, basis, degree, at):
+    verdict = _same_verdict_as_the_per_candidate_route(GammaSeq.from_values(values), basis, 6)
+    assert verdict.witness.input_poly == _corpus_degree(degree)[0][at]
+
+
+def _pinned_searches() -> list:
+    factored = GammaSeq.from_lpplus(FactoredSpec(sigma=F(3, 2), zeros=(F(1), F(2))))
+    return [
+        (make_sequence("linear(1)"), HermiteBasis(0)),
+        (make_sequence("linear(-1)"), HermiteBasis(1)),
+        (make_sequence("linear(3/2)"), LaguerreBasis(1)),
+        (make_sequence("linear(5)"), LaguerreBasis(1)),
+        (make_sequence("linear(-3)"), LaguerreBasis(F(1, 2))),
+        (make_sequence("geom-factorial(1/3)"), HermiteBasis(1)),
+        (make_sequence("besselJ0"), HermiteBasis(2)),
+        (make_sequence("example311"), HermiteBasis(1)),
+        (factored, HermiteBasis(1)),
+        (GammaSeq.from_values([1, 1, 1, 1, 0, 1]), LaguerreBasis(F(6, 7))),
+        (GammaSeq.from_values([]), HermiteBasis(1)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "deg_max, digest",
+    [
+        (6, "af0248bbf19fdca05797ed42fec0d184833206087d25ee226cbdeb186af2f431"),
+        (7, "e03057e450b49ec4e939bcf57335343585835599be97bfe4d60c624f5ec0e550"),
+        (8, "1f02eb2520a53c3ade7f245c0963cc41278a566249ac2f7f1d9bdb5a3118e6dc"),
+    ],
+)
+def test_verdict_bytes_above_the_bench_degrees_are_pinned(deg_max, digest):
+    # The bench's searches stop at deg_max 6; these pin the verdicts, witnesses included, up to 8.
+    verdicts = [falsify_sequence(seq, basis, deg_max).to_json_dict() for seq, basis in _pinned_searches()]
+    assert hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest() == digest
+
+
 def _count_expand_calls(monkeypatch) -> list:
     """Count calls of every `expand` method of a class defined in classify, as perfbench does."""
     calls = []
@@ -418,16 +505,16 @@ def _count_expand_calls(monkeypatch) -> list:
     return calls
 
 
-def test_one_counted_expand_per_candidate(monkeypatch):
+def test_one_counted_expand_per_corpus_degree_searched(monkeypatch):
     calls = _count_expand_calls(monkeypatch)
     verdict = falsify_sequence(GammaSeq.linear(F(1)), LaguerreBasis(F(1)), 5)
     assert verdict.status == INCONCLUSIVE
-    assert len(calls) == len(_witness_candidates(5))
+    assert len(calls) == 5
 
     calls.clear()
     verdict = falsify_sequence(GammaSeq.linear(F(-1)), HermiteBasis(F(1)), 4)
     assert verdict.status == FALSIFIED
-    assert len(calls) == _witness_candidates(4).index(verdict.witness.input_poly) + 1 > 1
+    assert len(calls) == verdict.witness.input_poly.degree > 1
 
 
 def test_falsify_rejects_deg_max_below_one():

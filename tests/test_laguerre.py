@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -97,3 +99,6 @@ def test_counterexample_demo_statuses():
         assert by_a[a]["bound"] == 6
     for entry in entries:
         assert entry["coefficients_real_rooted"] is True
+    # `hermops examples` prints no witness bytes; this pins them.
+    digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+    assert digest == "b74ae1ed0cabfdd012d05f2edaf445b48c1bfef49c9ec30f1ac061d14a8ece88"
