@@ -199,19 +199,11 @@ def check_turan_necessity(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0)
     computed Q_k is real-rooted, the quadratic expression in the finite
     differences must be nonnegative.
     """
-    failures = []
-    checked = 0
     op = build_operator(alpha, seq, max(k_max, 0), p)
     table = DifferenceTable(seq, op.order, p)
-    for k in range(2, k_max + 1):
-        if is_real_rooted(op.qpolys[k]):
-            checked += 1
-            t = table.turan(k)
-            if t < 0:
-                failures.append(f"Q_{k} real-rooted but necessity value {t} < 0")
-    return CheckReport(
-        f"turan-necessity[{seq.name},alpha={rat(alpha)},p={p}]", checked, tuple(failures)
-    )
+    turans = [(k, table.turan(k)) for k in range(2, k_max + 1) if is_real_rooted(op.qpolys[k])]
+    outcomes = (None if t >= 0 else f"Q_{k} real-rooted but necessity value {t} < 0" for k, t in turans)
+    return CheckReport.tally(f"turan-necessity[{seq.name},alpha={rat(alpha)},p={p}]", outcomes)
 
 
 def ratio_limit_check(
@@ -234,6 +226,10 @@ def ratio_limit_check(
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     target = phi.sigma - 1
     seq = GammaSeq.from_lpplus(phi)
     rows = ratio_sequence(seq, cap + window)

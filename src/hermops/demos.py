@@ -23,7 +23,7 @@ from .diffop import (
     interpolation_poly,
     solve_operator_from_action,
 )
-from .jensen import DifferenceTable, GammaSeq, ratio_sequence, turan_quantity
+from .jensen import DifferenceTable, GammaSeq, ratio_sequence
 from .laguerre import LaguerreParam, check_eigen_action, operator_coefficients, validate_laguerre_alpha
 from .ratpoly import RatLike, RatPoly, count_real_roots, is_real_rooted, rat, rat_str
 from .reporting import CheckReport
@@ -88,11 +88,11 @@ def table1_demo() -> CheckReport:
     """Reproduce the seven published ratio-table entries for example311."""
     seq = make_sequence("example311")
     rows = ratio_sequence(seq, 7)
-    failures = []
-    for (k, value), expected in zip(rows, RATIO_TABLE_REFERENCE):
-        if value != expected:
-            failures.append(f"ratio at k={k}: computed {value}, reference {expected}")
     limit_report = ratio_limit_check(example311_spec(), window=20, tol=Fraction(1, 100))
+    outcomes = [
+        None if value == expected else f"ratio at k={k}: computed {value}, reference {expected}"
+        for (k, value), expected in zip(rows, RATIO_TABLE_REFERENCE)
+    ] + [None if limit_report.passed else "ratio limit check did not locate a converged window"]
     data = {
         "ratios": [(k, v) for k, v in rows],
         "limit": limit_report.data,
@@ -104,56 +104,38 @@ def table1_demo() -> CheckReport:
             f"difference ratios confirmed within 1/100 of -1/2 on the window "
             f"[{k0}, {k0 + 20}] (first such window start: {k0})"
         )
-    else:
-        failures.append("ratio limit check did not locate a converged window")
-    if not failures:
+    if not any(outcomes):
         notes.extend(f"k={k}: {rat_str(value)}" for k, value in rows)
-    return CheckReport("table1", len(rows) + 1, tuple(failures), tuple(notes), data)
+    return CheckReport.tally("table1", outcomes, notes, data)
 
 
 def bessel_demo() -> CheckReport:
     """Worked values for the besselJ0 sequence, including both errata notes."""
     seq = make_sequence("besselJ0")
-    failures = []
-    checked = 0
-
     differences = DifferenceTable(seq, len(BESSEL_DIFFERENCES_REFERENCE) - 1)
-    for k, expected in enumerate(BESSEL_DIFFERENCES_REFERENCE):
-        checked += 1
-        got = differences[k]
-        if got != expected:
-            failures.append(f"difference d_{k}: computed {got}, reference {expected}")
 
-    for k, expected in enumerate(BESSEL_TURAN_REFERENCE, start=1):
-        checked += 1
-        got = turan_quantity(seq, k)
-        if got != expected:
-            failures.append(f"necessity value at k={k}: computed {got}, reference {expected}")
+    def outcomes():
+        for k, expected in enumerate(BESSEL_DIFFERENCES_REFERENCE):
+            got = differences[k]
+            yield None if got == expected else f"difference d_{k}: computed {got}, reference {expected}"
+        for k, expected in enumerate(BESSEL_TURAN_REFERENCE, start=1):
+            got = differences.turan(k)
+            yield None if got == expected else f"necessity value at k={k}: computed {got}, reference {expected}"
+        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            q3 = coefficient_polynomial(alpha, seq, 3)
+            if q3 != RatPoly([0, alpha / 6, 0, Fraction(1, 9)]):
+                yield f"Q_3 at alpha={alpha}: computed {q3.to_text()}"
+            elif q3 != solve_operator_from_action(alpha, seq, 3).qpolys[3]:
+                yield f"Q_3 at alpha={alpha}: formula and oracle disagree"
+            elif count_real_roots(q3) != 1 or is_real_rooted(q3):
+                yield f"Q_3 at alpha={alpha}: expected exactly one real root"
+            else:
+                yield None
+        table = coefficient_reality_table(1, seq, 4)
+        yield "reality table should mark k=3 as not real-rooted" if table.rows[3].real_rooted else None
 
-    for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        checked += 1
-        q3 = coefficient_polynomial(alpha, seq, 3)
-        expected_q3 = RatPoly([0, alpha / 6, 0, Fraction(1, 9)])
-        oracle_q3 = solve_operator_from_action(alpha, seq, 3).qpolys[3]
-        if q3 != expected_q3:
-            failures.append(f"Q_3 at alpha={alpha}: computed {q3.to_text()}")
-        elif q3 != oracle_q3:
-            failures.append(f"Q_3 at alpha={alpha}: formula and oracle disagree")
-        elif count_real_roots(q3) != 1 or is_real_rooted(q3):
-            failures.append(f"Q_3 at alpha={alpha}: expected exactly one real root")
-
-    table = coefficient_reality_table(1, seq, 4)
-    checked += 1
-    if table.rows[3].real_rooted:
-        failures.append("reality table should mark k=3 as not real-rooted")
-
-    return CheckReport(
-        "bessel",
-        checked,
-        tuple(failures),
-        (TURAN_ERRATUM_NOTE, Q3_ERRATUM_NOTE),
-        {"differences": list(BESSEL_DIFFERENCES_REFERENCE)},
-    )
+    notes = (TURAN_ERRATUM_NOTE, Q3_ERRATUM_NOTE)
+    return CheckReport.tally("bessel", outcomes(), notes, {"differences": list(BESSEL_DIFFERENCES_REFERENCE)})
 
 
 def linear_operator_demo() -> CheckReport:
@@ -164,43 +146,32 @@ def linear_operator_demo() -> CheckReport:
     falsifier produces a concrete witness on the Hermite basis.
     """
     a = 3
-    failures = []
-    checked = 0
     seq = GammaSeq.linear(a)
-    for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        op = build_operator(alpha, seq, 5)
-        expected = (
-            RatPoly([a]),
-            RatPoly([0, 1]),
-            RatPoly([-alpha]),
-            RatPoly(),
-            RatPoly(),
-            RatPoly(),
-        )
-        checked += 1
-        if op.qpolys != expected:
-            failures.append(f"operator coefficients at alpha={alpha} differ from (a, x, -alpha, 0...)")
-        checked += 1
-        if interpolation_poly(op) != RatPoly([a, 1]):
-            failures.append(f"eigenvalue interpolation at alpha={alpha} is not x + {a}")
-
-    checked += 1
     verdict = is_classical_ms(seq)
-    if verdict.status != "is_hms":
-        failures.append(f"linear({a}) with a >= 0 should classify affirmatively")
-
-    checked += 1
     bad = falsify_sequence(GammaSeq.linear(-1), HermiteBasis(Fraction(1)), 4)
-    if bad.status != "falsified":
-        failures.append("linear(-1) on hermite(1) should be falsified by degree 4")
-    witness_data = bad.witness.to_json_dict() if bad.witness else None
 
-    return CheckReport(
-        f"linear-operator[a={a}]",
-        checked,
-        tuple(failures),
-        data={"falsified_witness": witness_data},
-    )
+    def outcomes():
+        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            op = build_operator(alpha, seq, 5)
+            expected = (
+                RatPoly([a]),
+                RatPoly([0, 1]),
+                RatPoly([-alpha]),
+                RatPoly(),
+                RatPoly(),
+                RatPoly(),
+            )
+            yield None if op.qpolys == expected else (
+                f"operator coefficients at alpha={alpha} differ from (a, x, -alpha, 0...)"
+            )
+            yield None if interpolation_poly(op) == RatPoly([a, 1]) else (
+                f"eigenvalue interpolation at alpha={alpha} is not x + {a}"
+            )
+        yield None if verdict.status == "is_hms" else f"linear({a}) with a >= 0 should classify affirmatively"
+        yield None if bad.status == "falsified" else "linear(-1) on hermite(1) should be falsified by degree 4"
+
+    witness_data = bad.witness.to_json_dict() if bad.witness else None
+    return CheckReport.tally(f"linear-operator[a={a}]", outcomes(), data={"falsified_witness": witness_data})
 
 
 def geom_family_demo() -> CheckReport:
@@ -212,8 +183,6 @@ def geom_family_demo() -> CheckReport:
     (verified on an alpha grid): the coefficients are parity-even with
     alpha-homogeneous lower terms.
     """
-    failures = []
-    checked = 0
     grid = (
         Fraction(0),
         Fraction(1, 2),
@@ -224,23 +193,21 @@ def geom_family_demo() -> CheckReport:
     )
     rows = []
     notes = [GEOM_REGION_NOTE]
+    outcomes = []
     for r in grid:
         seq = GammaSeq.geometric_factorial(r)
         per_alpha = []
         for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            q2 = coefficient_polynomial(alpha, seq, 2)
-            q4 = coefficient_polynomial(alpha, seq, 4)
-            per_alpha.append((is_real_rooted(q2), is_real_rooted(q4)))
-        checked += 1
-        if len(set(per_alpha)) != 1:
-            failures.append(f"reality at r={r} depends on alpha; expected alpha-invariance")
+            qpolys = build_operator(alpha, seq, 4).qpolys
+            per_alpha.append((is_real_rooted(qpolys[2]), is_real_rooted(qpolys[4])))
         q2_real, q4_real = per_alpha[0]
-        checked += 1
-        if q2_real and q4_real:
-            failures.append(f"r={r}: both Q_2 and Q_4 real-rooted; expected a non-real witness")
+        outcomes += [
+            None if len(set(per_alpha)) == 1 else f"reality at r={r} depends on alpha; expected alpha-invariance",
+            f"r={r}: both Q_2 and Q_4 real-rooted; expected a non-real witness" if q2_real and q4_real else None,
+        ]
         rows.append({"r": rat_str(r), "q2_real_rooted": q2_real, "q4_real_rooted": q4_real})
         notes.append(f"r={rat_str(r)}: Q_2 real-rooted={q2_real}, Q_4 real-rooted={q4_real}")
-    return CheckReport("geom-factorial-family", checked, tuple(failures), tuple(notes), {"rows": rows})
+    return CheckReport.tally("geom-factorial-family", outcomes, notes, {"rows": rows})
 
 
 def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
@@ -274,28 +241,19 @@ def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
 
 def laguerre_demo() -> CheckReport:
     """Eigen structure and the membership boundary on the Laguerre basis."""
-    failures = []
-    checked = 0
     alpha = Fraction(1)
-    for a in (Fraction(-1), Fraction(0), Fraction(3)):
-        checked += 1
-        report = check_eigen_action(LaguerreParam(alpha, a), 10)
-        if not report.passed:
-            failures.append(report.failures[0])
-
+    reports = [check_eigen_action(LaguerreParam(alpha, a), 10) for a in (Fraction(-1), Fraction(0), Fraction(3))]
     entries = counterexample_demo(alpha, (-1, 0, 1, 2, 3), deg_max=6)
-    for entry in entries:
-        a = Fraction(entry["a"])
-        inside = 0 <= a <= alpha + 1
-        checked += 1
-        if not entry["coefficients_real_rooted"]:
-            failures.append(f"operator coefficients at a={a} must be real-rooted")
-        checked += 1
-        if inside and entry["status"] != "inconclusive":
-            failures.append(f"a={a} lies in [0, alpha+1] but was {entry['status']}")
-        if not inside and entry["status"] != "falsified":
-            failures.append(f"a={a} lies outside [0, alpha+1] but was {entry['status']}")
-    return CheckReport("laguerre-boundary", checked, tuple(failures), data={"entries": entries})
+
+    def outcomes():
+        yield from (None if report.passed else report.failures[0] for report in reports)
+        for entry in entries:
+            a = Fraction(entry["a"])
+            yield None if entry["coefficients_real_rooted"] else f"operator coefficients at a={a} must be real-rooted"
+            expected, where = ("inconclusive", "in") if 0 <= a <= alpha + 1 else ("falsified", "outside")
+            yield None if entry["status"] == expected else f"a={a} lies {where} [0, alpha+1] but was {entry['status']}"
+
+    return CheckReport.tally("laguerre-boundary", outcomes(), data={"entries": entries})
 
 
 _DEMOS = {

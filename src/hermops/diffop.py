@@ -164,15 +164,14 @@ def check_diagonal_action(alpha: RatLike, seq: GammaSeq, n_max: int) -> CheckRep
     a = validate_alpha(alpha)
     polys = hermite_polys(n_max, a)
     op = build_operator(a, seq, n_max)  # apply_operator stops at k = deg H_n
-    failures = []
-    for n in range(n_max + 1):
-        lhs = apply_operator(op, polys[n])
-        rhs = seq[n] * polys[n]
-        if lhs != rhs:
-            failures.append(
-                f"diagonal action fails at n={n}, alpha={a}: residual {(lhs - rhs).to_text()}"
-            )
-    return CheckReport(f"diagonal-action[{seq.name},alpha={a}]", n_max + 1, tuple(failures))
+
+    def outcomes():
+        for n, poly in enumerate(polys):
+            lhs = apply_operator(op, poly)
+            rhs = seq[n] * poly
+            yield None if lhs == rhs else f"diagonal action fails at n={n}, alpha={a}: residual {(lhs - rhs).to_text()}"
+
+    return CheckReport.tally(f"diagonal-action[{seq.name},alpha={a}]", outcomes())
 
 
 def check_operator_equivalence(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> CheckReport:
@@ -184,14 +183,11 @@ def check_operator_equivalence(alpha: RatLike, seq: GammaSeq, order: int, p: int
     """
     formula = build_operator(alpha, seq, order, p)
     solved = solve_operator_from_action(alpha, seq.shifted(p), order)
-    failures = []
-    for k in range(order + 1):
-        if formula.qpolys[k] != solved.qpolys[k]:
-            failures.append(
-                f"routes disagree at k={k}, p={p}: formula {formula.qpolys[k].to_text()} "
-                f"vs solved {solved.qpolys[k].to_text()}"
-            )
-    return CheckReport(f"operator-equivalence[{seq.name},alpha={rat(alpha)},p={p}]", order + 1, tuple(failures))
+    outcomes = (
+        None if q == r else f"routes disagree at k={k}, p={p}: formula {q.to_text()} vs solved {r.to_text()}"
+        for k, (q, r) in enumerate(zip(formula.qpolys, solved.qpolys))
+    )
+    return CheckReport.tally(f"operator-equivalence[{seq.name},alpha={rat(alpha)},p={p}]", outcomes)
 
 
 def _interpolant_degree(xs: list, ys: list) -> int:
@@ -222,22 +218,21 @@ def check_standard_basis_limit(seq: GammaSeq, k_max: int) -> CheckReport:
     node_count = max(5, k_max // 2 + 2)
     nodes = [Fraction(0)] + [Fraction(1, 2**j) for j in range(node_count - 1)]
     operators = [build_operator(node, seq, max(k_max, 0)).qpolys for node in nodes]
-    failures = []
-    checked = 0
-    for k in range(k_max + 1):
-        checked += 1
-        if operators[0][k] != standard_coefficient(seq, k):
-            failures.append(f"alpha=0 coefficient mismatch at k={k}")
-            continue
-        count = max(5, k // 2 + 2)
-        samples = [qpolys[k] for qpolys in operators[:count]]
-        top_degree = max(s.degree for s in samples)
-        for i in range(top_degree + 1):
-            checked += 1
-            degree = _interpolant_degree(nodes[:count], [s.coeff(i) for s in samples])
-            if degree > k // 2:
-                failures.append(f"coefficient of x^{i} in Q_{k} has alpha-degree {degree} > {k // 2}")
-    return CheckReport(f"standard-basis-limit[{seq.name}]", checked, tuple(failures))
+
+    def outcomes():
+        for k in range(k_max + 1):
+            if operators[0][k] != standard_coefficient(seq, k):
+                yield f"alpha=0 coefficient mismatch at k={k}"
+                continue
+            yield None
+            count = max(5, k // 2 + 2)
+            samples = [qpolys[k] for qpolys in operators[:count]]
+            top_degree = max(s.degree for s in samples)
+            for i in range(top_degree + 1):
+                degree = _interpolant_degree(nodes[:count], [s.coeff(i) for s in samples])
+                yield None if degree <= k // 2 else f"coefficient of x^{i} in Q_{k} has alpha-degree {degree} > {k // 2}"
+
+    return CheckReport.tally(f"standard-basis-limit[{seq.name}]", outcomes())
 
 
 def binomial_poly(k: int) -> RatPoly:

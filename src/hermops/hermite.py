@@ -80,28 +80,23 @@ def check_identities(n_max: int, alpha: RatLike) -> CheckReport:
     two parameter values where sqrt(2a) is rational.
     """
     a = validate_alpha(alpha)
-    failures = []
-    checked = 0
     polys = hermite_polys(n_max, a)
-    for n in range(1, n_max + 1):
-        checked += 1
-        if polys[n].derivative() != n * polys[n - 1]:
-            failures.append(f"derivative rule fails at n={n}, alpha={a}")
-    if a > 0:
-        for n in range(n_max + 1):
-            checked += 1
-            lhs = n * polys[n]
-            rhs = X * polys[n].derivative() - a * polys[n].derivative(2)
-            if lhs != rhs:
-                failures.append(f"eigenvalue equation fails at n={n}, alpha={a}")
-    classical = _classical_hermite_polys(n_max)
-    for aa, root in ((Fraction(1, 2), Fraction(1)), (Fraction(2), Fraction(2))):
-        scaled = hermite_polys(n_max, aa)
-        sub = RatPoly([0, Fraction(1) / root])
-        for n in range(n_max + 1):
-            checked += 1
-            lhs = classical[n].compose(sub)
-            rhs = (Fraction(2) / root) ** n * scaled[n]
-            if lhs != rhs:
-                failures.append(f"classical rescaling fails at n={n}, alpha={aa}")
-    return CheckReport("hermite-identities", checked, tuple(failures))
+
+    def outcomes():
+        for n in range(1, n_max + 1):
+            yield None if polys[n].derivative() == n * polys[n - 1] else f"derivative rule fails at n={n}, alpha={a}"
+        if a > 0:
+            for n in range(n_max + 1):
+                lhs = n * polys[n]
+                rhs = X * polys[n].derivative() - a * polys[n].derivative(2)
+                yield None if lhs == rhs else f"eigenvalue equation fails at n={n}, alpha={a}"
+        classical = _classical_hermite_polys(n_max)
+        for aa, root in ((Fraction(1, 2), Fraction(1)), (Fraction(2), Fraction(2))):
+            scaled = hermite_polys(n_max, aa)
+            sub = RatPoly([0, Fraction(1) / root])
+            for n in range(n_max + 1):
+                lhs = classical[n].compose(sub)
+                rhs = (Fraction(2) / root) ** n * scaled[n]
+                yield None if lhs == rhs else f"classical rescaling fails at n={n}, alpha={aa}"
+
+    return CheckReport.tally("hermite-identities", outcomes())

@@ -387,29 +387,28 @@ def check_difference_reconstruction(seq: GammaSeq, n_max: int) -> CheckReport:
     This is the binomial (Newton-series) inversion of the finite-difference
     transform; it must hold exactly for every sequence.
     """
-    failures = []
     table = DifferenceTable(seq, n_max)
     diffs = [table[k] for k in range(n_max + 1)]
-    for n in range(n_max + 1):
-        total = sum(math.comb(n, k) * diffs[k] for k in range(n + 1))
-        if total != seq[n]:
-            failures.append(f"reconstruction fails at n={n}: {total} != {seq[n]}")
-    return CheckReport(f"difference-reconstruction[{seq.name}]", n_max + 1, tuple(failures))
+    totals = [sum(math.comb(n, k) * diffs[k] for k in range(n + 1)) for n in range(n_max + 1)]
+    outcomes = (
+        None if total == seq[n] else f"reconstruction fails at n={n}: {total} != {seq[n]}"
+        for n, total in enumerate(totals)
+    )
+    return CheckReport.tally(f"difference-reconstruction[{seq.name}]", outcomes)
 
 
 def check_shift_recurrence(seq: GammaSeq, k_max: int, p_max: int) -> CheckReport:
     """d_{k,p} + d_{k+1,p} = d_{k,p+1} for 2 <= k <= k_max, 0 <= p <= p_max."""
-    failures = []
-    checked = 0
     tables = [DifferenceTable(seq, k_max + 1, p) for p in range(p_max + 2)]
-    for p in range(p_max + 1):
-        for k in range(2, k_max + 1):
-            checked += 1
-            lhs = tables[p][k] + tables[p][k + 1]
-            rhs = tables[p + 1][k]
-            if lhs != rhs:
-                failures.append(f"shift recurrence fails at k={k}, p={p}: {lhs} != {rhs}")
-    return CheckReport(f"shift-recurrence[{seq.name}]", checked, tuple(failures))
+
+    def outcomes():
+        for p in range(p_max + 1):
+            for k in range(2, k_max + 1):
+                lhs = tables[p][k] + tables[p][k + 1]
+                rhs = tables[p + 1][k]
+                yield None if lhs == rhs else f"shift recurrence fails at k={k}, p={p}: {lhs} != {rhs}"
+
+    return CheckReport.tally(f"shift-recurrence[{seq.name}]", outcomes())
 
 
 def check_sum_interchange(n: int, j: int, table: dict) -> CheckReport:
@@ -433,5 +432,5 @@ def check_sum_interchange(n: int, j: int, table: dict) -> CheckReport:
     for i in range(n // 2 - j + 1):
         for k in range(i + 2 * j, n - i + 1):
             right += rat(table[(k, i)])
-    failures = () if left == right else (f"sum interchange fails: {left} != {right}",)
-    return CheckReport(f"sum-interchange[n={n},j={j}]", 1, failures, data={"value": left})
+    outcome = None if left == right else f"sum interchange fails: {left} != {right}"
+    return CheckReport.tally(f"sum-interchange[n={n},j={j}]", [outcome], data={"value": left})

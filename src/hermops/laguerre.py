@@ -82,15 +82,12 @@ def laguerre_operator_apply(params: LaguerreParam, f: RatPoly) -> RatPoly:
 def check_eigen_action(params: LaguerreParam, n_max: int) -> CheckReport:
     """Verify T[L_n] = (n + a) * L_n exactly for n <= n_max."""
     polys = laguerre_polys(n_max, params.alpha)
-    failures = []
-    for n in range(n_max + 1):
-        lhs = laguerre_operator_apply(params, polys[n])
-        rhs = (n + params.a) * polys[n]
-        if lhs != rhs:
-            failures.append(f"eigen action fails at n={n}, alpha={params.alpha}, a={params.a}")
-    return CheckReport(
-        f"laguerre-eigen[alpha={params.alpha},a={params.a}]", n_max + 1, tuple(failures)
+    outcomes = (
+        None if laguerre_operator_apply(params, poly) == (n + params.a) * poly
+        else f"eigen action fails at n={n}, alpha={params.alpha}, a={params.a}"
+        for n, poly in enumerate(polys)
     )
+    return CheckReport.tally(f"laguerre-eigen[alpha={params.alpha},a={params.a}]", outcomes)
 
 
 def to_laguerre_basis(p: RatPoly, alpha: RatLike) -> list:

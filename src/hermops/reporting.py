@@ -37,16 +37,22 @@ class Record:
 class CheckReport(Record):
     """Outcome of a batch of exact assertions.
 
-    `checked` counts individual assertions run, `failures` describes the ones
-    that did not hold, `notes` carries informational messages (for example
-    documented divergences from published values), and `data` holds optional
-    structured results for callers that want more than pass/fail.
+    `checked` counts the assertions run (with `tally`, the outcomes a suite
+    produced), `failures` describes the ones that did not hold, `notes` carries
+    informational messages (such as documented divergences from published
+    values), and `data` holds structured results beyond pass/fail.
     """
 
     __slots__ = ("name", "checked", "failures", "notes", "data")
 
     def __init__(self, name: str, checked: int, failures: tuple = (), notes: tuple = (), data: dict = None):
         super().__init__(name, checked, failures, notes, {} if data is None else data)
+
+    @classmethod
+    def tally(cls, name: str, outcomes, notes: tuple = (), data: dict = None) -> "CheckReport":
+        """The report of `outcomes`, one per assertion run: None where it held, else its failure message."""
+        outcomes = list(outcomes)
+        return cls(name, len(outcomes), tuple(o for o in outcomes if o is not None), tuple(notes), data)
 
     @property
     def passed(self) -> bool:

@@ -176,6 +176,19 @@ def test_ratio_limit_rejects_sigma_one():
         ratio_limit_check(FactoredSpec(sigma=F(2)), window=5, tol=F(0), cap=50)
 
 
+@pytest.mark.parametrize(
+    "window, cap, message",
+    [
+        (20, 0, "cap must be at least 1, got 0"),
+        (-1, 50, "window must be nonnegative, got -1"),
+        (0, -3, "cap must be at least 1, got -3"),
+    ],
+)
+def test_ratio_limit_rejects_bad_window_and_cap(window, cap, message):
+    with pytest.raises(ValueError, match=message):
+        ratio_limit_check(example311_spec(), window=window, tol=F(1, 100), cap=cap)
+
+
 def test_bases_round_trip():
     p = (X - 2) * (X + 5) * X
     for basis in (HermiteBasis(F(0)), HermiteBasis(F(1, 2)), LaguerreBasis(F(1))):

@@ -209,6 +209,21 @@ def test_verify_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("verify", "a3208db79a7ecdece463302be472ad3567abe4539bacdb65cfaacb455371251d"),
+        ("examples", "0cfa1c5a9a2c8725abb67f29a5465236c39d720b0c98df0b449a3bfe7f4220ca"),
+    ],
+    ids=["verify", "examples"],
+)
+def test_check_commands_print_pinned_bytes(capsys, command, digest):
+    # Every PASS line, its "(N checks)" count and every note, byte for byte.
+    code, out, _ = run_cli(capsys, command)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("demo_id", ["table1", "bessel", "linear-op", "geom-family", "laguerre"])
 def test_examples_each(capsys, demo_id):
     code, out, _ = run_cli(capsys, "examples", "--id", demo_id)
