@@ -195,14 +195,16 @@ def coefficient_reality_table(alpha: RatLike, seq: GammaSeq, k_max: int, p: int 
 def check_turan_necessity(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0) -> CheckReport:
     """Real-rootedness of Q_k forces d_k^2 + 2 d_k d_{k-1} >= 0.
 
-    Checked as an implication for every k in [2, k_max]: whenever the
-    computed Q_k is real-rooted, the quadratic expression in the finite
-    differences must be nonnegative.
+    Checked as an implication for every k in [2, k_max], one outcome per k:
+    whenever the computed Q_k is real-rooted, the quadratic expression in the
+    finite differences must be nonnegative.
     """
     op = build_operator(alpha, seq, max(k_max, 0), p)
     table = DifferenceTable(seq, op.order, p)
-    turans = [(k, table.turan(k)) for k in range(2, k_max + 1) if is_real_rooted(op.qpolys[k])]
-    outcomes = (None if t >= 0 else f"Q_{k} real-rooted but necessity value {t} < 0" for k, t in turans)
+    outcomes = (
+        None if t >= 0 or not is_real_rooted(op.qpolys[k]) else f"Q_{k} real-rooted but necessity value {t} < 0"
+        for k, t in enumerate(map(table.turan, range(2, k_max + 1)), 2)
+    )
     return CheckReport.tally(f"turan-necessity[{seq.name},alpha={rat(alpha)},p={p}]", outcomes)
 
 
@@ -231,20 +233,14 @@ def ratio_limit_check(
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     target = phi.sigma - 1
-    seq = GammaSeq.from_lpplus(phi)
-    rows = ratio_sequence(seq, cap + window)
-    values = dict(rows)
-    for k0 in range(1, cap + 1):
-        entries = [values[k] for k in range(k0, k0 + window + 1)]
-        defined = [v for v in entries if v is not None]
-        if not defined:
-            continue
-        if all(abs(v - target) < tol for v in defined):
-            return CheckReport(
-                "ratio-limit",
-                cap,
-                data={"k0": k0, "target": target, "window": window, "tol": tol},
-            )
+    last_off = last_defined = 0  # the last index whose ratio is off target, and the last whose ratio is defined
+    for k, ratio in ratio_sequence(GammaSeq.from_lpplus(phi), cap + window):
+        if ratio is not None:
+            last_defined = k
+            if abs(ratio - target) >= tol:
+                last_off = k
+        if last_off < k - window <= last_defined:  # [k - window, k] has a defined ratio and none off target
+            return CheckReport("ratio-limit", cap, data={"k0": k - window, "target": target, "window": window, "tol": tol})
     return CheckReport(
         "ratio-limit",
         cap,

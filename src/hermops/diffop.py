@@ -29,9 +29,9 @@ x^n and the coefficients collapse to `standard_coefficient`.
 import math
 from fractions import Fraction
 
-from .hermite import hermite_polys, validate_alpha
+from .hermite import hermite_polys, three_term, validate_alpha
 from .jensen import DifferenceTable, GammaSeq
-from .ratpoly import ONE, RatLike, RatPoly, rat, rat_str
+from .ratpoly import RatLike, RatPoly, rat, rat_str
 from .reporting import CheckReport, Record
 
 
@@ -215,9 +215,11 @@ def check_standard_basis_limit(seq: GammaSeq, k_max: int) -> CheckReport:
     k_max is built per node, since Q_k does not depend on the truncation, and
     each alpha-degree is read off the samples' divided differences.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     node_count = max(5, k_max // 2 + 2)
     nodes = [Fraction(0)] + [Fraction(1, 2**j) for j in range(node_count - 1)]
-    operators = [build_operator(node, seq, max(k_max, 0)).qpolys for node in nodes]
+    operators = [build_operator(node, seq, k_max).qpolys for node in nodes]
 
     def outcomes():
         for k in range(k_max + 1):
@@ -236,13 +238,10 @@ def check_standard_basis_limit(seq: GammaSeq, k_max: int) -> CheckReport:
 
 
 def binomial_poly(k: int) -> RatPoly:
-    """The binomial coefficient polynomial x(x-1)...(x-k+1)/k!."""
+    """The binomial coefficient polynomial C(x, k) = x(x-1)...(x-k+1)/k!, by `three_term` on n*C(x, n) = (x-n+1)*C(x, n-1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    num = ONE
-    for i in range(k):
-        num = num * RatPoly([-i, 1])
-    return num / math.factorial(k)
+    return three_term(k, lambda n: (1, 1 - n, 0, n))[k]
 
 
 def interpolation_poly(op: HermiteDiffOp) -> RatPoly:

@@ -6,9 +6,10 @@ stated degree:
     H_0 = 1,  H_1 = x,  H_n = x*H_{n-1} - alpha*(n-1)*H_{n-2}.
 
 Equivalently H_n(x) = sum_j n!/2^j * (-alpha)^j / (j! (n-2j)!) * x^(n-2j).
-At alpha = 0 the recurrence collapses to H_n = x^n, and at alpha = 1 these
-are the probabilists' Hermite polynomials.  Two structural identities pin
-the family down and are verified by `check_identities`:
+`three_term` runs the recurrence, as it does for every family.  At alpha = 0
+the recurrence collapses to H_n = x^n, and at alpha = 1 these are the
+probabilists' Hermite polynomials.  Two structural identities pin the
+family down and are verified by `check_identities`:
 
     H_n' = n * H_{n-1}                    (derivative rule)
     n * H_n = x*H_n' - alpha*H_n''        (second-order eigenvalue equation)
@@ -35,20 +36,26 @@ def validate_alpha(alpha: RatLike) -> Fraction:
     return a
 
 
+def three_term(n_max: int, step) -> list:
+    """[p_0, ..., p_{n_max}] with p_0 = 1 and w_n*p_n = (a_n*x + b_n)*p_(n-1) - c_n*p_(n-2), where
+    step(n) = (a_n, b_n, c_n, w_n) are integers, a_n != 0 < w_n.  In integers p_n = P_n / (w_1*...*w_n)
+    with P_n = (a_n*x + b_n)*P_(n-1) - c_n*w_(n-1)*P_(n-2); each p_n is reduced once."""
+    out, prev, ints = [ONE], [], [1]
+    w_prev = den = 1
+    for n in range(1, n_max + 1):
+        a, b, c, w = step(n)
+        prev, ints = ints, [a * s + b * t - c * w_prev * r for s, t, r in zip([0, *ints], [*ints, 0], [*prev, 0, 0])]
+        w_prev, den = w, den * w
+        out.append(RatPoly._reduced(ints, den))
+    return out
+
+
 def hermite_polys(n_max: int, alpha: RatLike) -> list:
-    """The list [H_0, ..., H_{n_max}] for the given alpha."""
+    """The list [H_0, ..., H_{n_max}] for the given alpha = u/v, by `three_term` on v*H_n = v*x*H_(n-1) - u*(n-1)*H_(n-2)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a = validate_alpha(alpha)
-    u, v = a.numerator, a.denominator
-    # H_n = P_n / v^(n//2) with P_n = x*P_(n-1)*(v if n is even else 1) - u*(n-1)*P_(n-2) in integers
-    ints = [[1], [0, 1]]
-    for n in range(2, n_max + 1):
-        scale = v if n % 2 == 0 else 1
-        ints.append([0, *(scale * c for c in ints[n - 1])])
-        for i, c in enumerate(ints[n - 2]):
-            ints[n][i] -= u * (n - 1) * c
-    return [RatPoly._reduced(c, v ** (n // 2)) for n, c in enumerate(ints[: n_max + 1])]
+    return three_term(n_max, lambda n: (a.denominator, 0, a.numerator * (n - 1), a.denominator))
 
 
 def to_hermite_basis(p: RatPoly, alpha: RatLike) -> list:
@@ -62,13 +69,10 @@ def from_hermite_basis(coeffs: list, alpha: RatLike) -> RatPoly:
 
 
 def _classical_hermite_polys(n_max: int) -> list:
-    """Physicists' [H_0, ..., H_n_max] (H_0 = 1, H_1 = 2x, H_{n+1} = 2x*H_n - 2n*H_{n-1})."""
+    """Physicists' [H_0, ..., H_n_max] by `three_term`; H_n = n! * sum_m (-1)^m (2x)^(n-2m) / (m! (n-2m)!)."""
     if n_max < 0:
         raise ValueError("n must be nonnegative")
-    polys = [ONE, 2 * X]
-    for i in range(1, n_max):
-        polys.append(2 * X * polys[i] - (2 * i) * polys[i - 1])
-    return polys[: n_max + 1]
+    return three_term(n_max, lambda n: (2, 0, 2 * (n - 1), 1))
 
 
 def check_identities(n_max: int, alpha: RatLike) -> CheckReport:

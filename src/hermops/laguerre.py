@@ -22,9 +22,9 @@ triangular change of basis of `ratpoly.expand_in_basis` and
 `ratpoly.combine_in_basis`, the same routines every basis uses.
 """
 
-import math
 from fractions import Fraction
 
+from .hermite import three_term
 from .ratpoly import RatLike, RatPoly, X, combine_in_basis, expand_in_basis, rat
 from .reporting import CheckReport, Record
 
@@ -46,22 +46,12 @@ class LaguerreParam(Record):
 
 
 def laguerre_polys(n_max: int, alpha: RatLike) -> list:
-    """[L_0, ..., L_{n_max}] for the given alpha, by the closed form."""
+    """[L_0, ..., L_{n_max}] by `three_term` on n*L_n = (2n - 1 + alpha - x)*L_(n-1) - (n - 1 + alpha)*L_(n-2)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a = validate_laguerre_alpha(alpha)
     u, v = a.numerator, a.denominator
-    out = []
-    for n in range(n_max + 1):
-        # over v^n * n!, the x^k numerator is (-1)^k C(n,k) v^k prod_(j=k+1..n) (u + j*v)
-        num = [0] * (n + 1)
-        rising = 1
-        for k in range(n, -1, -1):
-            term = math.comb(n, k) * v**k * rising
-            num[k] = -term if k % 2 else term
-            rising *= u + k * v
-        out.append(RatPoly._reduced(num, v**n * math.factorial(n)))
-    return out
+    return three_term(n_max, lambda n: (-v, (2 * n - 1) * v + u, (n - 1) * v + u, n * v))
 
 
 def operator_coefficients(params: LaguerreParam) -> tuple:

@@ -38,9 +38,9 @@ class CheckReport(Record):
     """Outcome of a batch of exact assertions.
 
     `checked` counts the assertions run (with `tally`, the outcomes a suite
-    produced), `failures` describes the ones that did not hold, `notes` carries
-    informational messages (such as documented divergences from published
-    values), and `data` holds structured results beyond pass/fail.
+    produced; a report of none fails), `failures` describes the ones that did
+    not hold, `notes` carries informational messages (documented divergences
+    from published values, say), and `data` holds structured results beyond pass/fail.
     """
 
     __slots__ = ("name", "checked", "failures", "notes", "data")
@@ -56,11 +56,13 @@ class CheckReport(Record):
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.checked > 0 and not self.failures
 
     def line(self) -> str:
         if self.passed:
             return f"PASS {self.name} ({self.checked} checks)"
+        if not self.failures:
+            return f"FAIL {self.name} (0 checks: nothing was checked)"
         return (
             f"FAIL {self.name} ({len(self.failures)} of {self.checked} checks failed; "
             f"first: {self.failures[0]})"

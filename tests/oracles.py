@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness
 from hermops.hermite import hermite_polys, validate_alpha
-from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
+from hermops.jensen import FactoredSpec, GammaSeq, finite_difference, ratio_sequence
 from hermops.laguerre import laguerre_polys
 from hermops.ratpoly import (
     ONE,
@@ -31,6 +31,7 @@ from hermops.ratpoly import (
     rat,
     rat_str,
 )
+from hermops.reporting import CheckReport
 
 
 def hermite_sum_qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> list:
@@ -174,6 +175,24 @@ def reference_falsify(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
         INCONCLUSIVE,
         f"no witness among real-rooted polynomials of degree <= {deg_max}",
         bound=deg_max,
+    )
+
+
+def reference_ratio_limit_check(phi: FactoredSpec, window: int, tol: Fraction, cap: int) -> CheckReport:
+    """`ratio_limit_check` one start at a time: for K0 = 1, 2, ..., cap, read the
+    ratios at K0..K0 + window again and stop at the first window whose defined
+    ratios exist and all lie strictly within tol of sigma - 1."""
+    target = phi.sigma - 1
+    values = dict(ratio_sequence(GammaSeq.from_lpplus(phi), cap + window))
+    for k0 in range(1, cap + 1):
+        defined = [values[k] for k in range(k0, k0 + window + 1) if values[k] is not None]
+        if defined and all(abs(v - target) < tol for v in defined):
+            return CheckReport("ratio-limit", cap, data={"k0": k0, "target": target, "window": window, "tol": tol})
+    return CheckReport(
+        "ratio-limit",
+        cap,
+        (f"no window of width {window} within {tol} of {target} found with start <= {cap}",),
+        data={"target": target, "window": window, "tol": tol},
     )
 
 
@@ -470,6 +489,15 @@ def fraction_hermite_polys(n_max: int, alpha: RatLike) -> list:
     for n in range(2, n_max + 1):
         polys.append(x * polys[n - 1] - (a * (n - 1)) * polys[n - 2])
     return polys[: n_max + 1]
+
+
+def closed_form_physicists_hermite(n: int) -> RatPoly:
+    """The physicists' H_n = n! * sum_m (-1)^m (2x)^(n-2m) / (m! (n-2m)!), term by term."""
+    coeffs = [Fraction(0)] * (n + 1)
+    for m in range(n // 2 + 1):
+        term = Fraction(math.factorial(n) * 2 ** (n - 2 * m), math.factorial(m) * math.factorial(n - 2 * m))
+        coeffs[n - 2 * m] = -term if m % 2 else term
+    return RatPoly(coeffs)
 
 
 def fraction_laguerre_polys(n_max: int, alpha: RatLike) -> list:

@@ -375,3 +375,20 @@ def test_failing_inputs_keep_their_report(monkeypatch, request, build, patches):
     report = build()
     assert not report.passed
     assert (report.line(), report.checked, report.failures) == EXPECTED[request.node.callspec.id]
+
+
+def test_suites_that_check_nothing_fail():
+    bessel = make_sequence("besselJ0")
+    for report, name in (
+        (classify.check_turan_necessity(1, bessel, 1), "turan-necessity[besselJ0,alpha=1,p=0]"),
+        (jensen.check_shift_recurrence(bessel, 1, 3), "shift-recurrence[besselJ0]"),
+    ):
+        assert (report.passed, report.checked, report.line()) == (False, 0, f"FAIL {name} (0 checks: nothing was checked)")
+    with pytest.raises(ValueError, match="k_max must be nonnegative, got -2"):
+        diffop.check_standard_basis_limit(bessel, -2)
+
+
+def test_turan_necessity_counts_every_k_from_two_real_rooted_or_not():
+    bessel = make_sequence("besselJ0")
+    reports = [classify.check_turan_necessity(1, bessel, k_max) for k_max in (2, 8)]
+    assert [(r.passed, r.checked) for r in reports] == [(True, 1), (True, 7)]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -42,7 +43,7 @@ from hermops.ratpoly import (
 )
 from hermops.sequences import example311_spec, make_sequence
 
-from oracles import reference_corpus_degree, reference_falsify
+from oracles import reference_corpus_degree, reference_falsify, reference_ratio_limit_check
 
 F = Fraction
 
@@ -165,6 +166,27 @@ def test_ratio_limit_cap_exhaustion(sigma, zeros):
     assert not report.passed
     assert "no window" in report.failures[0]
     assert "200" in report.failures[0]
+
+
+def test_ratio_limit_scan_matches_the_per_start_oracle():
+    """One pass over the ratios gives the report of re-reading each window, on 720 searches."""
+    grid = itertools.product(
+        (F(1, 3), F(1, 2), F(3, 2), F(7, 4), F(5, 2)),
+        ((), (F(1),), (F(1), F(1)), (F(1, 2), F(3))),
+        (0, 1, 5, 20),
+        (F(1, 10), F(1, 100), F(1, 1000)),
+        (1, 7, 60),
+    )
+    passed = 0
+    for sigma, zeros, window, tol, cap in grid:
+        spec = FactoredSpec(sigma=sigma, zeros=zeros)
+        report = ratio_limit_check(spec, window=window, tol=tol, cap=cap)
+        expected = reference_ratio_limit_check(spec, window, tol, cap)
+        assert (report.line(), report.checked, report.failures, report.data) == (
+            expected.line(), expected.checked, expected.failures, expected.data
+        ), (sigma, zeros, window, tol, cap)
+        passed += report.passed
+    assert passed == 257  # both outcomes are on the grid
 
 
 def test_ratio_limit_rejects_sigma_one():

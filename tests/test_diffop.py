@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -174,6 +175,13 @@ def test_binomial_poly():
         from math import comb
 
         assert binomial_poly(3)(F(n)) == comb(n, 3)
+
+
+def test_binomial_poly_takes_the_binomial_values_at_integers():
+    for k in range(16):
+        p = binomial_poly(k)
+        assert p.degree == k
+        assert [p(n) for n in range(k + 10)] == [math.comb(n, k) for n in range(k + 10)]
 
 
 def test_interpolation_poly_linear():

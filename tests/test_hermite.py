@@ -8,11 +8,12 @@ from hermops.hermite import (
     check_identities,
     from_hermite_basis,
     hermite_polys,
+    three_term,
     to_hermite_basis,
     validate_alpha,
 )
 from hermops.ratpoly import ONE, X, RatPoly
-from oracles import hermite_product_expand
+from oracles import closed_form_physicists_hermite, from_roots, hermite_product_expand
 
 F = Fraction
 
@@ -75,6 +76,44 @@ def test_classical_hermite_list_is_built_once_by_the_recurrence():
 
 def test_classical_hermite_values():
     assert hermite._classical_hermite_polys(3) == [ONE, 2 * X, 4 * X**2 - 2, 8 * X**3 - 12 * X]
+
+
+def test_classical_hermite_matches_the_closed_form():
+    assert hermite._classical_hermite_polys(20) == [closed_form_physicists_hermite(n) for n in range(21)]
+
+
+def _recurrence_on_ratpolys(n_max, step):
+    """w_n*p_n = (a_n*x + b_n)*p_(n-1) - c_n*p_(n-2), one `RatPoly` division per member."""
+    polys = [ONE]
+    for n in range(1, n_max + 1):
+        a, b, c, w = step(n)
+        before = polys[n - 2] if n > 1 else RatPoly()
+        polys.append(((a * X + b) * polys[n - 1] - c * before) / w)
+    return polys
+
+
+def test_three_term_with_no_third_term_multiplies_linear_factors():
+    assert three_term(7, lambda n: (1, -n, 0, 1)) == [from_roots(range(1, n + 1)) for n in range(8)]
+    assert three_term(5, lambda n: (2 * n, 1, 0, 1))[5] == from_roots(F(-1, 2 * n) for n in range(1, 6)) * (2**5 * 120)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda n: (3, -1, 2 * n, n + 1),  # w_n = n + 1
+        lambda n: (-5, 7 * n, n * n - 3, 10),  # a_n < 0, c_n of both signs, w_n = 10 shares factors with the numerators
+        lambda n: (1, 0, n - 1, 2**n),  # the Hermite shape over a growing w_n
+    ],
+)
+def test_three_term_divides_by_the_product_of_the_w_n(step):
+    assert three_term(12, step) == _recurrence_on_ratpolys(12, step)
+
+
+def test_three_term_at_degree_zero_is_one_and_never_steps():
+    def step(n):
+        raise AssertionError("step called")
+
+    assert three_term(0, step) == [ONE]
 
 
 def test_basis_round_trip_seeded():

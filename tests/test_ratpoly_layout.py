@@ -137,7 +137,7 @@ def test_build_operator_integer_numerators_match_the_hermite_sum(alpha, values, 
 
 @settings(max_examples=40, deadline=None)
 @given(st.fractions(min_value=0, max_value=9, max_denominator=11), st.integers(min_value=0, max_value=14))
-def test_hermite_polys_integer_recurrence_matches_the_fraction_oracle(alpha, n_max):
+def test_hermite_polys_match_the_fraction_recurrence_oracle(alpha, n_max):
     polys = hermite_polys(n_max, alpha)
     assert len(polys) == n_max + 1
     for p, q in zip(polys, fraction_hermite_polys(n_max, alpha)):
@@ -146,6 +146,6 @@ def test_hermite_polys_integer_recurrence_matches_the_fraction_oracle(alpha, n_m
 
 @settings(max_examples=40, deadline=None)
 @given(st.fractions(min_value=-1, max_value=9, max_denominator=11).filter(lambda a: a > -1), st.integers(min_value=0, max_value=12))
-def test_laguerre_polys_integer_closed_form_matches_the_fraction_oracle(alpha, n_max):
+def test_laguerre_polys_match_the_fraction_closed_form_oracle(alpha, n_max):
     for p, q in zip(laguerre_polys(n_max, alpha), fraction_laguerre_polys(n_max, alpha), strict=True):
         assert_same(p, q)

@@ -30,6 +30,12 @@ def test_tally_counts_outcomes_and_keeps_failures_in_order():
     assert CheckReport.tally("ok", (None for _ in range(3))).line() == "PASS ok (3 checks)"
 
 
+def test_a_report_of_no_checks_fails():
+    for report in (CheckReport("demo", 0), CheckReport.tally("demo", []), CheckReport("demo", 0, notes=("note",))):
+        assert not report.passed
+        assert report.line() == "FAIL demo (0 checks: nothing was checked)"
+
+
 def test_notes_do_not_affect_status():
     report = CheckReport("demo", 1, notes=("informational",))
     assert report.passed
