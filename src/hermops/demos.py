@@ -246,7 +246,7 @@ def laguerre_demo() -> CheckReport:
     entries = counterexample_demo(alpha, (-1, 0, 1, 2, 3), deg_max=6)
 
     def outcomes():
-        yield from (None if report.passed else report.failures[0] for report in reports)
+        yield from (failure for report in reports for failure in report.failures or [None])
         for entry in entries:
             a = Fraction(entry["a"])
             yield None if entry["coefficients_real_rooted"] else f"operator coefficients at a={a} must be real-rooted"

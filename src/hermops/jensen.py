@@ -22,15 +22,15 @@ evaluated at -1, and also equals k! * [x^k] (e^(-x) * phi_p(x)) where phi_p
 generates the shifted sequence.  Every consumer in the package reads these
 numbers from one `DifferenceTable`.  A generator runs one integer recurrence
 for its gammas and its differences: a factored one steps R -> t*R' + u*R
-(`FactoredSpec._steps`, sigma = s/t), a series given by its ODE
-(`GammaSeq.from_ode`: geom-factorial, besselJ0, exp-half-cosh) its
-three-term recurrence (`ode_terms`).  Any other sequence gets row-by-row
+(`FactoredSpec._steps`, sigma = s/t), an ODE series (`GammaSeq.from_ode`)
+the recurrence of its ODE (`ode_terms`) and, for d_(k,p), of the ODE of
+e^(-x) * phi^(p) (`difference_ode`).  Any other sequence gets row-by-row
 differences of its gammas, the oracle for both with `finite_difference`.
 """
 
 import bisect
+import collections
 import decimal
-import functools
 import itertools
 import math
 import operator
@@ -99,43 +99,34 @@ def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
     return Fraction(head, phi._den * t**k)
 
 
-def ode_step(ode: tuple) -> Callable[[int], tuple]:
-    """`ode_terms`' step for u_k = k! * [x^k] y, y a solution of
-    q2*x*y'' + (r0 + r1*x)*y' + (s0 + s1*x)*y = 0, ode = (q2, (r0, r1), (s0, s1)):
-    k derivatives at 0 give c_k u_(k+1) = -(k*r1 + s0) u_k - k*s1 u_(k-1) with
-    c_k = k*q2 + r0, so e_k = u_k * D_k has b_k = -k*s1 * c_(k-1)."""
-    q2, (r0, r1), (s0, s1) = ode
-    return lambda k: (-(k * r1 + s0), -k * s1 * ((k - 1) * q2 + r0), k * q2 + r0)
+def difference_ode(ode: tuple, p: int) -> tuple:
+    """The ODE of e^(-x) * y^(p), y a solution of `ode` (pairs as in `ode_terms`): p derivatives
+    put (a_i + p*b_(i+1), b_i) on y^(p+i), and p*b_0 on y^(p-1); if that is not 0, p + 1 put
+    (a_(i-1) + (p+1)*b_i, b_(i-1)) on y^(p+i-1), one order more.  y^(p) = e^x * w then turns
+    sum_i P_i * D^i into sum_i P_i * (D + 1)^i, by Horner's rule (D-finite closure, Stanley 1980)."""
+    if p * ode[0][1]:
+        ode, p = ((0, 0), *ode), p + 1
+    shifted = [(a + p * b1, b) for (a, b), (_, b1) in zip(ode, (*ode[1:], (0, 0)))]
+    w = []
+    for pair in reversed(shifted):  # w * (D + 1) + pair
+        w = [(a0 + a1, b0 + b1) for (a0, b0), (a1, b1) in zip([pair, *w], [*w, (0, 0)])]
+    return tuple(w)
 
 
-def exp_shift_ode(ode: tuple) -> tuple:
-    """The ODE of e^(-x) * y: y = e^x * psi turns (P2, P1, P0) into
-    (P2, 2*P2 + P1, P2 + P1 + P0), here with P2 = q2*x."""
-    q2, (r0, r1), (s0, s1) = ode
-    return q2, (r0, 2 * q2 + r1), (r0 + s0, q2 + r1 + s1)
-
-
-def ode_terms(step: Callable[[int], tuple]):
-    """(e_k, D_k) for k = 0, 1, ..., for ever: e_0 = D_0 = 1,
-    e_(k+1) = a_k e_k + b_k e_(k-1) (so e_1 = a_0) and D_(k+1) = c_k D_k for
-    step(k) = (a_k, b_k, c_k), integers with c_k > 0."""
-    prev, e, d = 0, 1, 1
-    for k in itertools.count():
-        yield e, d
-        a, b, c = step(k)
-        prev, e, d = e, a * e + b * prev, c * d
-
-
-def recurrence_heads(step: Callable[[int], tuple], k_max: int, p: int) -> tuple:
-    """(nums, factors) with d_(k,p) = nums[k]/D_(k+p), d_k = e_k/D_k the `ode_terms` of step,
-    D_(k+p) = factors[0] * ... * factors[k] = D_p * c_p * ... * c_(k+p-1).  Each of the p
-    passes d_(k,q+1) = d_(k,q) + d_(k+1,q) is nums[k] * c_(k+q) + nums[k+1] over D_(k+q+1)."""
-    n = k_max + p
-    nums = [e for e, _ in itertools.islice(ode_terms(step), n + 1)]
-    c = [step(k)[2] for k in range(n)]
-    for q in range(p):
-        nums = [a * c[k + q] + b for k, (a, b) in enumerate(zip(nums, nums[1:]))]
-    return nums, [math.prod(c[:p])] + c[p:]
+def ode_terms(ode: tuple, nums: list, factors: list):
+    """(num_n, factor_n) for ever, u_n = num_n/(factor_0 * ... * factor_n) = n! * [x^n] y, y solving
+    sum_i (a_i + b_i*x) * y^(i) = 0 for ode = ((a_0, b_0), ..., (a_r, b_r)), a_r = 0: the r - 1 given, then
+    c_k * u_(k+r-1) = -sum_(j=-1..r-2) (a_j + k*b_(j+1)) * u_(k+j), a_(-1) = 0, c_k = a_(r-1) + k*b_r > 0."""
+    a, b = zip(*ode)
+    coefs = list(zip((0, *a[:-2]), b[:-1]))  # (a_j, b_(j+1)) for j = -1..r-2
+    window = collections.deque([(0, 1), *zip(nums, factors)], maxlen=len(coefs))  # terms k-1 .. k+r-2, u_(-1) = 0
+    yield from zip(nums, factors)
+    for k, c in enumerate(itertools.count(a[-2], b[-1])):
+        acc = 0
+        for (a_j, b_j), (num, factor) in zip(coefs, window):
+            acc = acc * factor + (a_j + k * b_j) * num
+        window.append((-acc, c))
+        yield window[-1]
 
 
 class GammaSeq:
@@ -205,13 +196,21 @@ class GammaSeq:
 
     @classmethod
     def from_ode(cls, ode: tuple, name: str) -> "GammaSeq":
-        """gamma_k = k! * [x^k] phi for the solution phi(0) = 1 of `ode` (as in
-        `ode_step`): gamma_k = e_k/D_k from `ode_terms` of its step, read once
-        per k in order, and the differences from `recurrence_heads` on the
-        step of e^(-x) * phi."""
-        terms = ode_terms(ode_step(ode))
-        differences = functools.partial(recurrence_heads, ode_step(exp_shift_ode(ode)))
-        return cls(lambda k: Fraction(*next(terms)), name, differences=differences)
+        """gamma_k = k! * [x^k] phi, phi(0) = 1, for q2*x*phi'' + (r0 + r1*x)*phi' + (s0 + s1*x)*phi = 0,
+        ode = (q2, (r0, r1), (s0, s1)): its `ode_terms`, read once per k in order.  d_(k,p) are those of
+        `difference_ode`, from gamma_p (and gamma_(p+1) - gamma_p at order 3) over the factors [D_p, c_p]."""
+        pairs = (ode[2], ode[1], (0, ode[0]))
+        terms, dens = itertools.tee(ode_terms(pairs, [1], [1]))
+        gammas = map(Fraction, (num for num, _ in terms), itertools.accumulate((f for _, f in dens), operator.mul))
+
+        def differences(k_max: int, p: int) -> list:
+            e, c = zip(*itertools.islice(ode_terms(pairs, [1], [1]), p + 2))
+            shifted = difference_ode(pairs, p)
+            given = len(shifted) - 2
+            start = [e[p], e[p + 1] - c[p + 1] * e[p]][:given], [math.prod(c[: p + 1]), c[p + 1]][:given]
+            return list(map(list, zip(*itertools.islice(ode_terms(shifted, *start), k_max + 1))))
+
+        return cls(lambda k: next(gammas), name, differences=differences)
 
     @classmethod
     def geometric_factorial(cls, r: RatLike) -> "GammaSeq":

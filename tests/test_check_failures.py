@@ -348,12 +348,10 @@ EXPECTED = {
         ),
     ),
     "laguerre-boundary": (
-        "FAIL laguerre-boundary (12 of 13 checks failed; first: eigen action fails at n=1, alpha=1, a=-1)",
-        13,
+        "FAIL laguerre-boundary (24 of 25 checks failed; first: eigen action fails at n=1, alpha=1, a=-1)",
+        25,
         (
-            "eigen action fails at n=1, alpha=1, a=-1",
-            "eigen action fails at n=1, alpha=1, a=0",
-            "eigen action fails at n=1, alpha=1, a=3",
+            *(f"eigen action fails at n={n}, alpha=1, a={a}" for a in (-1, 0, 3) for n in (1, 3, 5, 7, 9)),
             "operator coefficients at a=-1 must be real-rooted",
             "a=-1 lies outside [0, alpha+1] but was inconclusive",
             "operator coefficients at a=0 must be real-rooted",

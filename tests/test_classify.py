@@ -90,6 +90,51 @@ def test_reality_table_first_breakdown_is_alpha_independent():
         assert [row.k for row in table.rows if not row.real_rooted][0] == 4
 
 
+# -- the paper's theorem on drawn generators ------------------------------------
+
+theorem_alphas = st.one_of(
+    st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(7, 3), F(1000, 7)]),
+    st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+)
+theorem_zeros = st.lists(st.fractions(min_value=F(1, 5), max_value=6, max_denominator=5), max_size=4)
+
+
+def _sigma(low, high):
+    return st.fractions(min_value=low, max_value=high, max_denominator=7)
+
+
+def _verdicts(alpha, spec, k_max):
+    return [row.real_rooted for row in coefficient_reality_table(alpha, GammaSeq.from_lpplus(spec), k_max).rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sigma(1, 4), theorem_zeros, st.integers(0, 1), theorem_alphas)
+def test_sigma_at_least_one_makes_every_coefficient_real_rooted(sigma, zeros, m, alpha):
+    # phi in L-P+ with sigma >= 1 gives a Hermite multiplier sequence: every Q_k is real-rooted.
+    spec = FactoredSpec(c=F(3, 2), m=m, sigma=sigma, zeros=tuple(zeros))
+    assert all(_verdicts(alpha, spec, 30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sigma(0, 4), theorem_zeros, st.integers(0, 1), theorem_alphas)
+def test_reality_row_is_the_same_for_every_alpha(sigma, zeros, m, alpha):
+    # Q_k(x; alpha) = alpha^(k/2) * Q_k(x/sqrt(alpha); 1): a dilation keeps every root real or not.
+    spec = FactoredSpec(c=F(2, 5), m=m, sigma=sigma, zeros=tuple(zeros))
+    assert _verdicts(alpha, spec, 24) == _verdicts(F(1), spec, 24)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _sigma(0, 1).filter(lambda s: s < 1),
+    st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+    theorem_alphas,
+)
+def test_pure_exponential_below_one_fails_first_at_k_2(sigma, c, alpha):
+    # d_k = c * (sigma - 1)^k, so d_2 * (d_2 + 2*d_1) = c^2 * (sigma - 1)^3 * (sigma + 1) < 0.
+    spec = FactoredSpec(c=c, sigma=sigma)
+    assert _verdicts(alpha, spec, 6)[:3] == [True, True, False]
+
+
 def test_reality_table_constant_sequence():
     table = coefficient_reality_table(F(1), make_sequence("const1"), 8)
     assert all(r.real_rooted for r in table.rows)

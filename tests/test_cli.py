@@ -161,6 +161,26 @@ def test_output_bytes_at_k_120_are_pinned(capsys, command, source, digest):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("reality", "--seq", "exp-half-cosh", "--alpha", "1", "--p", "500", "--kmax", "120"),
+            "0bc30a9c7e8668189e18624da72cbe916d16747828d9024a41d3df816e8383cc",
+        ),
+        (
+            ("qpoly", "--seq", "exp-half-cosh", "--alpha", "3/2", "--p", "7", "--kmax", "60"),
+            "f243108770148d78d8e76fe9c25d1ea591ceed8ccad0c401a21b857ea0433f8f",
+        ),
+    ],
+)
+def test_shifted_series_output_bytes_are_pinned(capsys, argv, digest):
+    # A shift p > 0 runs exp-half-cosh's differences at order 3, which the bench never reaches.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "source, extra, digest",
     [
         ("exp-half-cosh", ("--kmax", "1000", "--histogram", "7"), "2577605d11654e6289bf2242c9f304223cb1da70c4e9a1fbec68a0f4c08a3cb8"),

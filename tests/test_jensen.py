@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -16,17 +17,17 @@ from hermops.jensen import (
     check_difference_reconstruction,
     check_shift_recurrence,
     check_sum_interchange,
-    exp_shift_ode,
+    difference_ode,
     finite_difference,
     histogram_bins,
-    ode_step,
+    ode_terms,
     ratio_csv_lines,
     ratio_sequence,
     taylor_gamma,
     turan_quantity,
 )
 from hermops.ratpoly import rat_str
-from hermops.sequences import EXP_HALF_COSH_ODE, make_sequence
+from hermops.sequences import BESSEL_J0_ODE, EXP_HALF_COSH_ODE, make_sequence
 from oracles import (
     closed_form_differences,
     closed_form_gamma,
@@ -302,18 +303,49 @@ def test_exp_half_cosh_recurrence_matches_series_sum():
     assert seq.values(200) == [_exp_half_cosh_sum(k) for k in range(201)]
 
 
+def _three_term(step, n):
+    """(e_k, c_(k-1)) for k = 0..n, e_0 = 1, e_(k+1) = a_k e_k + b_k e_(k-1) for
+    step(k) = (a_k, b_k, c_k), as the old three-term recurrences ran them and
+    `ode_terms` yields them: numerators over the running product of the c_k."""
+    prev, e, out = 0, 1, [(1, 1)]
+    for k in range(n):
+        a, b, c = step(k)
+        prev, e = e, a * e + b * prev
+        out.append((e, c))
+    return out
+
+
 def test_named_series_steps_are_the_hand_derived_ones():
     # The recurrences each series ran before they were derived from its ODE.
     for a, b in ((1, 1), (3, 5), (-5, 3), (0, 1), (5, 2)):
-        geom = ode_step(exp_shift_ode((b, (b, 0), (-a, 0))))
-        assert [geom(k) for k in range(101)] == [
-            (a - (2 * k + 1) * b, -k * k * b * b, (k + 1) * b) for k in range(101)
-        ]
-    differences = ode_step(exp_shift_ode(EXP_HALF_COSH_ODE))
-    gammas = ode_step(EXP_HALF_COSH_ODE)
-    for k in range(101):
-        assert differences(k) == (1 - 4 * k, -2 * k * (2 * k - 1), 2 * (2 * k + 1))
-        assert gammas(k) == (4 * k + 3, -2 * k * (2 * k - 1), 2 * (2 * k + 1))
+        geom = difference_ode(((-a, 0), (b, 0), (0, b)), 0)
+        assert geom == ((b - a, b), (b, 2 * b), (0, b))
+        assert list(itertools.islice(ode_terms(geom, [1], [1]), 101)) == _three_term(
+            lambda k: (a - (2 * k + 1) * b, -k * k * b * b, (k + 1) * b), 100
+        )
+    q2, r, s = EXP_HALF_COSH_ODE
+    pairs = (s, r, (0, q2))
+    assert difference_ode(pairs, 0) == ((-1, 1), (2, 4), (0, 4))
+    assert list(itertools.islice(ode_terms(difference_ode(pairs, 0), [1], [1]), 101)) == _three_term(
+        lambda k: (1 - 4 * k, -2 * k * (2 * k - 1), 2 * (2 * k + 1)), 100
+    )
+    assert list(itertools.islice(ode_terms(pairs, [1], [1]), 101)) == _three_term(
+        lambda k: (4 * k + 3, -2 * k * (2 * k - 1), 2 * (2 * k + 1)), 100
+    )
+
+
+def test_difference_ode_raises_the_order_only_for_a_shifted_x_term():
+    # exp-half-cosh has an x*phi term (b_0 = 1), so a shift p > 0 takes p + 1
+    # derivatives: U = phi' solves 4x U''' + (10 - 4x) U'' + (x - 11) U' + 2 U = 0,
+    # and U = e^x * w gives the pairs below.  geom-factorial has b_0 = 0: order 2 at every p.
+    q2, r, s = EXP_HALF_COSH_ODE
+    pairs = (s, r, (0, q2))
+    assert difference_ode(pairs, 1) == ((1, 1), (9, 5), (10, 8), (0, 4))
+    assert [len(difference_ode(pairs, p)) for p in (0, 1, 7)] == [3, 4, 4]
+    assert [difference_ode(((-3, 0), (5, 0), (0, 5)), p) for p in (0, 2)] == [
+        ((2, 5), (5, 10), (0, 5)),
+        ((12, 5), (15, 10), (0, 5)),
+    ]
 
 
 def _assert_in_order_rule_under_concurrent_reads(make_seq, gamma):
@@ -504,10 +536,33 @@ def test_geometric_factorial_recurrence_matches_the_table(r, p):
         _assert_direct_route_matches(GammaSeq.geometric_factorial(r), k_max, p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=30),
+)
+def test_drawn_geometric_factorial_shifts_match_the_table(r, p, k_max):
+    _assert_direct_route_matches(GammaSeq.geometric_factorial(r), k_max, p)
+
+
 @pytest.mark.parametrize("name", ["besselJ0", "exp-half-cosh"])
 @pytest.mark.parametrize("p", [0, 2, 5])
 def test_named_series_recurrences_match_the_table(name, p):
     _assert_direct_route_matches(make_sequence(name), 80, p)
+
+
+@pytest.mark.parametrize("name, ode", [("besselJ0", BESSEL_J0_ODE), ("exp-half-cosh", EXP_HALF_COSH_ODE)])
+@pytest.mark.parametrize("p", [40, 150])
+def test_named_series_at_large_shifts_match_the_table(name, ode, p):
+    # Each p has its own recurrence, over the gammas' step factors c_k = r0 + k*q2:
+    # factors = [D_p, c_p, ..., c_(p+k_max-1)], D_p = c_0 * ... * c_(p-1).
+    q2, (r0, _), _ = ode
+    for k_max in (0, 1, 2, 60):
+        seq = make_sequence(name)
+        _assert_direct_route_matches(seq, k_max, p)
+        factors = seq.differences(k_max, p)[1]
+        assert factors == [math.prod(r0 + k * q2 for k in range(p))] + [r0 + k * q2 for k in range(p, p + k_max)]
 
 
 def test_bessel_is_geometric_factorial_of_one():
