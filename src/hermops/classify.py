@@ -45,7 +45,6 @@ from .ratpoly import (
     expand_in_basis,
     is_real_rooted,
     rat,
-    rat_str,
 )
 from .reporting import CheckReport, Record
 
@@ -173,13 +172,6 @@ class RealityTable(Record):
 
     def __init__(self, alpha: Fraction, p_shift: int, rows: tuple):
         super().__init__(alpha, p_shift, rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": rat_str(self.alpha),
-            "p": self.p_shift,
-            "rows": [{"k": r.k, "real_rooted": r.real_rooted} for r in self.rows],
-        }
 
 
 def coefficient_reality_table(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0) -> RealityTable:

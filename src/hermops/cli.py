@@ -10,15 +10,16 @@ Subcommands:
 
 All output is deterministic: the same invocation produces byte-identical
 bytes.  Configuration errors, argument usage errors among them, print a
-one-line JSON object to stderr and exit with status 2; check failures exit
-with status 1, and so does a reader that closes stdout early (a broken
-pipe), silently.  ``--help`` prints usage and exits 0.
+one-line JSON object to stderr and exit with status 2; check failures, running
+out of memory (one JSON line) and a reader that closes stdout early (a broken
+pipe, silently) exit with status 1.  ``--help`` prints usage and exits 0.
 """
 
 import argparse
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -39,7 +40,7 @@ from .jensen import (
     ratio_sequence,
 )
 from .laguerre import LaguerreParam, check_eigen_action
-from .ratpoly import parse_rat
+from .ratpoly import RatPoly, parse_rat, rat_str
 from .sequences import check_range, factored_from_json, make_sequence
 
 
@@ -64,37 +65,52 @@ def _resolve_sequence(args) -> GammaSeq:
     return seq
 
 
-def _emit(text: str, path) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, default=RatPoly.to_json_dict)  # a Q_k is text only once reached
+
+
+def _json(data: dict):
+    tokens = itertools.chain(_JSON.iterencode(data), ["\n"])
+    return iter(lambda: "".join(itertools.islice(tokens, 256)), "")  # short, never empty tokens: 256 a piece
+
+
+def _csv(*parts):
+    """The lines of each part in turn, each made with its newline only when written."""
+    return (f"{line}\n" for line in itertools.chain.from_iterable(parts))
+
+
+def _emit(pieces, path) -> None:
+    """Write the text pieces as they are made, joined or cut into buffer-sized writes."""
+    size = io.DEFAULT_BUFFER_SIZE  # a longer write that a departing reader cuts short drops the rest silently
     target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="\n")
     with target as fh:
-        # Buffer-sized pieces: a longer write that a departing reader cuts short drops the rest silently.
-        for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
-            fh.write(text[i : i + io.DEFAULT_BUFFER_SIZE])
-
-
-def _emit_table(args, result, header: str, rows) -> None:
-    """`result`'s JSON for --format json, else CSV lines `header` then `rows`."""
-    if args.format == "json":
-        _emit(json.dumps(result.to_json_dict(), indent=2, sort_keys=True), args.output)
-    else:
-        _emit("\n".join([header, *rows]), args.output)
+        held, length = [], 0
+        for piece in pieces:
+            held.append(piece)
+            length += len(piece)
+            if length >= size:
+                text = "".join(held)
+                held, length = [text[length - length % size :]], length % size
+                for i in range(0, len(text) - length, size):
+                    fh.write(text[i : i + size])
+        fh.write("".join(held))
 
 
 def _cmd_qpoly(args) -> int:
     seq = _resolve_sequence(args)
     op = build_operator(parse_rat(args.alpha), seq, args.kmax, args.p)
+    data = {"Q": op.qpolys, "alpha": rat_str(op.alpha), "p_shift": op.p_shift}
     rows = (f"{k},{' '.join(q.to_json_dict()['coeffs'])}" for k, q in enumerate(op.qpolys))
-    _emit_table(args, op, "k,coeffs", rows)
+    _emit(_json(data) if args.format == "json" else _csv(["k,coeffs"], rows), args.output)
     return 0
 
 
 def _cmd_reality(args) -> int:
     seq = _resolve_sequence(args)
     table = coefficient_reality_table(parse_rat(args.alpha), seq, args.kmax, args.p)
+    verdicts = [{"k": r.k, "real_rooted": r.real_rooted} for r in table.rows]
+    data = {"alpha": rat_str(table.alpha), "p": table.p_shift, "rows": verdicts}
     rows = (f"{row.k},{'true' if row.real_rooted else 'false'}" for row in table.rows)
-    _emit_table(args, table, "k,real_rooted", rows)
+    _emit(_json(data) if args.format == "json" else _csv(["k,real_rooted"], rows), args.output)
     return 0
 
 
@@ -106,13 +122,9 @@ def _cmd_ratios(args) -> int:
             raise ConfigError("histogram bin count must be positive")
         check_range("histogram", bins)
     rows = ratio_sequence(seq, args.kmax, args.p)
-    lines = ratio_csv_lines(rows)
-    if bins is not None:
-        defined = [v for _, v in rows if v is not None]
-        lines += ["", "bin,lo,hi,count"]
-        for i, (lo, hi, count) in enumerate(histogram_bins(defined, bins)):
-            lines.append(f"{i},{approx_str(lo)},{approx_str(hi)},{count}")
-    _emit("\n".join(lines), args.output)
+    counts = [] if bins is None else histogram_bins([v for _, v in rows if v is not None], bins)
+    histogram = (f"{i},{approx_str(lo)},{approx_str(hi)},{n}" for i, (lo, hi, n) in enumerate(counts))
+    _emit(_csv(ratio_csv_lines(rows), [] if bins is None else ["", "bin,lo,hi,count"], histogram), args.output)
     return 0
 
 
@@ -214,6 +226,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
+    except MemoryError:
+        sys.stderr.write('{"error": "out of memory"}\n')
+        return 1
     except BrokenPipeError:
         # The reader is gone; stdout goes to devnull so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

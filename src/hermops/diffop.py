@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .hermite import hermite_polys, three_term, validate_alpha
 from .jensen import DifferenceTable, GammaSeq
-from .ratpoly import RatLike, RatPoly, rat, rat_str
+from .ratpoly import RatLike, RatPoly, rat
 from .reporting import CheckReport, Record
 
 
@@ -57,13 +57,6 @@ class HermiteDiffOp(Record):
     @property
     def order(self) -> int:
         return len(self.qpolys) - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": rat_str(self.alpha),
-            "p_shift": self.p_shift,
-            "Q": [q.to_json_dict() for q in self.qpolys],
-        }
 
 
 def coefficient_polynomial(alpha: RatLike, seq: GammaSeq, k: int, p: int = 0) -> RatPoly:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import hermops
 
 from hermops import classify
+from hermops.cli import main
 from hermops.classify import (
     FALSIFIED,
     INCONCLUSIVE,
@@ -145,13 +146,12 @@ def test_reality_table_requires_positive_alpha():
         coefficient_reality_table(F(0), make_sequence("const1"), 4)
 
 
-def test_reality_table_json():
+def test_reality_table_json(capsys):
+    """`reality`'s JSON is the library table's alpha, shift and verdicts."""
     table = coefficient_reality_table(F(1), make_sequence("example311"), 5, 1)
-    data = table.to_json_dict()
-    assert data["alpha"] == "1/1"
-    assert data["p"] == 1
-    assert len(data["rows"]) == 6
-    json.dumps(data)  # serializable as-is
+    assert main(["reality", "--seq", "example311", "--alpha", "1", "--kmax", "5", "--p", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"alpha": "1/1", "p": 1, "rows": [{"k": r.k, "real_rooted": r.real_rooted} for r in table.rows]}
 
 
 def test_turan_necessity():

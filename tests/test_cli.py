@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,54 @@ def test_output_bytes_at_k_120_are_pinned(capsys, command, source, digest):
     code, out, err = run_cli(capsys, command, *_PIN_SOURCES[source], "--kmax", "120", *extra)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, fmt, source, digest",
+    [
+        ("qpoly", "json", "besselJ0", "7ba02e2d9b0a9e32ef1f6a178da3768037ce621c1f44eb2ccfc97cf3f79b4136"),
+        ("qpoly", "json", "factored", "dfb098df442834eb8ade3d9e61628a34e3fca3a581b9167b4d87e539d66d9642"),
+        ("qpoly", "json", "linear(3)", "ca8ad276515907f3d81a763b689b6585b5d4cd31876818f1840c32a862551a26"),
+        ("reality", "csv", "besselJ0", "329d44fcb825b33235c46a8120adf3325cb74f4c9247f6f65bb0bece560900a3"),
+        ("reality", "csv", "factored", "067e8a8fa55105e5020774ae8e55b8ac90a5fc961bf54a1012bfcfc23228ce73"),
+        ("reality", "csv", "linear(3)", "067e8a8fa55105e5020774ae8e55b8ac90a5fc961bf54a1012bfcfc23228ce73"),
+    ],
+)
+def test_other_format_at_k_120_is_pinned(capsys, command, fmt, source, digest):
+    # The formats the test above leaves out: qpoly's streamed JSON encoder and reality's CSV.
+    code, out, err = run_cli(capsys, command, *_PIN_SOURCES[source], "--kmax", "120", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_qpoly_output_is_streamed(tmp_path, fmt):
+    """With --output, qpoly never holds its whole output: the traced peak stays below the file's size."""
+    path = tmp_path / f"q.{fmt}"
+    tracemalloc.start()
+    try:
+        code = main(["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "150", "--format", fmt, "--output", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < path.stat().st_size
+
+
+def test_emit_writes_every_piece_in_buffer_sized_writes(monkeypatch):
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    pieces = ["a" * n for n in (0, 1, 5000, 3191, 8192, 20000, 3, 70000, 17)]
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    cli._emit(iter(pieces), None)
+    assert "".join(writes) == "".join(pieces)
+    assert {len(text) for text in writes[:-1]} == {io.DEFAULT_BUFFER_SIZE}
+    assert 0 < len(writes[-1]) <= io.DEFAULT_BUFFER_SIZE
 
 
 @pytest.mark.parametrize(
@@ -455,6 +504,27 @@ def test_error_factored_size_cap(capsys, monkeypatch, field, over, at_cap):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["ratios", "--seq", "besselJ0", "--kmax", "5", "--histogram", "0"],
+        ["ratios", "--seq", "besselJ0", "--kmax", "0"],
+        ["qpoly", "--seq", "besselJ0", "--alpha", "-1", "--kmax", "5", "--format", "csv"],
+        ["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "5", "--p", "-1"],
+        ["reality", "--seq", "besselJ0", "--alpha", "0", "--kmax", "5"],
+        ["reality", "--factored", '{"sigma": 0.5}', "--alpha", "1", "--kmax", "5", "--format", "csv"],
+        ["qpoly", "--factored", "{", "--alpha", "1", "--kmax", "5"],
+    ],
+    ids=["histogram-0", "kmax-0", "alpha-negative", "p-negative", "reality-alpha-0", "factored-float", "factored-not-json"],
+)
+def test_config_error_opens_no_output_file(tmp_path, capsys, argv):
+    path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["ratios", "--seq", "const1", "--kmax", "0"],
         ["reality", "--seq", "const1", "--alpha", "0", "--kmax", "2"],
         ["reality", "--seq", "const1", "--alpha", "-1", "--kmax", "2"],
@@ -541,18 +611,49 @@ def test_error_bad_sequence_input(capsys, source):
     assert json.loads(err)["error"]
 
 
-def test_broken_stdout_pipe_exits_1_silently():
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["ratios", "--seq", "besselJ0", "--kmax", "400"], b"k,num,den,"),
+        (["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "120", "--format", "json"], b'{\n  "Q": ['),
+        (["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "120", "--format", "csv"], b"k,coeffs\n0"),
+    ],
+    ids=["ratios", "qpoly-json", "qpoly-csv"],
+)
+def test_broken_stdout_pipe_exits_1_silently(argv, head):
     """`hermops ratios ... | head -c 10`: the reader leaves, the CLI exits 1 quietly."""
     env = dict(os.environ, PYTHONPATH=str(Path(hermops.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-m", "hermops.cli", "ratios", "--seq", "besselJ0", "--kmax", "400"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    head = proc.stdout.read(10)  # the output is far larger than a pipe buffer
+    proc = subprocess.Popen([sys.executable, "-m", "hermops.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.read(10)  # the output is far larger than a pipe buffer
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
-    assert head == b"k,num,den,"
+    assert first == head
     assert err == b""
+
+
+def test_out_of_memory_is_one_json_line_and_exit_1(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_operator", exhausted)
+    code, out, err = run_cli(capsys, "qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "3")
+    assert (code, out, err) == (1, "", '{"error": "out of memory"}\n')
+
+
+def test_address_space_limit_ends_in_the_out_of_memory_line():
+    """The ratios cap needs about 40 MB of address space; under a 32 MB limit on this one child
+    (an interpreter with hermops imported takes 15-21 MB) it ends in one JSON line, exit 1."""
+    resource = pytest.importorskip("resource")
+    limit = 32 << 20
+    env = dict(os.environ, PYTHONPATH=str(Path(hermops.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-S", "-m", "hermops.cli", "ratios", "--seq", "exp-half-cosh", "--kmax", "2000"]
+    proc = subprocess.run(
+        argv, capture_output=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (1, b'{"error": "out of memory"}\n')
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

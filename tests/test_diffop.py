@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hermops.cli import main
 from hermops.diffop import (
     HermiteDiffOp,
     TruncationError,
@@ -119,9 +121,11 @@ def test_shifted_operator_matches_shifted_sequence():
         assert op.qpolys == oracle.qpolys
 
 
-def test_operator_json_round_trip():
+def test_operator_json_round_trip(capsys):
+    """`qpoly`'s JSON reads back as the operator it printed."""
     op = build_operator(F(1, 2), make_sequence("besselJ0"), 5, 1)
-    data = op.to_json_dict()
+    assert main(["qpoly", "--seq", "besselJ0", "--alpha", "1/2", "--kmax", "5", "--p", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
     qpolys = tuple(RatPoly([parse_rat(c) for c in q["coeffs"]]) for q in data["Q"])
     assert HermiteDiffOp(parse_rat(data["alpha"]), data["p_shift"], qpolys) == op
 
