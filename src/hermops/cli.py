@@ -11,8 +11,9 @@ Subcommands:
 All output is deterministic: the same invocation produces byte-identical
 bytes.  Configuration errors, argument usage errors among them, print a
 one-line JSON object to stderr and exit with status 2; check failures, running
-out of memory (one JSON line) and a reader that closes stdout early (a broken
-pipe, silently) exit with status 1.  ``--help`` prints usage and exits 0.
+out of memory or failing to write the output (one JSON line each) and a reader
+that closes stdout early (a broken pipe, silently) exit with status 1.
+``--help`` prints usage and exits 0.
 """
 
 import argparse
@@ -190,19 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=0, help="index offset (default 0, capped like --kmax)")
         p.add_argument("--output", help="write to this path instead of stdout")
 
-    q = sub.add_parser("qpoly", help="coefficient polynomials of the diagonal operator")
-    add_sequence_options(q)
-    q.add_argument("--alpha", required=True, help="Hermite parameter, e.g. 1 or 1/2")
-    q.add_argument("--kmax", type=int, required=True, help="highest coefficient index")
-    q.add_argument("--format", choices=("json", "csv"), default="json")
-    q.set_defaults(func=_cmd_qpoly)
-
-    r = sub.add_parser("reality", help="real-rootedness table of the coefficients")
-    add_sequence_options(r)
-    r.add_argument("--alpha", required=True)
-    r.add_argument("--kmax", type=int, required=True)
-    r.add_argument("--format", choices=("json", "csv"), default="json")
-    r.set_defaults(func=_cmd_reality)
+    for name, func, text in (
+        ("qpoly", _cmd_qpoly, "coefficient polynomials of the diagonal operator"),
+        ("reality", _cmd_reality, "real-rootedness table of the coefficients"),
+    ):
+        c = sub.add_parser(name, help=text)
+        add_sequence_options(c)
+        c.add_argument("--alpha", required=True, help="Hermite parameter, e.g. 1 or 1/2")
+        c.add_argument("--kmax", type=int, required=True, help="highest coefficient index")
+        c.add_argument("--format", choices=("json", "csv"), default="json")
+        c.set_defaults(func=func)
 
     t = sub.add_parser("ratios", help="finite-difference ratio scan as CSV")
     add_sequence_options(t)
@@ -235,7 +233,8 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, TypeError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
+        # An OSError naming a path is a bad --output or file: path; naming none, a failed write.
+        return 1 if isinstance(exc, OSError) and exc.filename is None else 2
 
 
 if __name__ == "__main__":

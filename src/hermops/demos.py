@@ -217,7 +217,8 @@ def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
     certified real-rooted (they always are), then the falsification search
     runs over the witness corpus.  Values of a outside [0, alpha + 1] should
     produce a witness; values inside should come back inconclusive.  Returns
-    a JSON-ready list of {a, coefficients_real_rooted, status, witness?}.
+    a JSON-ready list of {a, coefficients_real_rooted} joined to each
+    verdict's `to_json_dict()` without its `reason`.
     """
     a_param = validate_laguerre_alpha(alpha)
     results = []
@@ -226,16 +227,9 @@ def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
         params = LaguerreParam(a_param, a)
         coeffs_ok = all(is_real_rooted(q) for q in operator_coefficients(params))
         verdict = falsify_sequence(GammaSeq.linear(a), LaguerreBasis(a_param), deg_max)
-        entry = {
-            "a": rat_str(a),
-            "coefficients_real_rooted": coeffs_ok,
-            "status": verdict.status,
-        }
-        if verdict.witness is not None:
-            entry["witness"] = verdict.witness.to_json_dict()
-        if verdict.bound is not None:
-            entry["bound"] = verdict.bound
-        results.append(entry)
+        entry = verdict.to_json_dict()
+        del entry["reason"]
+        results.append({"a": rat_str(a), "coefficients_real_rooted": coeffs_ok, **entry})
     return results
 
 

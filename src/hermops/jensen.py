@@ -333,20 +333,19 @@ def approx_str(value: Fraction) -> str:
     return f"{ctx.divide(num, den).normalize(ctx):.12g}"
 
 
-def ratio_csv_lines(rows: list) -> list:
-    """Render ratio rows as CSV lines `k,num,den,approx`.
+def ratio_csv_lines(rows: list):
+    """Yield the header, then each ratio row, as CSV lines `k,num,den,approx`.
 
     `approx` is a 12-significant-digit decimal (`approx_str`) for display
     only; undefined entries render as `k,,,NA`.  Numerators and denominators
     are written in full at any size.
     """
-    lines = ["k,num,den,approx"]
+    yield "k,num,den,approx"
     for k, value in rows:
         if value is None:
-            lines.append(f"{k},,,NA")
+            yield f"{k},,,NA"
         else:
-            lines.append(f"{k},{int_str(value.numerator)},{int_str(value.denominator)},{approx_str(value)}")
-    return lines
+            yield f"{k},{int_str(value.numerator)},{int_str(value.denominator)},{approx_str(value)}"
 
 
 def histogram_bins(values: list, bins: int) -> list:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -179,17 +180,30 @@ def test_other_format_at_k_120_is_pinned(capsys, command, fmt, source, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_qpoly_output_is_streamed(tmp_path, fmt):
-    """With --output, qpoly never holds its whole output: the traced peak stays below the file's size."""
-    path = tmp_path / f"q.{fmt}"
+def _traced_peak(*argv):
+    """tracemalloc's peak over one in-process run of main, which must succeed."""
     tracemalloc.start()
     try:
-        code = main(["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "150", "--format", fmt, "--output", str(path)])
+        code = main(list(argv))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_qpoly_output_is_streamed(tmp_path, fmt):
+    """With --output, qpoly never holds its whole output: the traced peak stays below the file's size."""
+    path = tmp_path / f"q.{fmt}"
+    peak = _traced_peak("qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "150", "--format", fmt, "--output", str(path))
+    assert peak < path.stat().st_size
+
+
+def test_ratios_output_is_streamed(tmp_path):
+    """ratios makes each line only when it is written: the traced peak stays below the file's size."""
+    path = tmp_path / "ratios.csv"
+    peak = _traced_peak("ratios", "--seq", "exp-half-cosh", "--kmax", "1000", "--output", str(path))
     assert peak < path.stat().st_size
 
 
@@ -643,17 +657,82 @@ def test_out_of_memory_is_one_json_line_and_exit_1(capsys, monkeypatch):
 
 
 def test_address_space_limit_ends_in_the_out_of_memory_line():
-    """The ratios cap needs about 40 MB of address space; under a 32 MB limit on this one child
-    (an interpreter with hermops imported takes 15-21 MB) it ends in one JSON line, exit 1."""
+    """The shifted ratios cap needs about 44 MB of address space even streamed; under a 32 MB limit
+    on this one child (an interpreter with hermops imported takes 15-21 MB) it ends in one JSON
+    line, exit 1."""
     resource = pytest.importorskip("resource")
     limit = 32 << 20
     env = dict(os.environ, PYTHONPATH=str(Path(hermops.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-S", "-m", "hermops.cli", "ratios", "--seq", "exp-half-cosh", "--kmax", "2000"]
+    argv = [sys.executable, "-S", "-m", "hermops.cli", "ratios", "--seq", "exp-half-cosh", "--p", "2000", "--kmax", "2000"]
     proc = subprocess.run(
         argv, capture_output=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert (proc.returncode, proc.stderr) == (1, b'{"error": "out of memory"}\n')
+
+
+_NO_SPACE = {"error": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"}
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "60", "--format", "csv"],
+        ["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "60"],
+        ["reality", "--seq", "besselJ0", "--alpha", "1", "--kmax", "10", "--format", "csv"],
+        ["ratios", "--seq", "besselJ0", "--kmax", "60", "--histogram", "3"],
+        ["verify"],
+        ["examples", "--id", "table1"],
+    ],
+    ids=["qpoly-csv", "qpoly-json", "reality", "ratios", "verify", "examples"],
+)
+def test_failed_write_is_one_json_line_and_exit_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, err.count("\n")) == (1, 1)
+    assert json.loads(err) == _NO_SPACE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv, to_stdout",
+    [
+        (["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "60", "--output", "/dev/full"], False),
+        (["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", "60"], True),
+        (["ratios", "--seq", "besselJ0", "--kmax", "300"], True),
+        (["ratios", "--seq", "besselJ0", "--kmax", "300", "--output", "/dev/full"], False),
+        (["verify"], True),
+    ],
+    ids=["qpoly-output", "qpoly-stdout", "ratios-stdout", "ratios-output", "verify-stdout"],
+)
+def test_full_device_ends_in_one_json_line_and_exit_1(argv, to_stdout):
+    env = dict(os.environ, PYTHONPATH=str(Path(hermops.__file__).resolve().parents[1]))
+    with open("/dev/full" if to_stdout else os.devnull, "w") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "hermops.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr.count(b"\n")) == (1, 1)
+    assert json.loads(proc.stderr) == _NO_SPACE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratios", "--seq", "file:{missing}", "--kmax", "3"],
+        ["ratios", "--seq", "const1", "--kmax", "3", "--output", "{missing}/out.csv"],
+        ["qpoly", "--seq", "const1", "--alpha", "1", "--kmax", "3", "--output", "{dir}"],
+    ],
+    ids=["missing-sequence-file", "output-in-a-missing-directory", "output-is-a-directory"],
+)
+def test_a_path_that_cannot_be_opened_stays_a_config_error(tmp_path, capsys, argv):
+    argv = [arg.format(missing=tmp_path / "missing", dir=tmp_path) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert str(tmp_path) in json.loads(err)["error"]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
