@@ -222,19 +222,22 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        sys.stdout.flush()  # a closed pipe or a full device raises here, not at exit
         return code
     except MemoryError:
         sys.stderr.write('{"error": "out of memory"}\n')
         return 1
-    except BrokenPipeError:
-        # The reader is gone; stdout goes to devnull so the flush at exit cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except (ValueError, TypeError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+        if not isinstance(exc, BrokenPipeError):  # a departed reader ends the output silently
+            sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         # An OSError naming a path is a bad --output or file: path; naming none, a failed write.
-        return 1 if isinstance(exc, OSError) and exc.filename is None else 2
+        if not isinstance(exc, OSError) or exc.filename is not None:
+            return 2
+        try:  # bytes stdout could not write stay in its buffer: devnull takes them, not the flush at exit
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

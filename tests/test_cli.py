@@ -708,11 +708,16 @@ def test_failed_write_is_one_json_line_and_exit_1(capsys, monkeypatch, argv):
         (["ratios", "--seq", "besselJ0", "--kmax", "300"], True),
         (["ratios", "--seq", "besselJ0", "--kmax", "300", "--output", "/dev/full"], False),
         (["verify"], True),
+        (["examples", "--id", "table1"], True),
+        (["ratios", "--seq", "besselJ0", "--kmax", "3"], True),
     ],
-    ids=["qpoly-output", "qpoly-stdout", "ratios-stdout", "ratios-output", "verify-stdout"],
+    ids=["qpoly-output", "qpoly-stdout", "ratios-stdout", "ratios-output", "verify-stdout", "examples-stdout", "small-ratios-stdout"],
 )
 def test_full_device_ends_in_one_json_line_and_exit_1(argv, to_stdout):
+    """Stdout is buffered, as by default: output smaller than the buffer is still held there when
+    the write fails, and the flush at exit must not fail again (a second stderr line, exit 120)."""
     env = dict(os.environ, PYTHONPATH=str(Path(hermops.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full" if to_stdout else os.devnull, "w") as stdout:
         proc = subprocess.run([sys.executable, "-m", "hermops.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
     assert (proc.returncode, proc.stderr.count(b"\n")) == (1, 1)
