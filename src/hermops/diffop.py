@@ -69,10 +69,7 @@ def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
     T[x^n] = gamma_n x^n forces Q_k = d_k / k! * x^k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d = DifferenceTable(seq, k)[k]
-    if d == 0:
-        return RatPoly()
-    return RatPoly([Fraction(0)] * k + [d / math.factorial(k)])
+    return RatPoly([Fraction(0)] * k + [DifferenceTable(seq, k)[k] / math.factorial(k)])
 
 
 def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> HermiteDiffOp:
@@ -122,7 +119,7 @@ def apply_operator(op: HermiteDiffOp, f: RatPoly) -> RatPoly:
         )
     total = RatPoly()
     for k, q in enumerate(op.qpolys):
-        if k > f.degree and k > 0:
+        if k > f.degree:
             break
         if not q.is_zero:
             total = total + q * f.derivative(k)
@@ -232,8 +229,6 @@ def check_standard_basis_limit(seq: GammaSeq, k_max: int) -> CheckReport:
 
 def binomial_poly(k: int) -> RatPoly:
     """The binomial coefficient polynomial C(x, k) = x(x-1)...(x-k+1)/k!, by `three_term` on n*C(x, n) = (x-n+1)*C(x, n-1)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     return three_term(k, lambda n: (1, 1 - n, 0, n))[k]
 
 

@@ -39,7 +39,9 @@ def validate_alpha(alpha: RatLike) -> Fraction:
 def three_term(n_max: int, step) -> list:
     """[p_0, ..., p_{n_max}] with p_0 = 1 and w_n*p_n = (a_n*x + b_n)*p_(n-1) - c_n*p_(n-2), where
     step(n) = (a_n, b_n, c_n, w_n) are integers, a_n != 0 < w_n.  In integers p_n = P_n / (w_1*...*w_n)
-    with P_n = (a_n*x + b_n)*P_(n-1) - c_n*w_(n-1)*P_(n-2); each p_n is reduced once."""
+    with P_n = (a_n*x + b_n)*P_(n-1) - c_n*w_(n-1)*P_(n-2); each p_n is reduced once.  A negative n_max raises."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     out, prev, ints = [ONE], [], [1]
     w_prev = den = 1
     for n in range(1, n_max + 1):
@@ -52,8 +54,6 @@ def three_term(n_max: int, step) -> list:
 
 def hermite_polys(n_max: int, alpha: RatLike) -> list:
     """The list [H_0, ..., H_{n_max}] for the given alpha = u/v, by `three_term` on v*H_n = v*x*H_(n-1) - u*(n-1)*H_(n-2)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     a = validate_alpha(alpha)
     return three_term(n_max, lambda n: (a.denominator, 0, a.numerator * (n - 1), a.denominator))
 
@@ -70,8 +70,6 @@ def from_hermite_basis(coeffs: list, alpha: RatLike) -> RatPoly:
 
 def _classical_hermite_polys(n_max: int) -> list:
     """Physicists' [H_0, ..., H_n_max] by `three_term`; H_n = n! * sum_m (-1)^m (2x)^(n-2m) / (m! (n-2m)!)."""
-    if n_max < 0:
-        raise ValueError("n must be nonnegative")
     return three_term(n_max, lambda n: (2, 0, 2 * (n - 1), 1))
 
 

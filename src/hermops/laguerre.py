@@ -47,8 +47,6 @@ class LaguerreParam(Record):
 
 def laguerre_polys(n_max: int, alpha: RatLike) -> list:
     """[L_0, ..., L_{n_max}] by `three_term` on n*L_n = (2n - 1 + alpha - x)*L_(n-1) - (n - 1 + alpha)*L_(n-2)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     a = validate_laguerre_alpha(alpha)
     u, v = a.numerator, a.denominator
     return three_term(n_max, lambda n: (-v, (2 * n - 1) * v + u, (n - 1) * v + u, n * v))

@@ -13,10 +13,10 @@ renders.  Everything here is exact; floating point never enters any
 computation, only (optionally) display.
 
 Real-root counting uses Sturm sequences.  The chain is computed over the
-integers with pseudo-remainders: each remainder is known up to a positive
-rational factor once the accumulated sign of the pseudo-division multiplier
-is corrected, and integer content is stripped after every step to keep
-coefficient growth polynomial.  Sign variations at -oo/+oo then come from
+integers with pseudo-remainders by the divisor taken with a positive
+leading coefficient, so each is a positive multiple of the true remainder,
+and integer content is stripped after every step to keep coefficient
+growth polynomial.  Sign variations at -oo/+oo then come from
 leading coefficients alone, which gives the count of distinct real roots on
 the whole line.  The chain of p and p' ends in gcd(p, p'), a factor common
 to every member, so the count holds for p with repeated roots too and
@@ -377,28 +377,25 @@ def _content_strip(cs: list) -> list:
 def _signed_prem(f: list, g: list) -> list:
     """Remainder of f by g, up to a positive rational factor.
 
-    Classic pseudo-division multiplies f by lc(g) once per elimination step;
-    tracking the step count lets us cancel the overall sign when lc(g) < 0,
-    so the result is always a positive multiple of the true remainder.  That
-    is exactly what sign-variation counting needs.
+    Pseudo-division multiplies f by lc(g) once per elimination step, so it
+    divides by g negated to a positive leading coefficient: the remainder by
+    -g is the remainder by g, and the result is a positive multiple of it.
+    That is exactly what sign-variation counting needs.
     """
+    if g[-1] < 0:
+        g = [-x for x in g]
     r = list(f)
     c = g[-1]
-    steps = 0
     while True:
         _strip(r)
         if len(r) < len(g):
-            break
+            return r
         k = len(r) - len(g)
         lead = r[-1]
         r = [c * x for x in r]
         for i, gc in enumerate(g):
             r[k + i] -= lead * gc
         r.pop()
-        steps += 1
-    if steps % 2 == 1 and c < 0:
-        r = [-x for x in r]
-    return r
 
 
 def _prs(f: list, g: list) -> list:
@@ -418,13 +415,9 @@ def _prs(f: list, g: list) -> list:
 
 
 def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Monic greatest common divisor over the rationals."""
+    """Monic greatest common divisor over the rationals; gcd(p, 0) is p made monic."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
     return RatPoly(_prs(_int_coeffs(p), _int_coeffs(q))[-1]).monic()
 
 
@@ -436,8 +429,6 @@ def squarefree_part(p: RatPoly) -> RatPoly:
     """
     if p.is_zero:
         raise ValueError("squarefree part of the zero polynomial is undefined")
-    if p.degree == 0:
-        return ONE
     g = poly_gcd(p, p.derivative())
     q, r = divmod(p, g)
     if not r.is_zero:
@@ -476,8 +467,6 @@ def count_real_roots(p: RatPoly) -> int:
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    if p.degree == 0:
-        return 0
     return _sturm_count(_sturm_chain(_int_coeffs(p)))
 
 

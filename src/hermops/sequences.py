@@ -92,9 +92,11 @@ def _json_rat_list(value, what: str) -> list:
 
 @contextlib.contextmanager
 def _json_input(what: str):
-    """JSON nested past the recursion limit (decoded or quoted) is a ValueError naming the input."""
+    """Malformed JSON, undecodable bytes, or JSON nested past the recursion limit is a ValueError naming the input."""
     try:
         yield
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError(f"{what} is JSON nested too deeply") from None
 

@@ -427,6 +427,26 @@ def _assert_one_json_error_line(code, out, err):
     return json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "content, source, name",
+    [
+        (b"", "file", "sequence file"),
+        (b'\xff{"gammas": []}', "file", "sequence file"),
+        (None, "{nope", "factored generator"),
+    ],
+    ids=["empty-file", "non-utf8-file", "factored-bad-json"],
+)
+def test_error_on_malformed_json_names_its_input(tmp_path, capsys, content, source, name):
+    if source == "file":
+        path = tmp_path / "gammas.json"
+        path.write_bytes(content)
+        argv, name = ["--seq", f"file:{path}"], f"{name} {path}"
+    else:
+        argv = ["--factored", source]
+    code, out, err = run_cli(capsys, "ratios", *argv, "--kmax", "3")
+    assert _assert_one_json_error_line(code, out, err).startswith(f"{name} is not valid JSON: ")
+
+
 def test_error_deeply_nested_factored_json(capsys):
     deep = "[" * 20000 + "]" * 20000
     code, out, err = run_cli(capsys, "ratios", "--factored", f'{{"sigma": {deep}}}', "--kmax", "3")

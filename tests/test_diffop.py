@@ -69,6 +69,7 @@ def test_action_on_general_polynomial_is_linear():
         f = RatPoly([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(7)])
         g = RatPoly([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)])
         assert apply_operator(op, f + g) == apply_operator(op, f) + apply_operator(op, g)
+    assert apply_operator(op, ZERO) == ZERO
 
 
 def test_truncation_error():
@@ -139,11 +140,11 @@ def test_standard_coefficient_alpha_zero():
 def test_standard_coefficient_shape():
     import math
 
-    seq = make_sequence("example311")
-    for k in range(8):
-        d_k = finite_difference(seq, k)
-        expected = (d_k / math.factorial(k)) * X**k if d_k else ZERO
-        assert standard_coefficient(seq, k) == expected
+    for seq in (make_sequence("example311"), make_sequence("const1")):  # const1: d_k = 0 for k >= 1
+        for k in range(8):
+            d_k = finite_difference(seq, k)
+            expected = (d_k / math.factorial(k)) * X**k if d_k else ZERO
+            assert standard_coefficient(seq, k) == expected
 
 
 def test_standard_basis_limit_reports():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from hermops import hermite
+from hermops.diffop import binomial_poly
 from hermops.hermite import (
+    _classical_hermite_polys,
     check_identities,
     from_hermite_basis,
     hermite_polys,
@@ -12,6 +14,7 @@ from hermops.hermite import (
     to_hermite_basis,
     validate_alpha,
 )
+from hermops.laguerre import laguerre_polys
 from hermops.ratpoly import ONE, X, RatPoly
 from oracles import closed_form_physicists_hermite, from_roots, hermite_product_expand
 
@@ -23,6 +26,28 @@ def test_validate_alpha():
     assert validate_alpha(0) == 0
     with pytest.raises(ValueError):
         validate_alpha(F(-1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hermite_polys(-1, 1),
+        lambda: laguerre_polys(-1, 0),
+        lambda: _classical_hermite_polys(-1),
+        lambda: binomial_poly(-1),
+    ],
+    ids=["hermite", "laguerre", "physicists-hermite", "binomial"],
+)
+def test_three_term_refuses_a_negative_degree_for_every_family(build):
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        build()
+
+
+def test_a_bad_parameter_is_reported_before_a_negative_degree():
+    with pytest.raises(ValueError, match="^alpha must be nonnegative"):
+        hermite_polys(-1, -1)
+    with pytest.raises(ValueError, match="^Laguerre parameter must exceed -1"):
+        laguerre_polys(-1, -1)
 
 
 def test_low_degree_values():

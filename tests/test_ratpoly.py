@@ -27,7 +27,7 @@ from hermops.ratpoly import (
     rat_str,
     squarefree_part,
 )
-from oracles import from_roots, interpolate, sturm_real_rooted
+from oracles import FractionPoly, from_roots, interpolate, sturm_real_rooted
 
 F = Fraction
 
@@ -201,12 +201,36 @@ def test_poly_gcd():
     q = (X - 1) * (X + 5)
     assert poly_gcd(p, q) == X - 1
     assert poly_gcd(p, ZERO) == p.monic()
+    r = -3 * (X + F(1, 2))
+    assert poly_gcd(ZERO, r) == r.monic()
+    assert poly_gcd(ZERO, RatPoly([F(-5, 7)])) == poly_gcd(RatPoly([F(-5, 7)]), ZERO) == ONE
+    with pytest.raises(ValueError, match="gcd of two zero polynomials is undefined"):
+        poly_gcd(ZERO, ZERO)
+
+
+small_ints = st.integers(min_value=-30, max_value=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_ints, max_size=9), st.lists(small_ints, max_size=5), st.integers(min_value=-30, max_value=-1))
+@example([1, 0, 0, 1], [1], -2)  # three elimination steps by a negative leading coefficient
+@example([], [3], -1)
+def test_signed_prem_is_a_positive_multiple_of_the_remainder(f, g_low, g_lead):
+    g = g_low + [g_lead]
+    r = ratpoly._signed_prem(f, g)
+    exact = FractionPoly(f) % FractionPoly(g)
+    assert len(r) == len(exact.coeffs)
+    if r:
+        scale = F(r[-1]) / exact.leading
+        assert scale > 0
+        assert FractionPoly(r) == exact * scale
 
 
 def test_squarefree_part():
     p = (X - 1) ** 3 * (X + 2) ** 2
     assert squarefree_part(p) == (X - 1) * (X + 2)
-    assert squarefree_part(RatPoly([7])) == ONE
+    for c in (7, -3, F(-2, 9)):
+        assert squarefree_part(RatPoly([c])) == ONE
     with pytest.raises(ValueError):
         squarefree_part(ZERO)
 
@@ -216,7 +240,8 @@ def test_count_real_roots_known():
     assert count_real_roots(X**2 - 1) == 2
     assert count_real_roots((X - 1) ** 5) == 1
     assert count_real_roots(X**3 - X) == 3
-    assert count_real_roots(RatPoly([4])) == 0
+    for c in (4, -3, F(-2, 9)):
+        assert count_real_roots(RatPoly([c])) == 0
     with pytest.raises(ValueError):
         count_real_roots(ZERO)
 

@@ -95,7 +95,7 @@ def test_factored_from_json_errors():
         factored_from_json('{"zeros": ["1"]}')  # sigma required
     with pytest.raises(ValueError):
         factored_from_json('["not", "an", "object"]')
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(ValueError, match="^factored generator is not valid JSON: "):
         factored_from_json("{nope")
     for text in (
         '{"sigma": "1/2", "zeros": "12"}',
