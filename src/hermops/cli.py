@@ -41,7 +41,7 @@ from .jensen import (
     ratio_sequence,
 )
 from .laguerre import LaguerreParam, check_eigen_action
-from .ratpoly import RatPoly, parse_rat, rat_str
+from .ratpoly import parse_rat, rat_str
 from .sequences import check_range, factored_from_json, make_sequence
 
 
@@ -66,12 +66,27 @@ def _resolve_sequence(args) -> GammaSeq:
     return seq
 
 
-_JSON = json.JSONEncoder(indent=2, sort_keys=True, default=RatPoly.to_json_dict)  # a Q_k is text only once reached
+# The two JSON writers spell out json.dumps(data, indent=2, sort_keys=True) + "\n" for their one shape: keys
+# in sorted order, every string rat_str text, which needs no escaping, and every list at least one entry long.
+def _qpoly_json(op):
+    sep = '{\n  "Q": [\n'
+    for q in op.qpolys:  # a Q_k's coefficients are text only once reached, and joined once
+        if q:
+            yield sep + '    {\n      "coeffs": [\n        "'
+            yield '",\n        "'.join(q.to_json_dict()["coeffs"])
+            yield '"\n      ]\n    }'
+        else:
+            yield sep + '    {\n      "coeffs": []\n    }'
+        sep = ",\n"
+    yield f'\n  ],\n  "alpha": "{rat_str(op.alpha)}",\n  "p_shift": {op.p_shift}\n}}\n'
 
 
-def _json(data: dict):
-    tokens = itertools.chain(_JSON.iterencode(data), ["\n"])
-    return iter(lambda: "".join(itertools.islice(tokens, 256)), "")  # short, never empty tokens: 256 a piece
+def _reality_json(table):
+    sep = f'{{\n  "alpha": "{rat_str(table.alpha)}",\n  "p": {table.p_shift},\n  "rows": [\n'
+    for row in table.rows:
+        yield f'{sep}    {{\n      "k": {row.k},\n      "real_rooted": {"true" if row.real_rooted else "false"}\n    }}'
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _csv(*parts):
@@ -99,19 +114,16 @@ def _emit(pieces, path) -> None:
 def _cmd_qpoly(args) -> int:
     seq = _resolve_sequence(args)
     op = build_operator(parse_rat(args.alpha), seq, args.kmax, args.p)
-    data = {"Q": op.qpolys, "alpha": rat_str(op.alpha), "p_shift": op.p_shift}
     rows = (f"{k},{' '.join(q.to_json_dict()['coeffs'])}" for k, q in enumerate(op.qpolys))
-    _emit(_json(data) if args.format == "json" else _csv(["k,coeffs"], rows), args.output)
+    _emit(_qpoly_json(op) if args.format == "json" else _csv(["k,coeffs"], rows), args.output)
     return 0
 
 
 def _cmd_reality(args) -> int:
     seq = _resolve_sequence(args)
     table = coefficient_reality_table(parse_rat(args.alpha), seq, args.kmax, args.p)
-    verdicts = [{"k": r.k, "real_rooted": r.real_rooted} for r in table.rows]
-    data = {"alpha": rat_str(table.alpha), "p": table.p_shift, "rows": verdicts}
     rows = (f"{row.k},{'true' if row.real_rooted else 'false'}" for row in table.rows)
-    _emit(_json(data) if args.format == "json" else _csv(["k,real_rooted"], rows), args.output)
+    _emit(_reality_json(table) if args.format == "json" else _csv(["k,real_rooted"], rows), args.output)
     return 0
 
 

@@ -293,9 +293,10 @@ class RatPoly:
         return text
 
     def to_json_dict(self) -> dict:
-        """Each coefficient as rat_str renders it, reduced from the numerators without a Fraction."""
-        gs = [math.gcd(c, self._den) for c in self._num]
-        return {"coeffs": [f"{int_str(c // g)}/{int_str(self._den // g)}" for c, g in zip(self._num, gs)]}
+        """Each coefficient as rat_str renders it, reduced from the numerators without a Fraction; a zero is "0/1"."""
+        den = self._den
+        gs = [math.gcd(c, den) if c else 0 for c in self._num]
+        return {"coeffs": [f"{int_str(c // g)}/{int_str(den // g)}" if c else "0/1" for c, g in zip(self._num, gs)]}
 
 
 def _mul_ints(a: Sequence[int], b: Sequence[int]) -> list:

@@ -20,6 +20,7 @@ which `GammaSeq.from_ode` derives both the recurrence for their gammas and
 the one for their differences that `DifferenceTable` reads directly.
 """
 
+import collections
 import contextlib
 import json
 import os
@@ -134,16 +135,27 @@ def make_sequence(selector: str) -> GammaSeq:
     raise ValueError(f"unknown sequence selector {selector!r}; known: {', '.join(NAMES)}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; a key given twice is an error, not silently its last value."""
+    twice = [key for key, n in collections.Counter(key for key, _ in pairs).items() if n > 1]
+    if twice:
+        raise ValueError(f"factored generator: duplicate key {brief(twice[0])}")
+    return dict(pairs)
+
+
 def factored_from_json(text: str) -> FactoredSpec:
     """Parse a factored generator from a JSON object string.
 
     Keys: "sigma" (required, "p/q"), "c" (default "1"), "m" (default 0),
-    "zeros" (default [], list of "p/q").  "m" and the number of zeros size the
-    generator's polynomial, so both are checked by `check_range` before it is
-    multiplied out.
+    "zeros" (default [], list of "p/q"); another key, or a key given twice, is
+    an error.  "m" and the number of zeros size the generator's polynomial, so
+    both are checked by `check_range` before it is multiplied out.
     """
     with _json_input("factored generator"):
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+        unknown = [key for key in data if key not in ("c", "m", "sigma", "zeros")] if isinstance(data, dict) else []
+        if unknown:
+            raise ValueError(f"factored generator: unknown key {brief(unknown[0])}; known: c, m, sigma, zeros")
         if not isinstance(data, dict) or "sigma" not in data:
             raise ValueError('factored generator needs a JSON object with at least "sigma"')
         m = data.get("m", 0)

@@ -7,6 +7,7 @@ two is evidence for both.  None of them is used by the package itself.
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -514,3 +515,19 @@ def fraction_laguerre_polys(n_max: int, alpha: RatLike) -> list:
             coeffs.append(-term if k % 2 else term)
         out.append(FractionPoly(coeffs))
     return out
+
+
+# The JSON of `hermops qpoly` and `hermops reality` as the `json` module's encoder writes it.  A Q_k reaches
+# the encoder's `default` hook as a `RatPoly`, whose coefficients are reduced `Fraction`s rendered by rat_str.
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=lambda q: {"coeffs": [rat_str(c) for c in q.coeffs]})
+
+
+def encoder_qpoly_json(op) -> str:
+    """The text of `hermops qpoly --format json` for the operator `op`."""
+    return _ENCODER.encode({"Q": op.qpolys, "alpha": rat_str(op.alpha), "p_shift": op.p_shift}) + "\n"
+
+
+def encoder_reality_json(table) -> str:
+    """The text of `hermops reality --format json` for the reality table `table`."""
+    rows = [{"k": row.k, "real_rooted": row.real_rooted} for row in table.rows]
+    return _ENCODER.encode({"alpha": rat_str(table.alpha), "p": table.p_shift, "rows": rows}) + "\n"

@@ -4,20 +4,26 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hermops
 from hermops import cli
+from hermops.classify import RealityRow, RealityTable, coefficient_reality_table
 from hermops.cli import main
+from hermops.diffop import HermiteDiffOp, build_operator
 from hermops.jensen import DifferenceTable, GammaSeq, ratio_csv_lines
+from hermops.ratpoly import ZERO, RatPoly, parse_rat
 from hermops.sequences import factored_from_json, make_sequence
+from oracles import encoder_qpoly_json, encoder_reality_json
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +184,87 @@ def test_other_format_at_k_120_is_pinned(capsys, command, fmt, source, digest):
     code, out, err = run_cli(capsys, command, *_PIN_SOURCES[source], "--kmax", "120", "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_RAT_TEXT = re.compile(r"-?\d+/\d+")
+
+
+def _assert_rat_text(text, strings):
+    assert all(_RAT_TEXT.fullmatch(s) for s in strings), text
+
+
+_COEFFS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**700), 10**700), st.integers(1, 10**40)),  # past int_str's split
+)
+_ALPHAS = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1000, 7)]), st.fractions(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ALPHAS, st.integers(0, 2000), st.lists(st.lists(_COEFFS, max_size=6).map(RatPoly), min_size=1, max_size=5))
+@example(Fraction(1000, 7), 3, [ZERO])
+@example(Fraction(1), 0, [RatPoly([-1, 0, Fraction(-5, 3)]), ZERO, ZERO])
+def test_qpoly_json_writer_matches_the_encoder_on_drawn_operators(alpha, p, qpolys):
+    op = HermiteDiffOp(alpha, p, qpolys)
+    text = "".join(cli._qpoly_json(op))
+    assert text == encoder_qpoly_json(op)
+    data = json.loads(text)
+    _assert_rat_text(text, [data["alpha"], *(s for q in data["Q"] for s in q["coeffs"])])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ALPHAS, st.integers(0, 2000), st.lists(st.booleans(), min_size=1, max_size=12))
+@example(Fraction(1000, 7), 0, [True] * 6)
+@example(Fraction(1, 2), 4, [False] * 6)
+def test_reality_json_writer_matches_the_encoder_on_drawn_tables(alpha, p, verdicts):
+    table = RealityTable(alpha, p, tuple(RealityRow(k, real, ZERO) for k, real in enumerate(verdicts)))
+    text = "".join(cli._reality_json(table))
+    assert text == encoder_reality_json(table)
+    _assert_rat_text(text, [json.loads(text)["alpha"]])
+
+
+@pytest.mark.parametrize(
+    "selector, alpha, kmax, p",
+    [
+        ("const1", "1", 6, 0),  # Q_1..Q_6 are zero
+        ("besselJ0", "1", 8, 0),  # Q_1 is zero
+        ("besselJ0", "1/2", 0, 0),
+        ("exp-half-cosh", "1000/7", 14, 5),
+        ("linear(-1/2)", "3", 4, 2),  # negative coefficients
+        ("geom-factorial(-5/3)", "2/9", 10, 1),
+    ],
+)
+def test_json_output_matches_the_encoder(capsys, selector, alpha, kmax, p):
+    source = ("--seq", selector, "--alpha", alpha, "--kmax", str(kmax), "--p", str(p))
+    seq = make_sequence(selector)
+    op = build_operator(parse_rat(alpha), seq, kmax, p)
+    table = coefficient_reality_table(parse_rat(alpha), seq, kmax, p)
+    for command, oracle in (("qpoly", encoder_qpoly_json(op)), ("reality", encoder_reality_json(table))):
+        code, out, err = run_cli(capsys, command, *source)
+        assert (code, err) == (0, "")
+        assert out == oracle
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_qpoly_json_reaches_the_writer_before_its_last_q_is_text(monkeypatch):
+    """_emit receives its first piece while Q_K has not been rendered, and each nonzero Q_k is rendered once."""
+    kmax = 30
+    qpolys = build_operator(1, make_sequence("besselJ0"), kmax).qpolys
+    rendered, at_first = [], []
+    to_json_dict = RatPoly.to_json_dict
+    monkeypatch.setattr(RatPoly, "to_json_dict", lambda q: rendered.append(q) or to_json_dict(q))
+
+    def emit(pieces, path):
+        pieces = iter(pieces)
+        text = next(pieces)
+        at_first.extend(rendered)
+        json.loads(text + "".join(pieces))
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    assert main(["qpoly", "--seq", "besselJ0", "--alpha", "1", "--kmax", str(kmax)]) == 0
+    assert qpolys[-1] not in at_first
+    assert rendered == [q for q in qpolys if q]
 
 
 def _traced_peak(*argv):
@@ -451,6 +538,21 @@ def test_error_deeply_nested_factored_json(capsys):
     deep = "[" * 20000 + "]" * 20000
     code, out, err = run_cli(capsys, "ratios", "--factored", f'{{"sigma": {deep}}}', "--kmax", "3")
     assert "factored generator" in _assert_one_json_error_line(code, out, err)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"sigma": "1/2", "bogus": 1}', "unknown key 'bogus'"),
+        ('{"sigma": "1/2", "zero": ["1"]}', "unknown key 'zero'"),
+        ('{"sgima": "1/2"}', "unknown key 'sgima'"),
+        ('{"sigma": "1/2", "sigma": "3/2"}', "duplicate key 'sigma'"),
+        ('{"sigma": "1/2", "zeros": ["1"], "m": 0, "zeros": []}', "duplicate key 'zeros'"),
+    ],
+)
+def test_error_factored_key_unknown_or_given_twice(capsys, spec, message):
+    code, out, err = run_cli(capsys, "ratios", "--factored", spec, "--kmax", "3")
+    assert _assert_one_json_error_line(code, out, err).startswith(f"factored generator: {message}")
 
 
 def test_error_deeply_nested_sequence_file(tmp_path, capsys):
@@ -830,7 +932,8 @@ FACTORED = (
      '{"sigma": "3", "zeros": ["1/3"]}'],
     ['{"sigma": 0.5}', '{"sigma": "1e5"}', '{"sigma": "1/0"}', '{"zeros": []}', "[1]", "{", "null",
      '{"sigma": "1", "zeros": "12"}', '{"sigma": "1", "m": -1}', '{"sigma": "-1"}', '{"sigma": "1", "c": "0"}',
-     '{"sigma": "1", "zeros": ["-1"]}', '{"sigma": "1", "m": true}', '{"sigma": ' + "[" * 3000 + "]" * 3000 + "}"],
+     '{"sigma": "1", "zeros": ["-1"]}', '{"sigma": "1", "m": true}', '{"sigma": "1", "zero": []}',
+     '{"sigma": "1", "sigma": "2"}', '{"sigma": ' + "[" * 3000 + "]" * 3000 + "}"],
 )
 COMMANDS = ["qpoly", "reality", "ratios", "verify", "examples"]
 
