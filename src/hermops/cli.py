@@ -95,20 +95,16 @@ def _csv(*parts):
 
 
 def _emit(pieces, path) -> None:
-    """Write the text pieces as they are made, joined or cut into buffer-sized writes."""
+    """Write the text pieces as they are made, a long one in buffer-sized slices; the text layer joins short ones."""
     size = io.DEFAULT_BUFFER_SIZE  # a longer write that a departing reader cuts short drops the rest silently
     target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="\n")
     with target as fh:
-        held, length = [], 0
         for piece in pieces:
-            held.append(piece)
-            length += len(piece)
-            if length >= size:
-                text = "".join(held)
-                held, length = [text[length - length % size :]], length % size
-                for i in range(0, len(text) - length, size):
-                    fh.write(text[i : i + size])
-        fh.write("".join(held))
+            if len(piece) > size:
+                for i in range(0, len(piece), size):
+                    fh.write(piece[i : i + size])
+            elif piece:
+                fh.write(piece)
 
 
 def _cmd_qpoly(args) -> int:

@@ -11,7 +11,9 @@ Registered selectors:
     file:PATH           explicit list from a JSON file {"gammas": ["p/q", ...]}
 
 Selectors with an argument take one rational in parentheses.  `file:` data
-beyond the listed prefix is treated as an all-zero tail.
+beyond the listed prefix is treated as an all-zero tail.  A `file:` holds one
+JSON object whose only key is "gammas"; another key, or a key given twice, is
+an error, by the same rule `factored_from_json` applies to its keys.
 
 Every selector builds a plain `GammaSeq`.  Only example311 has factored data
 (`example311_spec`), the certificate `classify` reads; besselJ0,
@@ -21,7 +23,7 @@ the one for their differences that `DifferenceTable` reads directly.
 """
 
 import collections
-import contextlib
+import io
 import json
 import os
 import re
@@ -91,24 +93,34 @@ def _json_rat_list(value, what: str) -> list:
     return [_json_rat(v, f"each entry of {what}") for v in value]
 
 
-@contextlib.contextmanager
-def _json_input(what: str):
-    """Malformed JSON, undecodable bytes, or JSON nested past the recursion limit is a ValueError naming the input."""
+def _json_object(fh, what: str, required: str, optional: tuple = ()) -> dict:
+    """The JSON object read from fh, whose keys are `required` and any of `optional`, each at most once.
+
+    Malformed JSON, bytes that are not UTF-8, nesting past the recursion
+    limit, a value that is not an object, a key given twice, any other key,
+    or no `required` key is a ValueError naming the input `what`.
+    """
+    known = sorted((required, *optional))
+
+    def members(pairs):
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            twice = next(key for key, n in collections.Counter(key for key, _ in pairs).items() if n > 1)
+            raise ValueError(f"{what}: duplicate key {brief(twice)}")
+        return data
+
     try:
-        yield
+        data = json.load(fh, object_pairs_hook=members)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError(f"{what} is JSON nested too deeply") from None
-
-
-def _from_file(path: str) -> GammaSeq:
-    with open(path, "r", encoding="utf-8") as fh, _json_input(f"sequence file {path}"):
-        data = json.load(fh)
-        if not isinstance(data, dict) or "gammas" not in data:
-            raise ValueError(f"sequence file {path} must be a JSON object with a 'gammas' list")
-        values = _json_rat_list(data["gammas"], f"'gammas' in {path}")
-    return GammaSeq.from_values(values, name=f"file:{path}")
+    unknown = [key for key in data if key not in known] if isinstance(data, dict) else []
+    if unknown:
+        raise ValueError(f"{what}: unknown key {brief(unknown[0])}; known: {', '.join(known)}")
+    if not isinstance(data, dict) or required not in data:
+        raise ValueError(f'{what} needs a JSON object with at least "{required}"')
+    return data
 
 
 def make_sequence(selector: str) -> GammaSeq:
@@ -124,7 +136,10 @@ def make_sequence(selector: str) -> GammaSeq:
         # sigma = 1/2 and infinitely many zeros; a stress sequence for ratio scans
         return GammaSeq.from_ode(EXP_HALF_COSH_ODE, name="exp-half-cosh")
     if text.startswith("file:"):
-        return _from_file(text[len("file:"):])
+        path = text[len("file:"):]
+        with open(path, "r", encoding="utf-8") as fh:
+            data = _json_object(fh, f"sequence file {path}", "gammas")
+        return GammaSeq.from_values(_json_rat_list(data["gammas"], f"'gammas' in {path}"), name=text)
     match = _ARG_FORM.match(text)
     if match:
         head, arg = match.group(1), match.group(2)
@@ -135,14 +150,6 @@ def make_sequence(selector: str) -> GammaSeq:
     raise ValueError(f"unknown sequence selector {selector!r}; known: {', '.join(NAMES)}")
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's members; a key given twice is an error, not silently its last value."""
-    twice = [key for key, n in collections.Counter(key for key, _ in pairs).items() if n > 1]
-    if twice:
-        raise ValueError(f"factored generator: duplicate key {brief(twice[0])}")
-    return dict(pairs)
-
-
 def factored_from_json(text: str) -> FactoredSpec:
     """Parse a factored generator from a JSON object string.
 
@@ -151,19 +158,13 @@ def factored_from_json(text: str) -> FactoredSpec:
     an error.  "m" and the number of zeros size the generator's polynomial, so
     both are checked by `check_range` before it is multiplied out.
     """
-    with _json_input("factored generator"):
-        data = json.loads(text, object_pairs_hook=_unique_keys)
-        unknown = [key for key in data if key not in ("c", "m", "sigma", "zeros")] if isinstance(data, dict) else []
-        if unknown:
-            raise ValueError(f"factored generator: unknown key {brief(unknown[0])}; known: c, m, sigma, zeros")
-        if not isinstance(data, dict) or "sigma" not in data:
-            raise ValueError('factored generator needs a JSON object with at least "sigma"')
-        m = data.get("m", 0)
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ValueError(f'factored generator: "m" must be an integer, got {_json_kind(m)}')
-        c = _json_rat(data.get("c", "1"), 'factored generator: "c"')
-        sigma = _json_rat(data["sigma"], 'factored generator: "sigma"')
-        zeros = tuple(_json_rat_list(data.get("zeros", []), 'factored generator: "zeros"'))
-        check_range('factored generator: "m"', m)
-        check_range('factored generator: number of "zeros"', len(zeros))
-        return FactoredSpec(c=c, m=m, sigma=sigma, zeros=zeros)
+    data = _json_object(io.StringIO(text), "factored generator", "sigma", ("c", "m", "zeros"))
+    m = data.get("m", 0)
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f'factored generator: "m" must be an integer, got {_json_kind(m)}')
+    c = _json_rat(data.get("c", "1"), 'factored generator: "c"')
+    sigma = _json_rat(data["sigma"], 'factored generator: "sigma"')
+    zeros = tuple(_json_rat_list(data.get("zeros", []), 'factored generator: "zeros"'))
+    check_range('factored generator: "m"', m)
+    check_range('factored generator: number of "zeros"', len(zeros))
+    return FactoredSpec(c=c, m=m, sigma=sigma, zeros=zeros)

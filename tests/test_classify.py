@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hermops
@@ -28,7 +28,8 @@ from hermops.classify import (
     is_hermite_ms,
     ratio_limit_check,
 )
-from hermops.jensen import FactoredSpec, GammaSeq
+from hermops.diffop import build_operator
+from hermops.jensen import DifferenceTable, FactoredSpec, GammaSeq, ratio_sequence
 from hermops.hermite import from_hermite_basis, to_hermite_basis
 from hermops.laguerre import from_laguerre_basis, to_laguerre_basis
 from hermops.ratpoly import (
@@ -134,6 +135,47 @@ def test_pure_exponential_below_one_fails_first_at_k_2(sigma, c, alpha):
     # d_k = c * (sigma - 1)^k, so d_2 * (d_2 + 2*d_1) = c^2 * (sigma - 1)^3 * (sigma + 1) < 0.
     spec = FactoredSpec(c=c, sigma=sigma)
     assert _verdicts(alpha, spec, 6)[:3] == [True, True, False]
+
+
+# The sigma < 1 direction on generators with zeros.  Q_k = (d_k/k!)*x^k - (alpha/2)*(d_k + 2*d_(k-1))/(k-2)!*x^(k-2)
+# + ..., so real roots would make the sum of their squares, alpha*k*(k-1)*(d_k + 2*d_(k-1))/d_k, nonnegative:
+# T_k = d_k^2 + 2*d_k*d_(k-1) >= 0.  A ratio rho = d_k/d_(k-1) within 1 - sigma of r = sigma - 1 lies in (2r, 0),
+# inside (-2, 0), so T_k = d_(k-1)^2 * rho * (rho + 2) < 0 there, and Q_k is not real-rooted for k >= 2.
+below_one = _sigma(0, 1).filter(lambda s: s < 1)
+window_alphas = st.sampled_from([F(1, 2), F(1), F(2)])
+
+
+def _assert_window_refutes_reality(alpha, seq, p, k0, width):
+    table = DifferenceTable(seq, k0 + width, p)
+    qpolys = build_operator(alpha, seq, k0 + width, p).qpolys
+    defined = [k for k in range(k0, k0 + width + 1) if table.ratio(k) is not None]
+    assert defined
+    for k in defined:
+        assert table.turan(k) < 0, k
+        assert k < 2 or not is_real_rooted(qpolys[k]), k  # Q_1 = d_1*x has no x^(k-2) term
+
+
+@settings(max_examples=40, deadline=None)
+@given(below_one, theorem_zeros, st.integers(0, 1), window_alphas)
+def test_sigma_below_one_ratio_window_refutes_reality(sigma, zeros, m, alpha):
+    spec = FactoredSpec(c=F(3, 2), m=m, sigma=sigma, zeros=tuple(zeros))
+    report = ratio_limit_check(spec, window=2, tol=1 - sigma)
+    assert report.passed
+    _assert_window_refutes_reality(alpha, GammaSeq.from_lpplus(spec), 0, report.data["k0"], 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(below_one, theorem_zeros, st.integers(0, 1), window_alphas, st.integers(1, 4))
+def test_sigma_below_one_ratio_window_refutes_reality_after_a_shift(sigma, zeros, m, alpha, p):
+    # phi^(p) keeps the factored form with the same sigma (Laguerre), so its ratios d_(k,p)/d_(k-1,p) also tend to r,
+    # unless phi is a polynomial (sigma = 0) of degree below p and phi^(p) = 0.
+    assume(sigma > 0 or p <= m + len(zeros))
+    seq = GammaSeq.from_lpplus(FactoredSpec(c=F(3, 2), m=m, sigma=sigma, zeros=tuple(zeros)))
+    rows = ratio_sequence(seq, 60, p)
+    near = [rho is None or abs(rho - (sigma - 1)) < 1 - sigma for _, rho in rows]
+    defined = [rho is not None for _, rho in rows]
+    k0 = next(k for k in range(1, 59) if all(near[k - 1 : k + 2]) and any(defined[k - 1 : k + 2]))
+    _assert_window_refutes_reality(alpha, seq, p, k0, 2)
 
 
 def test_reality_table_constant_sequence():

@@ -306,8 +306,26 @@ def test_emit_writes_every_piece_in_buffer_sized_writes(monkeypatch):
     monkeypatch.setattr(sys, "stdout", Recorder())
     cli._emit(iter(pieces), None)
     assert "".join(writes) == "".join(pieces)
-    assert {len(text) for text in writes[:-1]} == {io.DEFAULT_BUFFER_SIZE}
-    assert 0 < len(writes[-1]) <= io.DEFAULT_BUFFER_SIZE
+    assert all(0 < len(text) <= io.DEFAULT_BUFFER_SIZE for text in writes)
+
+
+def test_emit_never_copies_a_whole_piece(monkeypatch):
+    """A Q_k's text framed by short pieces is written in slices, never joined to its neighbours in one copy."""
+
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    big = "7" * (4 << 20)
+    pieces = ['{\n  "coeffs": [\n    "', big, '"\n  ]\n}\n']
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        cli._emit(iter(pieces), None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(big)
 
 
 @pytest.mark.parametrize(
@@ -553,6 +571,25 @@ def test_error_deeply_nested_factored_json(capsys):
 def test_error_factored_key_unknown_or_given_twice(capsys, spec, message):
     code, out, err = run_cli(capsys, "ratios", "--factored", spec, "--kmax", "3")
     assert _assert_one_json_error_line(code, out, err).startswith(f"factored generator: {message}")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"gammas": ["1"], "gammas": ["1", "5"], "gamas": 3}', ": duplicate key 'gammas'"),
+        ('{"gammas": ["1"], "bogus": 1}', ": unknown key 'bogus'; known: gammas"),
+        ('{"gammas": ["1", "5"], "gammas": []}', ": duplicate key 'gammas'"),
+        ('["1", "5"]', ' needs a JSON object with at least "gammas"'),
+        ("{}", ' needs a JSON object with at least "gammas"'),
+    ],
+    ids=["found-example", "unknown-key", "given-twice", "array", "no-gammas"],
+)
+def test_error_sequence_file_key_rule(tmp_path, capsys, content, message):
+    # A file: takes the key rule of --factored: gammas once, nothing else, one JSON line naming the file.
+    path = tmp_path / "gammas.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "ratios", "--seq", f"file:{path}", "--kmax", "2")
+    assert _assert_one_json_error_line(code, out, err) == f"sequence file {path}{message}"
 
 
 def test_error_deeply_nested_sequence_file(tmp_path, capsys):

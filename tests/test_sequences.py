@@ -91,10 +91,11 @@ def test_factored_from_json():
 
 
 def test_factored_from_json_errors():
-    with pytest.raises(ValueError):
-        factored_from_json('{"zeros": ["1"]}')  # sigma required
-    with pytest.raises(ValueError):
-        factored_from_json('["not", "an", "object"]')
+    for text in ('{"zeros": ["1"]}', '["not", "an", "object"]'):  # sigma required, in an object
+        with pytest.raises(ValueError, match='^factored generator needs a JSON object with at least "sigma"$'):
+            factored_from_json(text)
+    with pytest.raises(ValueError, match="^factored generator is JSON nested too deeply$"):
+        factored_from_json('{"sigma": ' + "[" * 100000 + "]" * 100000 + "}")
     with pytest.raises(ValueError, match="^factored generator is not valid JSON: "):
         factored_from_json("{nope")
     for text in (
