@@ -271,8 +271,6 @@ def _corpus_degree(n: int) -> tuple:
     """
     half = Fraction(1, 2)
     rng = random.Random(0x5EED)
-    if n > 1:
-        rng.setstate(_corpus_degree(n - 1)[2])
     candidates = [_root_product([c] * n) for c in (0, 1, -1, 2, -2, half, -half, 3, -3, 5, -5)]
     if 1 < n <= 3:
         root_set = (0, 1, -1, 2, -2, 3, -3, half, -half, 5, -5)
@@ -280,6 +278,7 @@ def _corpus_degree(n: int) -> tuple:
     if n > 1:
         for base in (hermite_polys(n, 1)[n], _laguerre.laguerre_polys(n, 1)[n]):
             candidates += [base.compose(RatPoly([t, 1])) for t in (0, 1, -1, half, -half, 2)]
+        rng.setstate(_corpus_degree(n - 1)[2])
         for _ in range(30):
             candidates.append(_root_product([Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(n)]))
     candidates = tuple(dict.fromkeys(candidates))

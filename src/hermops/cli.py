@@ -11,8 +11,8 @@ Subcommands:
 All output is deterministic: the same invocation produces byte-identical
 bytes.  Configuration errors, argument usage errors among them, print a
 one-line JSON object to stderr and exit with status 2; check failures, running
-out of memory or failing to write the output (one JSON line each) and a reader
-that closes stdout early (a broken pipe, silently) exit with status 1.
+out of memory, a failed write or an internal error (one JSON line each) and a
+reader that closes stdout early (a broken pipe, silently) exit with status 1.
 ``--help`` prints usage and exits 0.
 """
 
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write('{"error": "out of memory"}\n')
         return 1
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         if not isinstance(exc, BrokenPipeError):  # a departed reader ends the output silently
             sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         # An OSError naming a path is a bad --output or file: path; naming none, a failed write.
@@ -245,6 +245,9 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         except OSError:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except Exception as exc:  # a fault of the program, not of its input
+        sys.stderr.write(json.dumps({"error": f"internal error: {type(exc).__name__}: {exc}"}) + "\n")
         return 1
 
 

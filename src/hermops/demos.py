@@ -93,10 +93,6 @@ def table1_demo() -> CheckReport:
         None if value == expected else f"ratio at k={k}: computed {value}, reference {expected}"
         for (k, value), expected in zip(rows, RATIO_TABLE_REFERENCE)
     ] + [None if limit_report.passed else "ratio limit check did not locate a converged window"]
-    data = {
-        "ratios": [(k, v) for k, v in rows],
-        "limit": limit_report.data,
-    }
     notes = []
     if limit_report.passed:
         k0 = limit_report.data["k0"]
@@ -106,7 +102,7 @@ def table1_demo() -> CheckReport:
         )
     if not any(outcomes):
         notes.extend(f"k={k}: {rat_str(value)}" for k, value in rows)
-    return CheckReport.tally("table1", outcomes, notes, data)
+    return CheckReport.tally("table1", outcomes, notes)
 
 
 def bessel_demo() -> CheckReport:
@@ -134,8 +130,7 @@ def bessel_demo() -> CheckReport:
         table = coefficient_reality_table(1, seq, 4)
         yield "reality table should mark k=3 as not real-rooted" if table.rows[3].real_rooted else None
 
-    notes = (TURAN_ERRATUM_NOTE, Q3_ERRATUM_NOTE)
-    return CheckReport.tally("bessel", outcomes(), notes, {"differences": list(BESSEL_DIFFERENCES_REFERENCE)})
+    return CheckReport.tally("bessel", outcomes(), (TURAN_ERRATUM_NOTE, Q3_ERRATUM_NOTE))
 
 
 def linear_operator_demo() -> CheckReport:
@@ -170,8 +165,7 @@ def linear_operator_demo() -> CheckReport:
         yield None if verdict.status == "is_hms" else f"linear({a}) with a >= 0 should classify affirmatively"
         yield None if bad.status == "falsified" else "linear(-1) on hermite(1) should be falsified by degree 4"
 
-    witness_data = bad.witness.to_json_dict() if bad.witness else None
-    return CheckReport.tally(f"linear-operator[a={a}]", outcomes(), data={"falsified_witness": witness_data})
+    return CheckReport.tally(f"linear-operator[a={a}]", outcomes())
 
 
 def geom_family_demo() -> CheckReport:
@@ -191,7 +185,6 @@ def geom_family_demo() -> CheckReport:
         Fraction(9, 10),
         Fraction(1),
     )
-    rows = []
     notes = [GEOM_REGION_NOTE]
     outcomes = []
     for r in grid:
@@ -205,9 +198,8 @@ def geom_family_demo() -> CheckReport:
             None if len(set(per_alpha)) == 1 else f"reality at r={r} depends on alpha; expected alpha-invariance",
             f"r={r}: both Q_2 and Q_4 real-rooted; expected a non-real witness" if q2_real and q4_real else None,
         ]
-        rows.append({"r": rat_str(r), "q2_real_rooted": q2_real, "q4_real_rooted": q4_real})
         notes.append(f"r={rat_str(r)}: Q_2 real-rooted={q2_real}, Q_4 real-rooted={q4_real}")
-    return CheckReport.tally("geom-factorial-family", outcomes, notes, {"rows": rows})
+    return CheckReport.tally("geom-factorial-family", outcomes, notes)
 
 
 def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
@@ -237,17 +229,17 @@ def laguerre_demo() -> CheckReport:
     """Eigen structure and the membership boundary on the Laguerre basis."""
     alpha = Fraction(1)
     reports = [check_eigen_action(LaguerreParam(alpha, a), 10) for a in (Fraction(-1), Fraction(0), Fraction(3))]
-    entries = counterexample_demo(alpha, (-1, 0, 1, 2, 3), deg_max=6)
+    a_values = (-1, 0, 1, 2, 3)
+    entries = counterexample_demo(alpha, a_values, deg_max=6)
 
     def outcomes():
         yield from (failure for report in reports for failure in report.failures or [None])
-        for entry in entries:
-            a = Fraction(entry["a"])
+        for a, entry in zip(a_values, entries):
             yield None if entry["coefficients_real_rooted"] else f"operator coefficients at a={a} must be real-rooted"
             expected, where = ("inconclusive", "in") if 0 <= a <= alpha + 1 else ("falsified", "outside")
             yield None if entry["status"] == expected else f"a={a} lies {where} [0, alpha+1] but was {entry['status']}"
 
-    return CheckReport.tally("laguerre-boundary", outcomes(), data={"entries": entries})
+    return CheckReport.tally("laguerre-boundary", outcomes())
 
 
 _DEMOS = {

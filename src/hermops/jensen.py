@@ -88,15 +88,11 @@ class FactoredSpec(Record):
 
 
 def taylor_gamma(phi: FactoredSpec, k: int) -> Fraction:
-    """gamma_k = k! * [x^k] of c * x^m * e^(sigma*x) * prod(1 + x/x_k), exactly:
-    ((t*D + s)^k R)(0)/(den * t^k) from k steps of `FactoredSpec._steps` on
-    R[0..k], O(k * min(k, deg R)) integer products per call.  Nothing in the
-    package calls it: `GammaSeq.from_lpplus` reads the same steps in order."""
+    """gamma_k = k! * [x^k] of c * x^m * e^(sigma*x) * prod(1 + x/x_k), exactly: entry k of
+    `GammaSeq.from_lpplus(phi)`.  Nothing in the package calls it."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    s, t = phi.sigma.numerator, phi.sigma.denominator
-    head = next(itertools.islice(phi._steps(phi._ints[: k + 1], s, k), k, None))[0]
-    return Fraction(head, phi._den * t**k)
+    return GammaSeq.from_lpplus(phi)[k]
 
 
 def difference_ode(ode: tuple, p: int) -> tuple:
@@ -431,4 +427,4 @@ def check_sum_interchange(n: int, j: int, table: dict) -> CheckReport:
         for k in range(i + 2 * j, n - i + 1):
             right += rat(table[(k, i)])
     outcome = None if left == right else f"sum interchange fails: {left} != {right}"
-    return CheckReport.tally(f"sum-interchange[n={n},j={j}]", [outcome], data={"value": left})
+    return CheckReport.tally(f"sum-interchange[n={n},j={j}]", [outcome])

@@ -269,28 +269,18 @@ class RatPoly:
 
     def to_text(self) -> str:
         """Human-readable rendering such as ``x^3 - 3*x``."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        cs = self.coeffs
-        for i in range(self.degree, -1, -1):
-            c = cs[i]
+        text = ""
+        for i, c in reversed(tuple(enumerate(self.coeffs))):
             if c == 0:
                 continue
-            sign = "-" if c < 0 else "+"
             mag = abs(c)
-            mag_text = int_str(mag.numerator) if mag.denominator == 1 else rat_str(mag)
-            if i == 0:
-                body = mag_text
-            else:
+            body = int_str(mag.numerator) if mag.denominator == 1 else rat_str(mag)
+            if i:
                 var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag_text}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = first_body if first_sign == "+" else f"-{first_body}"
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                body = var if mag == 1 else f"{body}*{var}"
+            sign = "-" if c < 0 else "+"
+            text += f" {sign} {body}" if text else body if c > 0 else f"-{body}"
+        return text or "0"
 
     def to_json_dict(self) -> dict:
         """Each coefficient as rat_str renders it, reduced from the numerators without a Fraction; a zero is "0/1"."""

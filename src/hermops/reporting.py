@@ -49,10 +49,10 @@ class CheckReport(Record):
         super().__init__(name, checked, failures, notes, {} if data is None else data)
 
     @classmethod
-    def tally(cls, name: str, outcomes, notes: tuple = (), data: dict = None) -> "CheckReport":
+    def tally(cls, name: str, outcomes, notes: tuple = ()) -> "CheckReport":
         """The report of `outcomes`, one per assertion run: None where it held, else its failure message."""
         outcomes = list(outcomes)
-        return cls(name, len(outcomes), tuple(o for o in outcomes if o is not None), tuple(notes), data)
+        return cls(name, len(outcomes), tuple(o for o in outcomes if o is not None), tuple(notes))
 
     @property
     def passed(self) -> bool:

@@ -815,6 +815,20 @@ def test_out_of_memory_is_one_json_line_and_exit_1(capsys, monkeypatch):
     assert (code, out, err) == (1, "", '{"error": "out of memory"}\n')
 
 
+@pytest.mark.parametrize("exc", [TypeError("bad operand"), ZeroDivisionError("division by zero")])
+def test_an_internal_error_is_one_json_line_and_exit_1(capsys, monkeypatch, exc):
+    """A fault inside a stage is no config error (exit 2) and prints no traceback."""
+
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "ratio_sequence", broken)
+    code, out, err = run_cli(capsys, "ratios", "--seq", "besselJ0", "--kmax", "3")
+    assert (code, out) == (1, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {"error": f"internal error: {type(exc).__name__}: {exc}"}
+
+
 def test_address_space_limit_ends_in_the_out_of_memory_line():
     """The shifted ratios cap needs about 44 MB of address space even streamed; under a 32 MB limit
     on this one child (an interpreter with hermops imported takes 15-21 MB) it ends in one JSON

@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+from hermops.classify import HermiteBasis, falsify_sequence
 from hermops.demos import (
     BESSEL_DIFFERENCES_REFERENCE,
     BESSEL_TURAN_REFERENCE,
@@ -9,6 +11,8 @@ from hermops.demos import (
     RATIO_TABLE_REFERENCE,
     run_demo,
 )
+from hermops.jensen import GammaSeq
+from hermops.ratpoly import rat_str
 
 F = Fraction
 
@@ -29,12 +33,14 @@ def test_reference_constants():
 
 
 def test_table1_demo_data():
+    # The notes are the lines `hermops examples` prints under the PASS line.
     report = run_demo("table1")
     assert report.passed
-    assert [v for _, v in report.data["ratios"]] == list(RATIO_TABLE_REFERENCE)
-    assert report.data["limit"]["target"] == F(-1, 2)
-    assert report.data["limit"]["k0"] == 103
-    assert any("103" in note for note in report.notes)
+    window, *ratios = report.notes
+    assert window == (
+        "difference ratios confirmed within 1/100 of -1/2 on the window [103, 123] (first such window start: 103)"
+    )
+    assert ratios == [f"k={k}: {rat_str(v)}" for k, v in enumerate(RATIO_TABLE_REFERENCE, start=1)]
 
 
 def test_bessel_demo_notes_flag_both_errata():
@@ -46,16 +52,21 @@ def test_bessel_demo_notes_flag_both_errata():
 
 
 def test_linear_operator_demo_witness():
-    report = run_demo("linear-op")
-    assert report.passed
-    witness = report.data["falsified_witness"]
-    assert witness["input_degree"] == 2
+    assert run_demo("linear-op").passed
+    verdict = falsify_sequence(GammaSeq.linear(-1), HermiteBasis(1), 4)
+    assert verdict.status == "falsified"
+    assert verdict.witness.input_poly.degree == 2
 
 
 def test_geom_family_demo_rows():
     report = run_demo("geom-family")
     assert report.passed
-    rows = {row["r"]: (row["q2_real_rooted"], row["q4_real_rooted"]) for row in report.data["rows"]}
+    region_note, *lines = report.notes
+    assert region_note.startswith("NOTE (documented divergence)")
+    rows = {}
+    for line in lines:
+        r, q2, q4 = re.fullmatch(r"r=(\S+): Q_2 real-rooted=(\w+), Q_4 real-rooted=(\w+)", line).groups()
+        rows[r] = (q2 == "True", q4 == "True")
     assert len(rows) == 6
     # Q_2 loses reality below 2 - sqrt(2) ~ 0.586 (and Q_4 fails across the
     # whole [0, 1] grid), so reality of the pair never holds.

@@ -23,8 +23,8 @@ def test_failing_line_counts_and_first_message():
 
 
 def test_tally_counts_outcomes_and_keeps_failures_in_order():
-    report = CheckReport.tally("demo", iter([None, "k=3 off", None, "k=5 off"]), ["note"], {"rows": 1})
-    assert report == CheckReport("demo", 4, ("k=3 off", "k=5 off"), ("note",), {"rows": 1})
+    report = CheckReport.tally("demo", iter([None, "k=3 off", None, "k=5 off"]), ["note"])
+    assert report == CheckReport("demo", 4, ("k=3 off", "k=5 off"), ("note",))
     assert report.line() == "FAIL demo (2 of 4 checks failed; first: k=3 off)"
     assert CheckReport.tally("empty", []) == CheckReport("empty", 0)
     assert CheckReport.tally("ok", (None for _ in range(3))).line() == "PASS ok (3 checks)"
