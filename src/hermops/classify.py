@@ -158,16 +158,9 @@ def is_classical_ms(phi) -> Verdict:
 # -- reality tables and necessity checks --------------------------------------
 
 
-class RealityRow(Record):
-    """Whether Q_k is real-rooted."""
-
-    __slots__ = ("k", "real_rooted", "q")
-
-    def __init__(self, k: int, real_rooted: bool, q: RatPoly):
-        super().__init__(k, real_rooted, q)
-
-
 class RealityTable(Record):
+    """`rows[k]` is whether Q_k is real-rooted."""
+
     __slots__ = ("alpha", "p_shift", "rows")
 
     def __init__(self, alpha: Fraction, p_shift: int, rows: tuple):
@@ -179,9 +172,7 @@ def coefficient_reality_table(alpha: RatLike, seq: GammaSeq, k_max: int, p: int 
     a = validate_alpha(alpha)
     if a == 0:
         raise ValueError("the reality table needs alpha > 0")
-    qpolys = build_operator(a, seq, k_max, p).qpolys
-    rows = [RealityRow(k, is_real_rooted(q), q) for k, q in enumerate(qpolys)]
-    return RealityTable(a, p, tuple(rows))
+    return RealityTable(a, p, tuple(map(is_real_rooted, build_operator(a, seq, k_max, p).qpolys)))
 
 
 def check_turan_necessity(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0) -> CheckReport:
@@ -205,11 +196,11 @@ def ratio_limit_check(
     window: int = 20,
     tol: RatLike = Fraction(1, 100),
     cap: int = RATIO_SEARCH_CAP,
-) -> CheckReport:
+) -> Optional[int]:
     """Locate where the difference ratios settle onto sigma - 1.
 
-    Scans for the smallest K0 <= cap such that every defined ratio with
-    index in [K0, K0 + window] lies strictly within tol of sigma - 1.
+    Returns the smallest K0 <= cap such that every defined ratio with index
+    in [K0, K0 + window] lies strictly within tol of sigma - 1, or None.
     Requires sigma != 1: at sigma = 1 the differences are eventually zero
     and the ratios degenerate.
     """
@@ -232,13 +223,8 @@ def ratio_limit_check(
             if abs(ratio - target) >= tol:
                 last_off = k
         if last_off < k - window <= last_defined:  # [k - window, k] has a defined ratio and none off target
-            return CheckReport("ratio-limit", cap, data={"k0": k - window, "target": target, "window": window, "tol": tol})
-    return CheckReport(
-        "ratio-limit",
-        cap,
-        (f"no window of width {window} within {tol} of {target} found with start <= {cap}",),
-        data={"target": target, "window": window, "tol": tol},
-    )
+            return k - window
+    return None
 
 
 # -- falsification -------------------------------------------------------------

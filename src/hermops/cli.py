@@ -83,8 +83,8 @@ def _qpoly_json(op):
 
 def _reality_json(table):
     sep = f'{{\n  "alpha": "{rat_str(table.alpha)}",\n  "p": {table.p_shift},\n  "rows": [\n'
-    for row in table.rows:
-        yield f'{sep}    {{\n      "k": {row.k},\n      "real_rooted": {"true" if row.real_rooted else "false"}\n    }}'
+    for k, real in enumerate(table.rows):
+        yield f'{sep}    {{\n      "k": {k},\n      "real_rooted": {"true" if real else "false"}\n    }}'
         sep = ",\n"
     yield "\n  ]\n}\n"
 
@@ -118,7 +118,7 @@ def _cmd_qpoly(args) -> int:
 def _cmd_reality(args) -> int:
     seq = _resolve_sequence(args)
     table = coefficient_reality_table(parse_rat(args.alpha), seq, args.kmax, args.p)
-    rows = (f"{row.k},{'true' if row.real_rooted else 'false'}" for row in table.rows)
+    rows = (f"{k},{'true' if real else 'false'}" for k, real in enumerate(table.rows))
     _emit(_reality_json(table) if args.format == "json" else _csv(["k,real_rooted"], rows), args.output)
     return 0
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .hermite import hermite_polys, three_term, validate_alpha
 from .jensen import DifferenceTable, GammaSeq
-from .ratpoly import RatLike, RatPoly, rat
+from .ratpoly import RatLike, RatPoly, combine_in_basis, rat
 from .reporting import CheckReport, Record
 
 
@@ -67,8 +67,6 @@ def coefficient_polynomial(alpha: RatLike, seq: GammaSeq, k: int, p: int = 0) ->
 def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
     """Coefficient of the operator diagonal on the monomial basis:
     T[x^n] = gamma_n x^n forces Q_k = d_k / k! * x^k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     return RatPoly([Fraction(0)] * k + [DifferenceTable(seq, k)[k] / math.factorial(k)])
 
 
@@ -83,8 +81,6 @@ def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> Her
     Q_k is built as integer numerators over step_den^(k//2) * D_k * k! and reduced once.
     """
     a = validate_alpha(alpha)
-    if order < 0 or p < 0:
-        raise ValueError("k and p must be nonnegative")
     table = DifferenceTable(seq, order, p)
     step_num, step_den = -a.numerator, 2 * a.denominator
     num_pow = [step_num**m for m in range(order // 2 + 1)]
@@ -136,8 +132,6 @@ def solve_operator_from_action(alpha: RatLike, seq: GammaSeq, order: int) -> Her
     which makes this an independent oracle for `coefficient_polynomial`.
     """
     a = validate_alpha(alpha)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     polys = hermite_polys(order, a)
     qs = []
     for n in range(order + 1):
@@ -227,20 +221,16 @@ def check_standard_basis_limit(seq: GammaSeq, k_max: int) -> CheckReport:
     return CheckReport.tally(f"standard-basis-limit[{seq.name}]", outcomes())
 
 
-def binomial_poly(k: int) -> RatPoly:
-    """The binomial coefficient polynomial C(x, k) = x(x-1)...(x-k+1)/k!, by `three_term` on n*C(x, n) = (x-n+1)*C(x, n-1)."""
-    return three_term(k, lambda n: (1, 1 - n, 0, n))[k]
-
-
 def interpolation_poly(op: HermiteDiffOp) -> RatPoly:
     """The polynomial p with p(n) = eigenvalue_n for finite-order operators.
 
     When every Q_k has degree at most k (so Q_k^(k) is a constant), the
     eigenvalues satisfy gamma_n = p(n) for the polynomial
     p(x) = sum_k C(x,k) * Q_k^(k); such operators have polynomial
-    eigenvalue sequences and conversely.
+    eigenvalue sequences and conversely.  The binomial basis C(x, k) comes
+    from `three_term` on n*C(x, n) = (x-n+1)*C(x, n-1).
     """
-    total = RatPoly()
+    consts = []
     for k, q in enumerate(op.qpolys):
         dk = q.derivative(k)
         if dk.degree > 0:
@@ -248,6 +238,5 @@ def interpolation_poly(op: HermiteDiffOp) -> RatPoly:
                 f"Q_{k} has degree {q.degree} > {k}; the eigenvalue sequence "
                 f"is not polynomial and no interpolation exists"
             )
-        if not dk.is_zero:
-            total = total + dk.coeff(0) * binomial_poly(k)
-    return total
+        consts.append(dk.coeff(0))
+    return combine_in_basis(consts, three_term(op.order, lambda n: (1, 1 - n, 0, n)))

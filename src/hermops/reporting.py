@@ -39,14 +39,14 @@ class CheckReport(Record):
 
     `checked` counts the assertions run (with `tally`, the outcomes a suite
     produced; a report of none fails), `failures` describes the ones that did
-    not hold, `notes` carries informational messages (documented divergences
-    from published values, say), and `data` holds structured results beyond pass/fail.
+    not hold, and `notes` carries informational messages (documented
+    divergences from published values, say).
     """
 
-    __slots__ = ("name", "checked", "failures", "notes", "data")
+    __slots__ = ("name", "checked", "failures", "notes")
 
-    def __init__(self, name: str, checked: int, failures: tuple = (), notes: tuple = (), data: dict = None):
-        super().__init__(name, checked, failures, notes, {} if data is None else data)
+    def __init__(self, name: str, checked: int, failures: tuple = (), notes: tuple = ()):
+        super().__init__(name, checked, failures, notes)
 
     @classmethod
     def tally(cls, name: str, outcomes, notes: tuple = ()) -> "CheckReport":

@@ -11,7 +11,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from hermops.classify import FALSIFIED, INCONCLUSIVE, Basis, Verdict, Witness
 from hermops.hermite import hermite_polys, validate_alpha
@@ -32,7 +32,6 @@ from hermops.ratpoly import (
     rat,
     rat_str,
 )
-from hermops.reporting import CheckReport
 
 
 def hermite_sum_qpolys(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> list:
@@ -179,22 +178,17 @@ def reference_falsify(seq: GammaSeq, basis: Basis, deg_max: int) -> Verdict:
     )
 
 
-def reference_ratio_limit_check(phi: FactoredSpec, window: int, tol: Fraction, cap: int) -> CheckReport:
+def reference_ratio_limit_check(phi: FactoredSpec, window: int, tol: Fraction, cap: int) -> Optional[int]:
     """`ratio_limit_check` one start at a time: for K0 = 1, 2, ..., cap, read the
-    ratios at K0..K0 + window again and stop at the first window whose defined
-    ratios exist and all lie strictly within tol of sigma - 1."""
+    ratios at K0..K0 + window again and return the first K0 whose defined
+    ratios exist and all lie strictly within tol of sigma - 1, or None."""
     target = phi.sigma - 1
     values = dict(ratio_sequence(GammaSeq.from_lpplus(phi), cap + window))
     for k0 in range(1, cap + 1):
         defined = [values[k] for k in range(k0, k0 + window + 1) if values[k] is not None]
         if defined and all(abs(v - target) < tol for v in defined):
-            return CheckReport("ratio-limit", cap, data={"k0": k0, "target": target, "window": window, "tol": tol})
-    return CheckReport(
-        "ratio-limit",
-        cap,
-        (f"no window of width {window} within {tol} of {target} found with start <= {cap}",),
-        data={"target": target, "window": window, "tol": tol},
-    )
+            return k0
+    return None
 
 
 def sturm_real_rooted(p: RatPoly) -> bool:
@@ -529,5 +523,5 @@ def encoder_qpoly_json(op) -> str:
 
 def encoder_reality_json(table) -> str:
     """The text of `hermops reality --format json` for the reality table `table`."""
-    rows = [{"k": row.k, "real_rooted": row.real_rooted} for row in table.rows]
+    rows = [{"k": k, "real_rooted": real} for k, real in enumerate(table.rows)]
     return _ENCODER.encode({"alpha": rat_str(table.alpha), "p": table.p_shift, "rows": rows}) + "\n"

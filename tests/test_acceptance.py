@@ -81,9 +81,8 @@ def test_criterion_02a_ratio_table_values():
 
 
 def test_criterion_02b_ratio_limit_bound():
-    report = ratio_limit_check(example311_spec(), window=20, tol=F(1, 100), cap=200)
-    assert report.passed
-    k0 = report.data["k0"]
+    k0 = ratio_limit_check(example311_spec(), window=20, tol=F(1, 100), cap=200)
+    assert k0 is not None
 
     # Independent route: for (1+x)^2 e^(x/2) the differences have the closed
     # form d_k = (-1/2)^k (4k^2 - 8k + 1), so d_k/d_(k-1) + 1/2 equals
@@ -140,7 +139,7 @@ def test_criterion_04_reality_for_type_at_least_one():
             for alpha in (F(1, 2), F(1), F(2)):
                 for p in (0, 1, 2):
                     table = coefficient_reality_table(alpha, seq, 10, p)
-                    assert all(r.real_rooted for r in table.rows), (sigma, zeros, alpha, p)
+                    assert all(table.rows), (sigma, zeros, alpha, p)
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"runtime {elapsed:.2f}s exceeds the 60s target"
     _line("04", f"36 spec/alpha combos x p in {{0,1,2}}, k <= 10, {elapsed:.2f}s")
@@ -153,7 +152,7 @@ def test_criterion_05_reality_breaks_below_type_one():
         for zeros in ZERO_MULTISETS:
             seq = GammaSeq.from_lpplus(FactoredSpec(sigma=sigma, zeros=zeros))
             table = coefficient_reality_table(F(1), seq, 25)
-            broken = [row.k for row in table.rows if not row.real_rooted]
+            broken = [k for k, real in enumerate(table.rows) if not real]
             assert broken, (sigma, zeros)
             first_failures[(sigma, zeros)] = broken[0]
     elapsed = time.monotonic() - start
@@ -301,5 +300,6 @@ def test_reality_at_the_north_star_k(capsys):
     assert [row["k"] for row in rows] == list(range(121))
     assert [row["k"] for row in rows if row["real_rooted"]] == [0, 1, 2]
     for name in ("besselJ0", "exp-half-cosh", "example311"):
-        table = coefficient_reality_table(F(1), make_sequence(name), 40)
-        assert [row.real_rooted for row in table.rows] == [sturm_real_rooted(row.q) for row in table.rows], name
+        seq = make_sequence(name)
+        table = coefficient_reality_table(F(1), seq, 40)
+        assert list(table.rows) == [sturm_real_rooted(q) for q in build_operator(F(1), seq, 40).qpolys], name

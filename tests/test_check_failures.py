@@ -124,7 +124,7 @@ CASES = [
     (
         "table1-limit",
         demos.table1_demo,
-        [(demos, "ratio_limit_check", lambda *args, **kwargs: CheckReport("ratio-limit", 1, ("patched",)))],
+        [(demos, "ratio_limit_check", lambda *args, **kwargs: None)],
     ),
     (
         "bessel-references",

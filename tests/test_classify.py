@@ -79,8 +79,8 @@ def test_is_classical_ms():
 
 def test_reality_table_example311():
     table = coefficient_reality_table(F(1), make_sequence("example311"), 10)
-    assert not all(r.real_rooted for r in table.rows)
-    false_rows = [row.k for row in table.rows if not row.real_rooted]
+    assert not all(table.rows)
+    false_rows = [k for k, real in enumerate(table.rows) if not real]
     assert false_rows[0] == 4
     assert false_rows == list(range(4, 11))
 
@@ -89,7 +89,7 @@ def test_reality_table_first_breakdown_is_alpha_independent():
     seq = make_sequence("example311")
     for alpha in (F(1, 2), F(2), F(5)):
         table = coefficient_reality_table(alpha, seq, 6)
-        assert [row.k for row in table.rows if not row.real_rooted][0] == 4
+        assert [k for k, real in enumerate(table.rows) if not real][0] == 4
 
 
 # -- the paper's theorem on drawn generators ------------------------------------
@@ -106,7 +106,7 @@ def _sigma(low, high):
 
 
 def _verdicts(alpha, spec, k_max):
-    return [row.real_rooted for row in coefficient_reality_table(alpha, GammaSeq.from_lpplus(spec), k_max).rows]
+    return list(coefficient_reality_table(alpha, GammaSeq.from_lpplus(spec), k_max).rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,9 +159,9 @@ def _assert_window_refutes_reality(alpha, seq, p, k0, width):
 @given(below_one, theorem_zeros, st.integers(0, 1), window_alphas)
 def test_sigma_below_one_ratio_window_refutes_reality(sigma, zeros, m, alpha):
     spec = FactoredSpec(c=F(3, 2), m=m, sigma=sigma, zeros=tuple(zeros))
-    report = ratio_limit_check(spec, window=2, tol=1 - sigma)
-    assert report.passed
-    _assert_window_refutes_reality(alpha, GammaSeq.from_lpplus(spec), 0, report.data["k0"], 2)
+    k0 = ratio_limit_check(spec, window=2, tol=1 - sigma)
+    assert k0 is not None
+    _assert_window_refutes_reality(alpha, GammaSeq.from_lpplus(spec), 0, k0, 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,7 +180,7 @@ def test_sigma_below_one_ratio_window_refutes_reality_after_a_shift(sigma, zeros
 
 def test_reality_table_constant_sequence():
     table = coefficient_reality_table(F(1), make_sequence("const1"), 8)
-    assert all(r.real_rooted for r in table.rows)
+    assert all(table.rows)
 
 
 def test_reality_table_requires_positive_alpha():
@@ -193,7 +193,7 @@ def test_reality_table_json(capsys):
     table = coefficient_reality_table(F(1), make_sequence("example311"), 5, 1)
     assert main(["reality", "--seq", "example311", "--alpha", "1", "--kmax", "5", "--p", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data == {"alpha": "1/1", "p": 1, "rows": [{"k": r.k, "real_rooted": r.real_rooted} for r in table.rows]}
+    assert data == {"alpha": "1/1", "p": 1, "rows": [{"k": k, "real_rooted": real} for k, real in enumerate(table.rows)]}
 
 
 def test_turan_necessity():
@@ -203,17 +203,13 @@ def test_turan_necessity():
 
 
 def test_ratio_limit_example311():
-    report = ratio_limit_check(example311_spec(), window=20, tol=F(1, 100), cap=200)
-    assert report.passed
-    assert report.data["k0"] == 103
-    assert report.data["target"] == F(-1, 2)
+    assert ratio_limit_check(example311_spec(), window=20, tol=F(1, 100), cap=200) == 103
+    assert example311_spec().sigma - 1 == F(-1, 2)
 
 
 def test_ratio_limit_simple_exponential():
     # gamma_k = 2^k: differences are 1^k, ratios exactly 1 = sigma - 1 at once.
-    report = ratio_limit_check(FactoredSpec(sigma=F(2)), window=10, tol=F(1, 100), cap=50)
-    assert report.passed
-    assert report.data["k0"] == 1
+    assert ratio_limit_check(FactoredSpec(sigma=F(2)), window=10, tol=F(1, 100), cap=50) == 1
 
 
 RATIO_GRID_IN_CAP = [
@@ -234,10 +230,7 @@ RATIO_GRID_IN_CAP = [
 
 @pytest.mark.parametrize("sigma,zeros", RATIO_GRID_IN_CAP)
 def test_ratio_limit_within_default_cap(sigma, zeros):
-    spec = FactoredSpec(sigma=sigma, zeros=zeros)
-    report = ratio_limit_check(spec, window=20, tol=F(1, 100), cap=200)
-    assert report.passed
-    assert report.data["target"] == sigma - 1
+    assert ratio_limit_check(FactoredSpec(sigma=sigma, zeros=zeros), window=20, tol=F(1, 100), cap=200) is not None
 
 
 @pytest.mark.parametrize(
@@ -245,18 +238,13 @@ def test_ratio_limit_within_default_cap(sigma, zeros):
 )
 def test_ratio_limit_cap_exhaustion(sigma, zeros):
     # Two-zero specs at |sigma - 1| = 1 converge just past the default cap
-    # (first windows start at 204 and 201); the check must report the
-    # exhausted search rather than inventing a window.
-    report = ratio_limit_check(
-        FactoredSpec(sigma=sigma, zeros=zeros), window=20, tol=F(1, 100), cap=200
-    )
-    assert not report.passed
-    assert "no window" in report.failures[0]
-    assert "200" in report.failures[0]
+    # (first windows start at 204 and 201); the check must return None
+    # rather than inventing a window.
+    assert ratio_limit_check(FactoredSpec(sigma=sigma, zeros=zeros), window=20, tol=F(1, 100), cap=200) is None
 
 
 def test_ratio_limit_scan_matches_the_per_start_oracle():
-    """One pass over the ratios gives the report of re-reading each window, on 720 searches."""
+    """One pass over the ratios gives the K0 of re-reading each window, on 720 searches."""
     grid = itertools.product(
         (F(1, 3), F(1, 2), F(3, 2), F(7, 4), F(5, 2)),
         ((), (F(1),), (F(1), F(1)), (F(1, 2), F(3))),
@@ -264,16 +252,13 @@ def test_ratio_limit_scan_matches_the_per_start_oracle():
         (F(1, 10), F(1, 100), F(1, 1000)),
         (1, 7, 60),
     )
-    passed = 0
+    found = 0
     for sigma, zeros, window, tol, cap in grid:
         spec = FactoredSpec(sigma=sigma, zeros=zeros)
-        report = ratio_limit_check(spec, window=window, tol=tol, cap=cap)
-        expected = reference_ratio_limit_check(spec, window, tol, cap)
-        assert (report.line(), report.checked, report.failures, report.data) == (
-            expected.line(), expected.checked, expected.failures, expected.data
-        ), (sigma, zeros, window, tol, cap)
-        passed += report.passed
-    assert passed == 257  # both outcomes are on the grid
+        k0 = ratio_limit_check(spec, window=window, tol=tol, cap=cap)
+        assert k0 == reference_ratio_limit_check(spec, window, tol, cap), (sigma, zeros, window, tol, cap)
+        found += k0 is not None
+    assert found == 257  # both outcomes are on the grid
 
 
 def test_ratio_limit_rejects_sigma_one():

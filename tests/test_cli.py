@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import hermops
 from hermops import cli
-from hermops.classify import RealityRow, RealityTable, coefficient_reality_table
+from hermops.classify import RealityTable, coefficient_reality_table
 from hermops.cli import main
 from hermops.diffop import HermiteDiffOp, build_operator
 from hermops.jensen import DifferenceTable, GammaSeq, ratio_csv_lines
@@ -218,7 +218,7 @@ def test_qpoly_json_writer_matches_the_encoder_on_drawn_operators(alpha, p, qpol
 @example(Fraction(1000, 7), 0, [True] * 6)
 @example(Fraction(1, 2), 4, [False] * 6)
 def test_reality_json_writer_matches_the_encoder_on_drawn_tables(alpha, p, verdicts):
-    table = RealityTable(alpha, p, tuple(RealityRow(k, real, ZERO) for k, real in enumerate(verdicts)))
+    table = RealityTable(alpha, p, tuple(verdicts))
     text = "".join(cli._reality_json(table))
     assert text == encoder_reality_json(table)
     _assert_rat_text(text, [json.loads(text)["alpha"]])

@@ -13,7 +13,6 @@ from hermops.diffop import (
     TruncationError,
     _interpolant_degree,
     apply_operator,
-    binomial_poly,
     build_operator,
     check_diagonal_action,
     check_operator_equivalence,
@@ -25,7 +24,7 @@ from hermops.diffop import (
 )
 from hermops.hermite import hermite_polys
 from hermops.jensen import FactoredSpec, GammaSeq, finite_difference
-from hermops.ratpoly import ONE, X, ZERO, RatPoly, parse_rat
+from hermops.ratpoly import X, ZERO, RatPoly, parse_rat
 from hermops.sequences import make_sequence
 from oracles import hermite_sum_qpolys, interpolate
 
@@ -172,23 +171,6 @@ def test_interpolant_degree_matches_lagrange_oracle(xs, coeffs, free):
     assert _interpolant_degree(xs, free) == interpolate(list(zip(xs, free))).degree
 
 
-def test_binomial_poly():
-    assert binomial_poly(0) == ONE
-    assert binomial_poly(1) == X
-    assert binomial_poly(2) == (X**2 - X) / 2
-    for n in range(8):
-        from math import comb
-
-        assert binomial_poly(3)(F(n)) == comb(n, 3)
-
-
-def test_binomial_poly_takes_the_binomial_values_at_integers():
-    for k in range(16):
-        p = binomial_poly(k)
-        assert p.degree == k
-        assert [p(n) for n in range(k + 10)] == [math.comb(n, k) for n in range(k + 10)]
-
-
 def test_interpolation_poly_linear():
     for a in (F(3), F(0), F(-2, 5)):
         seq = GammaSeq.linear(a)
@@ -203,6 +185,16 @@ def test_interpolation_poly_quadratic():
     assert p == X**2 - X
     for n in range(11):
         assert p(F(n)) == seq[n]
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(1), F(2)])
+def test_interpolation_poly_quartic(alpha):
+    """gamma_n = n^4 - 3n^2 + 1 puts C(x, 3) and C(x, 4) into the binomial sum; orders 5 and 6 add zeros."""
+    quartic = X**4 - 3 * X**2 + 1
+    seq = GammaSeq(lambda k: quartic(k), name="quartic")
+    p = interpolation_poly(build_operator(alpha, seq, 6))
+    assert p == quartic
+    assert [p(n) for n in range(10)] == [n**4 - 3 * n**2 + 1 for n in range(10)]
 
 
 def test_interpolation_poly_rejects_overweight_coefficients():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from hermops import hermite
-from hermops.diffop import binomial_poly
 from hermops.hermite import (
     _classical_hermite_polys,
     check_identities,
@@ -34,9 +33,8 @@ def test_validate_alpha():
         lambda: hermite_polys(-1, 1),
         lambda: laguerre_polys(-1, 0),
         lambda: _classical_hermite_polys(-1),
-        lambda: binomial_poly(-1),
     ],
-    ids=["hermite", "laguerre", "physicists-hermite", "binomial"],
+    ids=["hermite", "laguerre", "physicists-hermite"],
 )
 def test_three_term_refuses_a_negative_degree_for_every_family(build):
     with pytest.raises(ValueError, match="^n_max must be nonnegative$"):

@@ -538,13 +538,13 @@ def test_reality_table_matches_squarefree_oracle(values, alpha, p):
     k_max = 7
     table = coefficient_reality_table(alpha, seq, k_max, p)
     qpolys = build_operator(alpha, seq, k_max, p).qpolys
-    for row, q in zip(table.rows, qpolys):
-        assert row.q == q
+    assert len(table.rows) == len(qpolys) == k_max + 1
+    for real, q in zip(table.rows, qpolys):
         if q.is_zero:
-            assert row.real_rooted
+            assert real
             continue
         assert count_real_roots(q) == count_real_roots(squarefree_part(q))
-        assert row.real_rooted == _oracle_real_rooted(q) == is_real_rooted(q)
+        assert real == _oracle_real_rooted(q) == is_real_rooted(q)
 
 
 # -- the list-based change of basis against RatPoly arithmetic ------------------

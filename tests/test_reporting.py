@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from hermops import FactoredSpec, HermiteBasis, HermiteDiffOp, RatPoly, RealityTable, Verdict, Witness
-from hermops.classify import Basis, RealityRow
+from hermops.classify import Basis
 from hermops.laguerre import LaguerreParam
 from hermops.reporting import CheckReport
 
@@ -41,13 +41,6 @@ def test_notes_do_not_affect_status():
     assert report.passed
 
 
-def test_data_defaults_to_fresh_dict():
-    a = CheckReport("a", 1)
-    b = CheckReport("b", 1)
-    assert a.data == {}
-    assert a.data is not b.data
-
-
 # -- the result types as immutable value records ------------------------------
 
 P = RatPoly([1, F(1, 2)])
@@ -65,8 +58,6 @@ RECORDS = [
     (Verdict, ("status", "reason", "witness", "bound"), ("falsified", "why", None, 3), Verdict("falsified", "why", None, 4),
      "Verdict(status='falsified', reason='why', witness=None, bound=3)"),
     (Basis, ("label", "family"), ("b", _family), Basis("c", _family), "Basis(label='b')"),
-    (RealityRow, ("k", "real_rooted", "q"), (2, True, P), RealityRow(2, False, P),
-     "RealityRow(k=2, real_rooted=True, q=RatPoly('1/2*x + 1'))"),
     (RealityTable, ("alpha", "p_shift", "rows"), (F(1), 0, ()), RealityTable(F(1), 1, ()),
      "RealityTable(alpha=Fraction(1, 1), p_shift=0, rows=())"),
     (HermiteDiffOp, ("alpha", "p_shift", "qpolys"), (F(1), 0, (P,)), HermiteDiffOp(F(1), 0, (X,)),
@@ -75,9 +66,9 @@ RECORDS = [
      "FactoredSpec(c=Fraction(2, 1), m=1, sigma=Fraction(1, 2), zeros=(Fraction(3, 1),))"),
     (LaguerreParam, ("alpha", "a"), (F(0), F(1)), LaguerreParam(F(0), F(2)),
      "LaguerreParam(alpha=Fraction(0, 1), a=Fraction(1, 1))"),
-    (CheckReport, ("name", "checked", "failures", "notes", "data"), ("demo", 3, ("bad",), (), {"rows": [1]}),
-     CheckReport("demo", 3, ("bad",), (), {"rows": [2]}),
-     "CheckReport(name='demo', checked=3, failures=('bad',), notes=(), data={'rows': [1]})"),
+    (CheckReport, ("name", "checked", "failures", "notes"), ("demo", 3, ("bad",), ()),
+     CheckReport("demo", 3, ("bad",), ("note",)),
+     "CheckReport(name='demo', checked=3, failures=('bad',), notes=())"),
 ]
 
 
@@ -89,9 +80,8 @@ def test_records_are_immutable_values(cls, names, values, other, text):
     assert record != other and record != values
     assert record.__eq__(values) is NotImplemented
     assert repr(record) == text
-    if cls is not CheckReport:  # its data dict is compared, so it has no hash
-        assert hash(cls(*values)) == hash(record)
-        assert len({record, cls(*values), other}) == 2
+    assert hash(cls(*values)) == hash(record)
+    assert len({record, cls(*values), other}) == 2
     for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert twin == record and repr(twin) == text
         for name in names + ("extra",):
@@ -110,7 +100,7 @@ def test_record_defaults_and_coercions():
     assert FactoredSpec() == FactoredSpec(F(1), 0, F(0), ())
     assert FactoredSpec(m=1, sigma="1/2", zeros=(3,)) == FactoredSpec(2 * F(1, 2), 1, F(1, 2), (F(3),))
     assert HermiteDiffOp(1, 0, [P]).qpolys == (P,)
-    assert CheckReport("a", 1) == CheckReport("a", 1, (), (), {})
+    assert CheckReport("a", 1) == CheckReport("a", 1, (), ())
     # Bases compare and hash by label: these two hold different lambdas.
     a, b = HermiteBasis(1), HermiteBasis(1)
     assert a.family is not b.family
