@@ -13,7 +13,6 @@ from .classify import (
     NOT_MS,
     HermiteBasis,
     LaguerreBasis,
-    RealityTable,
     Verdict,
     Witness,
     check_turan_necessity,
@@ -24,7 +23,6 @@ from .classify import (
     ratio_limit_check,
 )
 from .diffop import (
-    HermiteDiffOp,
     TruncationError,
     apply_operator,
     build_operator,
@@ -40,7 +38,7 @@ from .jensen import (
     ratio_sequence,
     turan_quantity,
 )
-from .laguerre import LaguerreParam, laguerre_polys
+from .laguerre import laguerre_polys
 from .ratpoly import RatPoly, count_real_roots, is_real_rooted, rat, rat_str
 from .reporting import CheckReport
 from .sequences import make_sequence
@@ -54,14 +52,11 @@ __all__ = [
     "FactoredSpec",
     "GammaSeq",
     "HermiteBasis",
-    "HermiteDiffOp",
     "INCONCLUSIVE",
     "IS_MS",
     "LaguerreBasis",
-    "LaguerreParam",
     "NOT_MS",
     "RatPoly",
-    "RealityTable",
     "TruncationError",
     "Verdict",
     "Witness",

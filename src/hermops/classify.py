@@ -158,21 +158,12 @@ def is_classical_ms(phi) -> Verdict:
 # -- reality tables and necessity checks --------------------------------------
 
 
-class RealityTable(Record):
-    """`rows[k]` is whether Q_k is real-rooted."""
-
-    __slots__ = ("alpha", "p_shift", "rows")
-
-    def __init__(self, alpha: Fraction, p_shift: int, rows: tuple):
-        super().__init__(alpha, p_shift, rows)
-
-
-def coefficient_reality_table(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0) -> RealityTable:
-    """Real-rootedness of every coefficient polynomial Q_k, k = 0..k_max."""
+def coefficient_reality_table(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0) -> tuple:
+    """Real-rootedness of every coefficient polynomial: entry k says whether Q_k is real-rooted, k = 0..k_max."""
     a = validate_alpha(alpha)
     if a == 0:
         raise ValueError("the reality table needs alpha > 0")
-    return RealityTable(a, p, tuple(map(is_real_rooted, build_operator(a, seq, k_max, p).qpolys)))
+    return tuple(map(is_real_rooted, build_operator(a, seq, k_max, p)))
 
 
 def check_turan_necessity(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0) -> CheckReport:
@@ -182,10 +173,10 @@ def check_turan_necessity(alpha: RatLike, seq: GammaSeq, k_max: int, p: int = 0)
     whenever the computed Q_k is real-rooted, the quadratic expression in the
     finite differences must be nonnegative.
     """
-    op = build_operator(alpha, seq, max(k_max, 0), p)
-    table = DifferenceTable(seq, op.order, p)
+    qpolys = build_operator(alpha, seq, max(k_max, 0), p)
+    table = DifferenceTable(seq, max(k_max, 0), p)
     outcomes = (
-        None if t >= 0 or not is_real_rooted(op.qpolys[k]) else f"Q_{k} real-rooted but necessity value {t} < 0"
+        None if t >= 0 or not is_real_rooted(qpolys[k]) else f"Q_{k} real-rooted but necessity value {t} < 0"
         for k, t in enumerate(map(table.turan, range(2, k_max + 1)), 2)
     )
     return CheckReport.tally(f"turan-necessity[{seq.name},alpha={rat(alpha)},p={p}]", outcomes)

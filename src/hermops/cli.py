@@ -40,7 +40,7 @@ from .jensen import (
     ratio_csv_lines,
     ratio_sequence,
 )
-from .laguerre import LaguerreParam, check_eigen_action
+from .laguerre import check_eigen_action
 from .ratpoly import parse_rat, rat_str
 from .sequences import check_range, factored_from_json, make_sequence
 
@@ -68,9 +68,9 @@ def _resolve_sequence(args) -> GammaSeq:
 
 # The two JSON writers spell out json.dumps(data, indent=2, sort_keys=True) + "\n" for their one shape: keys
 # in sorted order, every string rat_str text, which needs no escaping, and every list at least one entry long.
-def _qpoly_json(op):
+def _qpoly_json(qpolys, alpha, p):
     sep = '{\n  "Q": [\n'
-    for q in op.qpolys:  # a Q_k's coefficients are text only once reached, and joined once
+    for q in qpolys:  # a Q_k's coefficients are text only once reached, and joined once
         if q:
             yield sep + '    {\n      "coeffs": [\n        "'
             yield '",\n        "'.join(q.to_json_dict()["coeffs"])
@@ -78,12 +78,12 @@ def _qpoly_json(op):
         else:
             yield sep + '    {\n      "coeffs": []\n    }'
         sep = ",\n"
-    yield f'\n  ],\n  "alpha": "{rat_str(op.alpha)}",\n  "p_shift": {op.p_shift}\n}}\n'
+    yield f'\n  ],\n  "alpha": "{rat_str(alpha)}",\n  "p_shift": {p}\n}}\n'
 
 
-def _reality_json(table):
-    sep = f'{{\n  "alpha": "{rat_str(table.alpha)}",\n  "p": {table.p_shift},\n  "rows": [\n'
-    for k, real in enumerate(table.rows):
+def _reality_json(rows, alpha, p):
+    sep = f'{{\n  "alpha": "{rat_str(alpha)}",\n  "p": {p},\n  "rows": [\n'
+    for k, real in enumerate(rows):
         yield f'{sep}    {{\n      "k": {k},\n      "real_rooted": {"true" if real else "false"}\n    }}'
         sep = ",\n"
     yield "\n  ]\n}\n"
@@ -109,17 +109,19 @@ def _emit(pieces, path) -> None:
 
 def _cmd_qpoly(args) -> int:
     seq = _resolve_sequence(args)
-    op = build_operator(parse_rat(args.alpha), seq, args.kmax, args.p)
-    rows = (f"{k},{' '.join(q.to_json_dict()['coeffs'])}" for k, q in enumerate(op.qpolys))
-    _emit(_qpoly_json(op) if args.format == "json" else _csv(["k,coeffs"], rows), args.output)
+    alpha = parse_rat(args.alpha)
+    qpolys = build_operator(alpha, seq, args.kmax, args.p)
+    rows = (f"{k},{' '.join(q.to_json_dict()['coeffs'])}" for k, q in enumerate(qpolys))
+    _emit(_qpoly_json(qpolys, alpha, args.p) if args.format == "json" else _csv(["k,coeffs"], rows), args.output)
     return 0
 
 
 def _cmd_reality(args) -> int:
     seq = _resolve_sequence(args)
-    table = coefficient_reality_table(parse_rat(args.alpha), seq, args.kmax, args.p)
-    rows = (f"{k},{'true' if real else 'false'}" for k, real in enumerate(table.rows))
-    _emit(_reality_json(table) if args.format == "json" else _csv(["k,real_rooted"], rows), args.output)
+    alpha = parse_rat(args.alpha)
+    table = coefficient_reality_table(alpha, seq, args.kmax, args.p)
+    rows = (f"{k},{'true' if real else 'false'}" for k, real in enumerate(table))
+    _emit(_reality_json(table, alpha, args.p) if args.format == "json" else _csv(["k,real_rooted"], rows), args.output)
     return 0
 
 
@@ -158,7 +160,7 @@ def _verify_suites():
     yield check_standard_basis_limit(bessel, 6)
     yield check_standard_basis_limit(ex311, 6)
     for alpha in (Fraction(0), Fraction(1), Fraction(2)):
-        yield check_eigen_action(LaguerreParam(alpha, alpha + 1), 10)
+        yield check_eigen_action(alpha, alpha + 1, 10)
 
 
 def _print_reports(reports) -> int:

@@ -24,7 +24,7 @@ from .diffop import (
     solve_operator_from_action,
 )
 from .jensen import DifferenceTable, GammaSeq, ratio_sequence
-from .laguerre import LaguerreParam, check_eigen_action, operator_coefficients, validate_laguerre_alpha
+from .laguerre import check_eigen_action, operator_coefficients, validate_laguerre_alpha
 from .ratpoly import RatLike, RatPoly, count_real_roots, is_real_rooted, rat, rat_str
 from .reporting import CheckReport
 from .sequences import example311_spec, make_sequence
@@ -120,14 +120,13 @@ def bessel_demo() -> CheckReport:
             q3 = coefficient_polynomial(alpha, seq, 3)
             if q3 != RatPoly([0, alpha / 6, 0, Fraction(1, 9)]):
                 yield f"Q_3 at alpha={alpha}: computed {q3.to_text()}"
-            elif q3 != solve_operator_from_action(alpha, seq, 3).qpolys[3]:
+            elif q3 != solve_operator_from_action(alpha, seq, 3)[3]:
                 yield f"Q_3 at alpha={alpha}: formula and oracle disagree"
             elif count_real_roots(q3) != 1 or is_real_rooted(q3):
                 yield f"Q_3 at alpha={alpha}: expected exactly one real root"
             else:
                 yield None
-        table = coefficient_reality_table(1, seq, 4)
-        yield "reality table should mark k=3 as not real-rooted" if table.rows[3] else None
+        yield "reality table should mark k=3 as not real-rooted" if coefficient_reality_table(1, seq, 4)[3] else None
 
     return CheckReport.tally("bessel", outcomes(), (TURAN_ERRATUM_NOTE, Q3_ERRATUM_NOTE))
 
@@ -155,7 +154,7 @@ def linear_operator_demo() -> CheckReport:
                 RatPoly(),
                 RatPoly(),
             )
-            yield None if op.qpolys == expected else (
+            yield None if op == expected else (
                 f"operator coefficients at alpha={alpha} differ from (a, x, -alpha, 0...)"
             )
             yield None if interpolation_poly(op) == RatPoly([a, 1]) else (
@@ -190,7 +189,7 @@ def geom_family_demo() -> CheckReport:
         seq = GammaSeq.geometric_factorial(r)
         per_alpha = []
         for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            qpolys = build_operator(alpha, seq, 4).qpolys
+            qpolys = build_operator(alpha, seq, 4)
             per_alpha.append((is_real_rooted(qpolys[2]), is_real_rooted(qpolys[4])))
         q2_real, q4_real = per_alpha[0]
         outcomes += [
@@ -215,8 +214,7 @@ def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
     results = []
     for a in a_values:
         a = rat(a)
-        params = LaguerreParam(a_param, a)
-        coeffs_ok = all(is_real_rooted(q) for q in operator_coefficients(params))
+        coeffs_ok = all(is_real_rooted(q) for q in operator_coefficients(a_param, a))
         verdict = falsify_sequence(GammaSeq.linear(a), LaguerreBasis(a_param), deg_max)
         entry = verdict.to_json_dict()
         del entry["reason"]
@@ -227,7 +225,7 @@ def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
 def laguerre_demo() -> CheckReport:
     """Eigen structure and the membership boundary on the Laguerre basis."""
     alpha = Fraction(1)
-    reports = [check_eigen_action(LaguerreParam(alpha, a), 10) for a in (Fraction(-1), Fraction(0), Fraction(3))]
+    reports = [check_eigen_action(alpha, a, 10) for a in (Fraction(-1), Fraction(0), Fraction(3))]
     a_values = (-1, 0, 1, 2, 3)
     entries = counterexample_demo(alpha, a_values, deg_max=6)
 

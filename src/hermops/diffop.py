@@ -32,7 +32,7 @@ from fractions import Fraction
 from .hermite import hermite_polys, three_term, validate_alpha
 from .jensen import DifferenceTable, GammaSeq
 from .ratpoly import RatLike, RatPoly, combine_in_basis, rat
-from .reporting import CheckReport, Record
+from .reporting import CheckReport
 
 
 class TruncationError(ValueError):
@@ -42,26 +42,9 @@ class TruncationError(ValueError):
     would be silently dropped, so this is a hard error."""
 
 
-class HermiteDiffOp(Record):
-    """A truncated diagonal operator: alpha, offset p, and [Q_0, ..., Q_K]."""
-
-    __slots__ = ("alpha", "p_shift", "qpolys")
-
-    def __init__(self, alpha: RatLike, p_shift: int, qpolys: tuple):
-        super().__init__(validate_alpha(alpha), p_shift, tuple(qpolys))
-        if self.p_shift < 0:
-            raise ValueError("p_shift must be nonnegative")
-        if not self.qpolys:
-            raise ValueError("an operator needs at least the order-zero coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.qpolys) - 1
-
-
 def coefficient_polynomial(alpha: RatLike, seq: GammaSeq, k: int, p: int = 0) -> RatPoly:
     """The k-th coefficient polynomial Q_k for the (p-shifted) sequence."""
-    return build_operator(alpha, seq, k, p).qpolys[k]
+    return build_operator(alpha, seq, k, p)[k]
 
 
 def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
@@ -70,8 +53,8 @@ def standard_coefficient(seq: GammaSeq, k: int) -> RatPoly:
     return RatPoly([Fraction(0)] * k + [DifferenceTable(seq, k)[k] / math.factorial(k)])
 
 
-def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> HermiteDiffOp:
-    """Materialize the operator truncated at the given order: Q_0..Q_order.
+def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> tuple:
+    """The operator truncated at the given order, as its coefficients (Q_0, ..., Q_order).
 
     With d_i = nums[i] / D_i from one `DifferenceTable`, D_i = factors[0] * ... *
     factors[i], and -alpha/2 = step_num / step_den, the x^(k-2m) coefficient of
@@ -103,18 +86,18 @@ def build_operator(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> Her
             num[k - 2 * m] = num_pow[m] * den_pow[top - m] * ways * s
         qpolys.append(RatPoly._reduced(num, den_pow[top] * den * fact))
         prev = sums
-    return HermiteDiffOp(a, p, tuple(qpolys))
+    return tuple(qpolys)
 
 
-def apply_operator(op: HermiteDiffOp, f: RatPoly) -> RatPoly:
-    """sum_k Q_k * f^(k); exact only when the truncation covers deg f."""
-    if f.degree > op.order:
+def apply_operator(qpolys: tuple, f: RatPoly) -> RatPoly:
+    """sum_k Q_k * f^(k) for qpolys = (Q_0, ..., Q_K); exact only when the order K covers deg f."""
+    if f.degree >= len(qpolys):
         raise TruncationError(
-            f"operator of order {op.order} applied to degree {f.degree}; "
+            f"operator of order {len(qpolys) - 1} applied to degree {f.degree}; "
             f"higher derivatives would be dropped"
         )
     total = RatPoly()
-    for k, q in enumerate(op.qpolys):
+    for k, q in enumerate(qpolys):
         if k > f.degree:
             break
         if not q.is_zero:
@@ -122,8 +105,8 @@ def apply_operator(op: HermiteDiffOp, f: RatPoly) -> RatPoly:
     return total
 
 
-def solve_operator_from_action(alpha: RatLike, seq: GammaSeq, order: int) -> HermiteDiffOp:
-    """Recover [Q_0..Q_order] from the diagonal action alone.
+def solve_operator_from_action(alpha: RatLike, seq: GammaSeq, order: int) -> tuple:
+    """Recover (Q_0, ..., Q_order) from the diagonal action alone.
 
     Imposing T[H_n] = gamma_n H_n for n = 0..order and using
     D^k H_n = n!/(n-k)! * H_{n-k} gives a triangular system: the D^n term
@@ -140,7 +123,7 @@ def solve_operator_from_action(alpha: RatLike, seq: GammaSeq, order: int) -> Her
             falling = Fraction(math.factorial(n), math.factorial(n - k))
             rhs = rhs - falling * (qs[k] * polys[n - k])
         qs.append(rhs / math.factorial(n))
-    return HermiteDiffOp(a, 0, tuple(qs))
+    return tuple(qs)
 
 
 def check_diagonal_action(alpha: RatLike, seq: GammaSeq, n_max: int) -> CheckReport:
@@ -169,7 +152,7 @@ def check_operator_equivalence(alpha: RatLike, seq: GammaSeq, order: int, p: int
     solved = solve_operator_from_action(alpha, seq.shifted(p), order)
     outcomes = (
         None if q == r else f"routes disagree at k={k}, p={p}: formula {q.to_text()} vs solved {r.to_text()}"
-        for k, (q, r) in enumerate(zip(formula.qpolys, solved.qpolys))
+        for k, (q, r) in enumerate(zip(formula, solved))
     )
     return CheckReport.tally(f"operator-equivalence[{seq.name},alpha={rat(alpha)},p={p}]", outcomes)
 
@@ -203,7 +186,7 @@ def check_standard_basis_limit(seq: GammaSeq, k_max: int) -> CheckReport:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     node_count = max(5, k_max // 2 + 2)
     nodes = [Fraction(0)] + [Fraction(1, 2**j) for j in range(node_count - 1)]
-    operators = [build_operator(node, seq, k_max).qpolys for node in nodes]
+    operators = [build_operator(node, seq, k_max) for node in nodes]
 
     def outcomes():
         for k in range(k_max + 1):
@@ -221,7 +204,7 @@ def check_standard_basis_limit(seq: GammaSeq, k_max: int) -> CheckReport:
     return CheckReport.tally(f"standard-basis-limit[{seq.name}]", outcomes())
 
 
-def interpolation_poly(op: HermiteDiffOp) -> RatPoly:
+def interpolation_poly(qpolys: tuple) -> RatPoly:
     """The polynomial p with p(n) = eigenvalue_n for finite-order operators.
 
     When every Q_k has degree at most k (so Q_k^(k) is a constant), the
@@ -231,7 +214,7 @@ def interpolation_poly(op: HermiteDiffOp) -> RatPoly:
     from `three_term` on n*C(x, n) = (x-n+1)*C(x, n-1).
     """
     consts = []
-    for k, q in enumerate(op.qpolys):
+    for k, q in enumerate(qpolys):
         dk = q.derivative(k)
         if dk.degree > 0:
             raise ValueError(
@@ -239,4 +222,4 @@ def interpolation_poly(op: HermiteDiffOp) -> RatPoly:
                 f"is not polynomial and no interpolation exists"
             )
         consts.append(dk.coeff(0))
-    return combine_in_basis(consts, three_term(op.order, lambda n: (1, 1 - n, 0, n)))
+    return combine_in_basis(consts, three_term(len(qpolys) - 1, lambda n: (1, 1 - n, 0, n)))

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .hermite import three_term
 from .ratpoly import RatLike, RatPoly, X, combine_in_basis, expand_in_basis, rat
-from .reporting import CheckReport, Record
+from .reporting import CheckReport
 
 
 def validate_laguerre_alpha(alpha: RatLike) -> Fraction:
@@ -36,15 +36,6 @@ def validate_laguerre_alpha(alpha: RatLike) -> Fraction:
     return a
 
 
-class LaguerreParam(Record):
-    """Basis parameter alpha > -1 together with the eigenvalue offset a."""
-
-    __slots__ = ("alpha", "a")
-
-    def __init__(self, alpha: RatLike, a: RatLike):
-        super().__init__(validate_laguerre_alpha(alpha), rat(a))
-
-
 def laguerre_polys(n_max: int, alpha: RatLike) -> list:
     """[L_0, ..., L_{n_max}] by `three_term` on n*L_n = (2n - 1 + alpha - x)*L_(n-1) - (n - 1 + alpha)*L_(n-2)."""
     a = validate_laguerre_alpha(alpha)
@@ -52,30 +43,26 @@ def laguerre_polys(n_max: int, alpha: RatLike) -> list:
     return three_term(n_max, lambda n: (-v, (2 * n - 1) * v + u, (n - 1) * v + u, n * v))
 
 
-def operator_coefficients(params: LaguerreParam) -> tuple:
-    """The coefficient polynomials (Q_0, Q_1, Q_2) = (a, x - alpha - 1, -x)."""
-    return (
-        RatPoly([params.a]),
-        RatPoly([-params.alpha - 1, 1]),
-        -X,
-    )
+def operator_coefficients(alpha: RatLike, a: RatLike) -> tuple:
+    """The coefficient polynomials (Q_0, Q_1, Q_2) = (a, x - alpha - 1, -x), for alpha > -1."""
+    return RatPoly([a]), RatPoly([-validate_laguerre_alpha(alpha) - 1, 1]), -X
 
 
-def laguerre_operator_apply(params: LaguerreParam, f: RatPoly) -> RatPoly:
-    """a*f + (x - alpha - 1)*f' - x*f''."""
-    q0, q1, q2 = operator_coefficients(params)
+def laguerre_operator_apply(alpha: RatLike, a: RatLike, f: RatPoly) -> RatPoly:
+    """a*f + (x - alpha - 1)*f' - x*f'', exact at every degree of f."""
+    q0, q1, q2 = operator_coefficients(alpha, a)
     return q0 * f + q1 * f.derivative() + q2 * f.derivative(2)
 
 
-def check_eigen_action(params: LaguerreParam, n_max: int) -> CheckReport:
+def check_eigen_action(alpha: RatLike, a: RatLike, n_max: int) -> CheckReport:
     """Verify T[L_n] = (n + a) * L_n exactly for n <= n_max."""
-    polys = laguerre_polys(n_max, params.alpha)
+    alpha, a = validate_laguerre_alpha(alpha), rat(a)
     outcomes = (
-        None if laguerre_operator_apply(params, poly) == (n + params.a) * poly
-        else f"eigen action fails at n={n}, alpha={params.alpha}, a={params.a}"
-        for n, poly in enumerate(polys)
+        None if laguerre_operator_apply(alpha, a, poly) == (n + a) * poly
+        else f"eigen action fails at n={n}, alpha={alpha}, a={a}"
+        for n, poly in enumerate(laguerre_polys(n_max, alpha))
     )
-    return CheckReport.tally(f"laguerre-eigen[alpha={params.alpha},a={params.a}]", outcomes)
+    return CheckReport.tally(f"laguerre-eigen[alpha={alpha},a={a}]", outcomes)
 
 
 def to_laguerre_basis(p: RatPoly, alpha: RatLike) -> list:

@@ -86,16 +86,21 @@ def brief(text: str) -> str:
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction; anything else is a ValueError.
+    """Parse ``"p/q"``, ``"p"`` or a decimal such as ``"0.5"`` into a Fraction; anything else is a ValueError.
 
+    Whitespace may surround the text but not sit inside it, and underscores are
+    refused: ``Fraction`` takes ``"1_0"`` from Python 3.11 and ``"1 /2"`` from 3.12.
     Exponent notation is refused: ``Fraction("1e10000000")`` alone builds a
     33-million-bit numerator, which would stall the caller.  The error quotes
     only the start of the text, however long it is.
     """
     if "e" in text or "E" in text:
         raise ValueError(f"invalid rational {brief(text)}: exponent notation is not accepted")
+    body = text.strip()
     try:
-        return Fraction(text.strip())
+        if "_" in body or any(c.isspace() for c in body):
+            raise ValueError
+        return Fraction(body)
     except ZeroDivisionError:
         raise ValueError(f"invalid rational {brief(text)}: zero denominator") from None
     except ValueError:

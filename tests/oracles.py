@@ -516,12 +516,12 @@ def fraction_laguerre_polys(n_max: int, alpha: RatLike) -> list:
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=lambda q: {"coeffs": [rat_str(c) for c in q.coeffs]})
 
 
-def encoder_qpoly_json(op) -> str:
-    """The text of `hermops qpoly --format json` for the operator `op`."""
-    return _ENCODER.encode({"Q": op.qpolys, "alpha": rat_str(op.alpha), "p_shift": op.p_shift}) + "\n"
+def encoder_qpoly_json(qpolys, alpha, p) -> str:
+    """The text of `hermops qpoly --format json` for the coefficients `qpolys` at `alpha` and offset `p`."""
+    return _ENCODER.encode({"Q": qpolys, "alpha": rat_str(alpha), "p_shift": p}) + "\n"
 
 
-def encoder_reality_json(table) -> str:
-    """The text of `hermops reality --format json` for the reality table `table`."""
-    rows = [{"k": k, "real_rooted": real} for k, real in enumerate(table.rows)]
-    return _ENCODER.encode({"alpha": rat_str(table.alpha), "p": table.p_shift, "rows": rows}) + "\n"
+def encoder_reality_json(rows, alpha, p) -> str:
+    """The text of `hermops reality --format json` for the verdicts `rows` at `alpha` and offset `p`."""
+    rows = [{"k": k, "real_rooted": real} for k, real in enumerate(rows)]
+    return _ENCODER.encode({"alpha": rat_str(alpha), "p": p, "rows": rows}) + "\n"

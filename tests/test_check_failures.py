@@ -7,7 +7,6 @@ report's line, its count and every failure message with frozen values.
 """
 
 import itertools
-import types
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from hermops import classify, demos, diffop, hermite, jensen, laguerre
 from hermops.classify import Verdict
 from hermops.jensen import GammaSeq
-from hermops.laguerre import LaguerreParam
 from hermops.ratpoly import RatPoly
 from hermops.reporting import CheckReport
 from hermops.sequences import make_sequence
@@ -54,21 +52,20 @@ class _DriftingTable(dict):
 
 def _bumped_operator(alpha, seq, order, p=0):
     """build_operator with alpha^3 added to every Q_k: zero at alpha = 0, alpha-degree 3 elsewhere."""
-    qpolys = _build_operator(alpha, seq, order, p).qpolys
-    return types.SimpleNamespace(qpolys=tuple(q + F(alpha) ** 3 for q in qpolys))
+    return tuple(q + F(alpha) ** 3 for q in _build_operator(alpha, seq, order, p))
 
 
 def _bumped_standard(seq, k):
     return _standard_coefficient(seq, k) + (1 if k == 1 else 0)
 
 
-def _odd_degrees_off(params, f):
-    return _laguerre_operator_apply(params, f) + f.degree % 2
+def _odd_degrees_off(alpha, a, f):
+    return _laguerre_operator_apply(alpha, a, f) + f.degree % 2
 
 
 def _one_off_op(alpha, seq, order, p=0):
     op = _build_operator(alpha, seq, order, p)
-    return diffop.HermiteDiffOp(op.alpha, op.p_shift, (op.qpolys[0] + 1,) + op.qpolys[1:])
+    return (op[0] + 1,) + op[1:]
 
 
 def _const1_table(alpha, k_max):
@@ -108,7 +105,7 @@ CASES = [
     ),
     (
         "laguerre-eigen",
-        lambda: laguerre.check_eigen_action(LaguerreParam(1, 2), 3),
+        lambda: laguerre.check_eigen_action(1, 2, 3),
         [(laguerre, "laguerre_operator_apply", _odd_degrees_off)],
     ),
     (

@@ -79,8 +79,8 @@ def test_is_classical_ms():
 
 def test_reality_table_example311():
     table = coefficient_reality_table(F(1), make_sequence("example311"), 10)
-    assert not all(table.rows)
-    false_rows = [k for k, real in enumerate(table.rows) if not real]
+    assert not all(table)
+    false_rows = [k for k, real in enumerate(table) if not real]
     assert false_rows[0] == 4
     assert false_rows == list(range(4, 11))
 
@@ -89,7 +89,7 @@ def test_reality_table_first_breakdown_is_alpha_independent():
     seq = make_sequence("example311")
     for alpha in (F(1, 2), F(2), F(5)):
         table = coefficient_reality_table(alpha, seq, 6)
-        assert [k for k, real in enumerate(table.rows) if not real][0] == 4
+        assert [k for k, real in enumerate(table) if not real][0] == 4
 
 
 # -- the paper's theorem on drawn generators ------------------------------------
@@ -106,7 +106,7 @@ def _sigma(low, high):
 
 
 def _verdicts(alpha, spec, k_max):
-    return list(coefficient_reality_table(alpha, GammaSeq.from_lpplus(spec), k_max).rows)
+    return list(coefficient_reality_table(alpha, GammaSeq.from_lpplus(spec), k_max))
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,7 +147,7 @@ window_alphas = st.sampled_from([F(1, 2), F(1), F(2)])
 
 def _assert_window_refutes_reality(alpha, seq, p, k0, width):
     table = DifferenceTable(seq, k0 + width, p)
-    qpolys = build_operator(alpha, seq, k0 + width, p).qpolys
+    qpolys = build_operator(alpha, seq, k0 + width, p)
     defined = [k for k in range(k0, k0 + width + 1) if table.ratio(k) is not None]
     assert defined
     for k in defined:
@@ -180,7 +180,7 @@ def test_sigma_below_one_ratio_window_refutes_reality_after_a_shift(sigma, zeros
 
 def test_reality_table_constant_sequence():
     table = coefficient_reality_table(F(1), make_sequence("const1"), 8)
-    assert all(table.rows)
+    assert all(table)
 
 
 def test_reality_table_requires_positive_alpha():
@@ -193,7 +193,7 @@ def test_reality_table_json(capsys):
     table = coefficient_reality_table(F(1), make_sequence("example311"), 5, 1)
     assert main(["reality", "--seq", "example311", "--alpha", "1", "--kmax", "5", "--p", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data == {"alpha": "1/1", "p": 1, "rows": [{"k": k, "real_rooted": real} for k, real in enumerate(table.rows)]}
+    assert data == {"alpha": "1/1", "p": 1, "rows": [{"k": k, "real_rooted": real} for k, real in enumerate(table)]}
 
 
 def test_turan_necessity():

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import hermops
 from hermops import cli
-from hermops.classify import RealityTable, coefficient_reality_table
+from hermops.classify import coefficient_reality_table
 from hermops.cli import main
-from hermops.diffop import HermiteDiffOp, build_operator
+from hermops.diffop import build_operator
 from hermops.jensen import DifferenceTable, GammaSeq, ratio_csv_lines
 from hermops.ratpoly import ZERO, RatPoly, parse_rat
 from hermops.sequences import factored_from_json, make_sequence
@@ -76,6 +76,15 @@ def test_reality_csv(capsys):
         "4,false",
         "5,false",
     ]
+
+
+def test_json_headers_echo_the_parsed_alpha_and_p(capsys):
+    """Both JSON writers print alpha in lowest terms and p as given: --alpha 2/4 --p 2 reads back 1/2 and 2."""
+    for command, p_key in (("qpoly", "p_shift"), ("reality", "p")):
+        code, out, err = run_cli(capsys, command, "--seq", "besselJ0", "--alpha", "2/4", "--p", "2", "--kmax", "3")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["alpha"], data[p_key]) == ("1/2", 2)
 
 
 def test_reality_json_shape(capsys):
@@ -206,9 +215,8 @@ _ALPHAS = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), F
 @example(Fraction(1000, 7), 3, [ZERO])
 @example(Fraction(1), 0, [RatPoly([-1, 0, Fraction(-5, 3)]), ZERO, ZERO])
 def test_qpoly_json_writer_matches_the_encoder_on_drawn_operators(alpha, p, qpolys):
-    op = HermiteDiffOp(alpha, p, qpolys)
-    text = "".join(cli._qpoly_json(op))
-    assert text == encoder_qpoly_json(op)
+    text = "".join(cli._qpoly_json(qpolys, alpha, p))
+    assert text == encoder_qpoly_json(qpolys, alpha, p)
     data = json.loads(text)
     _assert_rat_text(text, [data["alpha"], *(s for q in data["Q"] for s in q["coeffs"])])
 
@@ -218,9 +226,8 @@ def test_qpoly_json_writer_matches_the_encoder_on_drawn_operators(alpha, p, qpol
 @example(Fraction(1000, 7), 0, [True] * 6)
 @example(Fraction(1, 2), 4, [False] * 6)
 def test_reality_json_writer_matches_the_encoder_on_drawn_tables(alpha, p, verdicts):
-    table = RealityTable(alpha, p, tuple(verdicts))
-    text = "".join(cli._reality_json(table))
-    assert text == encoder_reality_json(table)
+    text = "".join(cli._reality_json(verdicts, alpha, p))
+    assert text == encoder_reality_json(verdicts, alpha, p)
     _assert_rat_text(text, [json.loads(text)["alpha"]])
 
 
@@ -238,9 +245,12 @@ def test_reality_json_writer_matches_the_encoder_on_drawn_tables(alpha, p, verdi
 def test_json_output_matches_the_encoder(capsys, selector, alpha, kmax, p):
     source = ("--seq", selector, "--alpha", alpha, "--kmax", str(kmax), "--p", str(p))
     seq = make_sequence(selector)
-    op = build_operator(parse_rat(alpha), seq, kmax, p)
-    table = coefficient_reality_table(parse_rat(alpha), seq, kmax, p)
-    for command, oracle in (("qpoly", encoder_qpoly_json(op)), ("reality", encoder_reality_json(table))):
+    a = parse_rat(alpha)
+    oracles = (
+        ("qpoly", encoder_qpoly_json(build_operator(a, seq, kmax, p), a, p)),
+        ("reality", encoder_reality_json(coefficient_reality_table(a, seq, kmax, p), a, p)),
+    )
+    for command, oracle in oracles:
         code, out, err = run_cli(capsys, command, *source)
         assert (code, err) == (0, "")
         assert out == oracle
@@ -250,7 +260,7 @@ def test_json_output_matches_the_encoder(capsys, selector, alpha, kmax, p):
 def test_qpoly_json_reaches_the_writer_before_its_last_q_is_text(monkeypatch):
     """_emit receives its first piece while Q_K has not been rendered, and each nonzero Q_k is rendered once."""
     kmax = 30
-    qpolys = build_operator(1, make_sequence("besselJ0"), kmax).qpolys
+    qpolys = build_operator(1, make_sequence("besselJ0"), kmax)
     rendered, at_first = [], []
     to_json_dict = RatPoly.to_json_dict
     monkeypatch.setattr(RatPoly, "to_json_dict", lambda q: rendered.append(q) or to_json_dict(q))
@@ -684,8 +694,20 @@ def test_error_factored_size_cap(capsys, monkeypatch, field, over, at_cap):
         ["reality", "--seq", "besselJ0", "--alpha", "0", "--kmax", "5"],
         ["reality", "--factored", '{"sigma": 0.5}', "--alpha", "1", "--kmax", "5", "--format", "csv"],
         ["qpoly", "--factored", "{", "--alpha", "1", "--kmax", "5"],
+        ["qpoly", "--seq", "besselJ0", "--alpha", "1_0", "--kmax", "1"],
+        ["reality", "--seq", "besselJ0", "--alpha", "1 /2", "--kmax", "1"],
     ],
-    ids=["histogram-0", "kmax-0", "alpha-negative", "p-negative", "reality-alpha-0", "factored-float", "factored-not-json"],
+    ids=[
+        "histogram-0",
+        "kmax-0",
+        "alpha-negative",
+        "p-negative",
+        "reality-alpha-0",
+        "factored-float",
+        "factored-not-json",
+        "alpha-underscore",
+        "alpha-inner-space",
+    ],
 )
 def test_config_error_opens_no_output_file(tmp_path, capsys, argv):
     path = tmp_path / "out"

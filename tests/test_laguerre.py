@@ -7,7 +7,6 @@ from math import comb, factorial
 import pytest
 
 from hermops.laguerre import (
-    LaguerreParam,
     check_eigen_action,
     from_laguerre_basis,
     laguerre_operator_apply,
@@ -26,6 +25,9 @@ def test_validate_alpha():
     assert validate_laguerre_alpha(F(-1, 2)) == F(-1, 2)
     with pytest.raises(ValueError):
         validate_laguerre_alpha(F(-1))
+    for build, bad in ((lambda: check_eigen_action(-1, 0, 3), -1), (lambda: laguerre_operator_apply(-2, 0, ONE), -2)):
+        with pytest.raises(ValueError, match=f"^Laguerre parameter must exceed -1, got {bad}$"):
+            build()
 
 
 def test_low_degree_values():
@@ -54,21 +56,20 @@ def test_leading_coefficient_sign():
 def test_eigen_action_grid():
     for alpha in (F(0), F(1, 2), F(1), F(2)):
         for a in (F(-1), F(0), F(1), alpha + 1, alpha + 2):
-            report = check_eigen_action(LaguerreParam(alpha, a), 10)
+            report = check_eigen_action(alpha, a, 10)
             assert report.passed, (alpha, a)
 
 
 def test_operator_apply_explicit():
-    params = LaguerreParam(F(2), F(3))
     L4 = laguerre_polys(4, F(2))[4]
-    assert laguerre_operator_apply(params, L4) == 7 * L4
-    assert laguerre_operator_apply(params, ONE) == RatPoly([3])
+    assert laguerre_operator_apply(F(2), F(3), L4) == 7 * L4
+    assert laguerre_operator_apply(F(2), F(3), ONE) == RatPoly([3])
 
 
 def test_operator_coefficients_are_real_rooted():
     for alpha in (F(0), F(1), F(5, 2)):
         for a in (F(-4), F(0), F(7)):
-            for q in operator_coefficients(LaguerreParam(alpha, a)):
+            for q in operator_coefficients(alpha, a):
                 assert is_real_rooted(q)
                 assert q.degree <= 1
 

@@ -62,6 +62,16 @@ def test_parse_rat_rejects_exponent_notation():
     assert parse_rat(" 7 ") == F(7)
 
 
+def test_parse_rat_refuses_underscores_and_inner_whitespace_on_every_version():
+    """Fraction's own grammar takes "1_0" from Python 3.11 and "1 /2" from 3.12; parse_rat takes neither."""
+    for text in ("1_0", "1_0/3", "1 /2", "1/ 2", "1\t/2", "- 1"):
+        with pytest.raises(ValueError) as info:
+            parse_rat(text)
+        assert str(info.value) == f"invalid rational {text!r}"
+    assert parse_rat(" 1/2\n") == F(1, 2)
+    assert parse_rat("0.5") == parse_rat("1/2")
+
+
 def test_rat_parses_strings_like_parse_rat():
     # Fraction("1e1000000") alone would build a 3.3-million-bit numerator.
     for text in ("1e1000000", "1/0"):
@@ -537,9 +547,9 @@ def test_reality_table_matches_squarefree_oracle(values, alpha, p):
     seq = GammaSeq.from_values(values)
     k_max = 7
     table = coefficient_reality_table(alpha, seq, k_max, p)
-    qpolys = build_operator(alpha, seq, k_max, p).qpolys
-    assert len(table.rows) == len(qpolys) == k_max + 1
-    for real, q in zip(table.rows, qpolys):
+    qpolys = build_operator(alpha, seq, k_max, p)
+    assert len(table) == len(qpolys) == k_max + 1
+    for real, q in zip(table, qpolys):
         if q.is_zero:
             assert real
             continue

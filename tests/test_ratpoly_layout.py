@@ -130,7 +130,7 @@ def test_build_operator_integer_numerators_match_the_hermite_sum(alpha, values, 
     Hermite sum, at alpha = 0 and shifts p > 0 too."""
     seq = GammaSeq.from_values(values)
     for shift in (0, p):
-        for q, expected in zip(build_operator(alpha, seq, order, shift).qpolys, hermite_sum_qpolys(alpha, seq, order, shift)):
+        for q, expected in zip(build_operator(alpha, seq, order, shift), hermite_sum_qpolys(alpha, seq, order, shift)):
             assert q == expected and hash(q) == hash(expected)
             assert q.coeffs == expected.coeffs
 

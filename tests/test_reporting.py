@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hermops import FactoredSpec, HermiteBasis, HermiteDiffOp, RatPoly, RealityTable, Verdict, Witness
+from hermops import FactoredSpec, HermiteBasis, RatPoly, Verdict, Witness, build_operator, make_sequence
 from hermops.classify import Basis
-from hermops.laguerre import LaguerreParam
+from hermops.laguerre import operator_coefficients
 from hermops.reporting import CheckReport
 
 
@@ -58,14 +58,8 @@ RECORDS = [
     (Verdict, ("status", "reason", "witness", "bound"), ("falsified", "why", None, 3), Verdict("falsified", "why", None, 4),
      "Verdict(status='falsified', reason='why', witness=None, bound=3)"),
     (Basis, ("label", "family"), ("b", _family), Basis("c", _family), "Basis(label='b')"),
-    (RealityTable, ("alpha", "p_shift", "rows"), (F(1), 0, ()), RealityTable(F(1), 1, ()),
-     "RealityTable(alpha=Fraction(1, 1), p_shift=0, rows=())"),
-    (HermiteDiffOp, ("alpha", "p_shift", "qpolys"), (F(1), 0, (P,)), HermiteDiffOp(F(1), 0, (X,)),
-     "HermiteDiffOp(alpha=Fraction(1, 1), p_shift=0, qpolys=(RatPoly('1/2*x + 1'),))"),
     (FactoredSpec, ("c", "m", "sigma", "zeros"), (F(2), 1, F(1, 2), (F(3),)), FactoredSpec(F(2), 1, F(1, 2), (F(4),)),
      "FactoredSpec(c=Fraction(2, 1), m=1, sigma=Fraction(1, 2), zeros=(Fraction(3, 1),))"),
-    (LaguerreParam, ("alpha", "a"), (F(0), F(1)), LaguerreParam(F(0), F(2)),
-     "LaguerreParam(alpha=Fraction(0, 1), a=Fraction(1, 1))"),
     (CheckReport, ("name", "checked", "failures", "notes"), ("demo", 3, ("bad",), ()),
      CheckReport("demo", 3, ("bad",), ("note",)),
      "CheckReport(name='demo', checked=3, failures=('bad',), notes=())"),
@@ -99,7 +93,6 @@ def test_record_defaults_and_coercions():
     assert Verdict("inconclusive", "why") == Verdict("inconclusive", "why", None, None)
     assert FactoredSpec() == FactoredSpec(F(1), 0, F(0), ())
     assert FactoredSpec(m=1, sigma="1/2", zeros=(3,)) == FactoredSpec(2 * F(1, 2), 1, F(1, 2), (F(3),))
-    assert HermiteDiffOp(1, 0, [P]).qpolys == (P,)
     assert CheckReport("a", 1) == CheckReport("a", 1, (), ())
     # Bases compare and hash by label: these two hold different lambdas.
     a, b = HermiteBasis(1), HermiteBasis(1)
@@ -114,10 +107,8 @@ def test_record_defaults_and_coercions():
         (lambda: FactoredSpec(m=-1), "zero multiplicity m must be nonnegative"),
         (lambda: FactoredSpec(sigma=-1), "sigma must be nonnegative"),
         (lambda: FactoredSpec(zeros=(-1,)), "all x_k must be positive"),
-        (lambda: LaguerreParam(-1, 0), "Laguerre parameter must exceed -1, got -1"),
-        (lambda: HermiteDiffOp(1, -1, (P,)), "p_shift must be nonnegative"),
-        (lambda: HermiteDiffOp(1, 0, ()), "an operator needs at least the order-zero coefficient"),
-        (lambda: HermiteDiffOp(-1, 0, (P,)), "alpha"),
+        (lambda: operator_coefficients(-1, 0), "Laguerre parameter must exceed -1, got -1"),
+        (lambda: build_operator(-1, make_sequence("const1"), 2), "alpha"),
     ],
 )
 def test_record_validation_messages(build, message):
