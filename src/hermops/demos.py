@@ -10,6 +10,9 @@ every line `hermops examples` prints under its PASS/FAIL line.
 from fractions import Fraction
 
 from .classify import (
+    FALSIFIED,
+    INCONCLUSIVE,
+    IS_MS,
     HermiteBasis,
     LaguerreBasis,
     coefficient_reality_table,
@@ -160,8 +163,8 @@ def linear_operator_demo() -> CheckReport:
             yield None if interpolation_poly(op) == RatPoly([a, 1]) else (
                 f"eigenvalue interpolation at alpha={alpha} is not x + {a}"
             )
-        yield None if verdict.status == "is_hms" else f"linear({a}) with a >= 0 should classify affirmatively"
-        yield None if bad.status == "falsified" else "linear(-1) on hermite(1) should be falsified by degree 4"
+        yield None if verdict.status == IS_MS else f"linear({a}) with a >= 0 should classify affirmatively"
+        yield None if bad.status == FALSIFIED else "linear(-1) on hermite(1) should be falsified by degree 4"
 
     return CheckReport.tally(f"linear-operator[a={a}]", outcomes())
 
@@ -233,7 +236,7 @@ def laguerre_demo() -> CheckReport:
         yield from (failure for report in reports for failure in report.failures or [None])
         for a, entry in zip(a_values, entries):
             yield None if entry["coefficients_real_rooted"] else f"operator coefficients at a={a} must be real-rooted"
-            expected, where = ("inconclusive", "in") if 0 <= a <= alpha + 1 else ("falsified", "outside")
+            expected, where = (INCONCLUSIVE, "in") if 0 <= a <= alpha + 1 else (FALSIFIED, "outside")
             yield None if entry["status"] == expected else f"a={a} lies {where} [0, alpha+1] but was {entry['status']}"
 
     return CheckReport.tally("laguerre-boundary", outcomes())

@@ -105,10 +105,10 @@ def apply_operator(qpolys: tuple, f: RatPoly) -> RatPoly:
     return total
 
 
-def solve_operator_from_action(alpha: RatLike, seq: GammaSeq, order: int) -> tuple:
-    """Recover (Q_0, ..., Q_order) from the diagonal action alone.
+def solve_operator_from_action(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> tuple:
+    """Recover (Q_0, ..., Q_order) of the offset-p operator from the diagonal action alone.
 
-    Imposing T[H_n] = gamma_n H_n for n = 0..order and using
+    Imposing T[H_n] = gamma_(n+p) H_n for n = 0..order and using
     D^k H_n = n!/(n-k)! * H_{n-k} gives a triangular system: the D^n term
     contributes Q_n * n!, so each Q_n is determined by forward substitution
     from the lower coefficients.  No finite-difference formula is involved,
@@ -118,7 +118,7 @@ def solve_operator_from_action(alpha: RatLike, seq: GammaSeq, order: int) -> tup
     polys = hermite_polys(order, a)
     qs = []
     for n in range(order + 1):
-        rhs = seq[n] * polys[n]
+        rhs = seq[n + p] * polys[n]
         for k in range(n):
             falling = Fraction(math.factorial(n), math.factorial(n - k))
             rhs = rhs - falling * (qs[k] * polys[n - k])
@@ -142,14 +142,9 @@ def check_diagonal_action(alpha: RatLike, seq: GammaSeq, n_max: int) -> CheckRep
 
 
 def check_operator_equivalence(alpha: RatLike, seq: GammaSeq, order: int, p: int = 0) -> CheckReport:
-    """Formula route vs. solved-from-action route, coefficient by coefficient.
-
-    The shifted variant is covered by solving against the p-shifted sequence,
-    since the offset-p coefficients are exactly the offset-0 coefficients of
-    that sequence.
-    """
+    """Formula route vs. solved-from-action route, coefficient by coefficient, both at offset p."""
     formula = build_operator(alpha, seq, order, p)
-    solved = solve_operator_from_action(alpha, seq.shifted(p), order)
+    solved = solve_operator_from_action(alpha, seq, order, p)
     outcomes = (
         None if q == r else f"routes disagree at k={k}, p={p}: formula {q.to_text()} vs solved {r.to_text()}"
         for k, (q, r) in enumerate(zip(formula, solved))

@@ -158,15 +158,6 @@ class GammaSeq:
     def values(self, n: int) -> list:
         return [self[k] for k in range(n + 1)]
 
-    def shifted(self, p: int) -> "GammaSeq":
-        """The sequence k -> gamma_(k+p)."""
-        if p < 0:
-            raise ValueError("shift must be nonnegative")
-        if p == 0:
-            return self
-        name = f"{self.name}+{p}" if self.name else None
-        return GammaSeq(lambda k: self[k + p], name=name)
-
     # -- constructors --------------------------------------------------------
 
     @classmethod

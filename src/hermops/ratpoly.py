@@ -218,21 +218,6 @@ class RatPoly:
             out = out * self
         return out
 
-    def __divmod__(self, other: "RatPoly"):
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero polynomial")
-        r, b = list(self.coeffs), other.coeffs
-        q = [0] * max(len(r) - len(b) + 1, 0)
-        while len(r) >= len(b):
-            k = len(r) - len(b)
-            q[k] = t = r[-1] / b[-1]
-            for i, c in enumerate(b):
-                r[k + i] -= t * c
-            _strip(r)
-        return RatPoly(q), RatPoly(r)
-
     # -- calculus / evaluation ---------------------------------------------
 
     def derivative(self, order: int = 1) -> "RatPoly":
@@ -261,11 +246,6 @@ class RatPoly:
             acc = _mul_ints(acc, m) or [0]
             acc[0] += c * epow
         return RatPoly._reduced(acc, self._den * epow)
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic normalization")
-        return self / self.leading
 
     # -- presentation / serialization ----------------------------------------
 
@@ -414,22 +394,27 @@ def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
     """Monic greatest common divisor over the rationals; gcd(p, 0) is p made monic."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    return RatPoly(_prs(_int_coeffs(p), _int_coeffs(q))[-1]).monic()
+    g = RatPoly(_prs(_int_coeffs(p), _int_coeffs(q))[-1])
+    return g / g.leading
 
 
 def squarefree_part(p: RatPoly) -> RatPoly:
     """The monic product of the distinct irreducible factors of p.
 
-    Computed as p / gcd(p, p'); constants map to 1.  Raises on the zero
-    polynomial.
+    Computed as p / g with g = gcd(p, p') of degree n, by one triangular change
+    of basis: p's coefficients in the basis 1, x, ..., x^(n-1), g, g*x, ...,
+    g*x^(deg p - n) are the remainder's on the x^k and the quotient's on the
+    g*x^i.  Constants map to 1.  Raises on the zero polynomial.
     """
     if p.is_zero:
         raise ValueError("squarefree part of the zero polynomial is undefined")
     g = poly_gcd(p, p.derivative())
-    q, r = divmod(p, g)
-    if not r.is_zero:
+    n, powers = g.degree, [RatPoly([0] * k + [1]) for k in range(p.degree + 1)]
+    c = expand_in_basis(p, powers[:n] + [g * x_i for x_i in powers[: p.degree - n + 1]])
+    if any(c[:n]):
         raise ArithmeticError("exact division failed in squarefree computation")
-    return q.monic()
+    q = RatPoly(c[n:])
+    return q / q.leading
 
 
 @functools.lru_cache(maxsize=1)

@@ -45,7 +45,7 @@ def check_range(name: str, value: int) -> None:
     text = os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)).strip()
     cap = int(text) if text.isascii() and text.isdigit() else 0
     if cap < 1:
-        raise ValueError(f"HERMOPS_KMAX_CAP must be a positive integer, got {text!r}")
+        raise ValueError(f"HERMOPS_KMAX_CAP must be a positive integer, got {brief(text)}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
     if value > cap:
@@ -147,7 +147,7 @@ def make_sequence(selector: str) -> GammaSeq:
             return GammaSeq.linear(parse_rat(arg))
         if head == "geom-factorial":
             return GammaSeq.geometric_factorial(parse_rat(arg))
-    raise ValueError(f"unknown sequence selector {selector!r}; known: {', '.join(NAMES)}")
+    raise ValueError(f"unknown sequence selector {brief(selector)}; known: {', '.join(NAMES)}")
 
 
 def factored_from_json(text: str) -> FactoredSpec:

@@ -395,9 +395,6 @@ class FractionPoly:
                 r.pop()
         return FractionPoly(q), FractionPoly(r)
 
-    def __floordiv__(self, other: "FractionPoly") -> "FractionPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "FractionPoly") -> "FractionPoly":
         return divmod(self, other)[1]
 
@@ -427,11 +424,6 @@ class FractionPoly:
         for c in reversed(self._coeffs):
             acc = acc * inner + FractionPoly([c])
         return acc
-
-    def monic(self) -> "FractionPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic normalization")
-        return self / self.leading
 
     # -- presentation / serialization ----------------------------------------
 

@@ -634,6 +634,17 @@ def test_error_on_an_object_for_the_zeros_list_is_short(capsys):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("where", ["seq", "cap"])
+def test_error_on_a_large_selector_or_cap_is_short(capsys, monkeypatch, where):
+    text = "x" * 50000
+    seq = text if where == "seq" else "const1"
+    if where == "cap":
+        monkeypatch.setenv("HERMOPS_KMAX_CAP", text)
+    code, out, err = run_cli(capsys, "ratios", "--seq", seq, "--kmax", "3")
+    assert "'xxxxxxxxxxxxxxxxxxxx'..." in _assert_one_json_error_line(code, out, err)
+    assert len(err) < 200
+
+
 def test_error_alpha_in_exponent_notation(capsys):
     code, out, err = run_cli(capsys, "qpoly", "--seq", "const1", "--alpha", "1e3", "--kmax", "1")
     assert code == 2

@@ -116,7 +116,7 @@ def test_shifted_operator_matches_shifted_sequence():
         report = check_operator_equivalence(alpha, seq, 8, p)
         assert report.passed
         op = build_operator(alpha, seq, 8, p)
-        oracle = solve_operator_from_action(alpha, seq.shifted(p), 8)
+        oracle = solve_operator_from_action(alpha, seq, 8, p)
         assert op == oracle
 
 
@@ -243,7 +243,7 @@ _random_sequences = st.one_of(
 @example(F(1), GammaSeq.geometric_factorial(F(3, 5)), 7, 2)
 def test_build_operator_matches_action_solve_on_random_input(alpha, seq, order, p):
     op = build_operator(alpha, seq, order, p)
-    assert op == solve_operator_from_action(alpha, seq.shifted(p), order)
+    assert op == solve_operator_from_action(alpha, seq, order, p)
     assert op[order] == coefficient_polynomial(alpha, seq, order, p)
     # Q_k does not depend on the truncation, which check_standard_basis_limit relies on.
     assert all(build_operator(alpha, seq, n, p) == op[: n + 1] for n in range(order + 1))

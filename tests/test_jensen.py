@@ -123,26 +123,11 @@ def test_jensen_reversed_coefficients():
     assert p.coeffs == (F(3), F(6), F(3))
 
 
-def test_shifted_indexing_and_name():
-    seq = GammaSeq.linear(F(0))
-    sh = seq.shifted(2)
-    assert sh[0] == seq[2]
-    assert sh[5] == seq[7]
-    assert sh.name == f"{seq.name}+2"
-    with pytest.raises(ValueError):
-        seq.shifted(-1)
-
-
-def test_shift_of_shift():
-    seq = make_sequence("besselJ0")
-    assert seq.shifted(1).shifted(2).values(5) == seq.shifted(3).values(5)
-
-
 def test_finite_difference_shift_parameter():
     seq = make_sequence("besselJ0")
     for k in range(6):
         for p in range(4):
-            assert finite_difference(seq, k, p) == finite_difference(seq.shifted(p), k)
+            assert finite_difference(seq, k, p) == finite_difference(GammaSeq(lambda j: seq[j + p]), k)
 
 
 def test_from_values_tail():
