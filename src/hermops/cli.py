@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ from .jensen import (
     ratio_sequence,
 )
 from .laguerre import check_eigen_action
-from .ratpoly import parse_rat, rat_str
+from .ratpoly import brief, parse_rat, rat_str
 from .sequences import check_range, factored_from_json, make_sequence
 
 
@@ -49,10 +50,23 @@ class ConfigError(ValueError):
     pass
 
 
+# A value argparse echoes, quoted as repr quotes it: its first 20 characters (an escape counts as one), then the
+# rest. The closing quote is optional, so a match never fails partway and the scan stays linear in the message.
+_ECHOED = re.compile(r"""(['"])((?:\\.|(?!\1)[^\\]){0,20})((?:\\.|(?!\1)[^\\])*)\1?""")
+
+
 class _Parser(argparse.ArgumentParser):
-    """A usage error is a config error: one JSON line and exit 2, not usage text."""
+    """A usage error is a config error: one JSON line and exit 2, not usage text.  Each argument
+    it echoes is cut to its first 20 characters, as `brief` cuts it."""
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse would echo them whole, unquoted and joined
+            self.error(f"unrecognized arguments: {' '.join(map(brief, extras))}")
+        return namespace
 
     def error(self, message):
+        message = _ECHOED.sub(lambda m: f"{m[1]}{m[2]}{m[1]}{'...' if m[3] else ''}", message)
         raise ConfigError(f"{self.prog}: {message}")
 
 

@@ -27,8 +27,8 @@ from .diffop import (
     solve_operator_from_action,
 )
 from .jensen import DifferenceTable, GammaSeq, ratio_sequence
-from .laguerre import check_eigen_action, operator_coefficients, validate_laguerre_alpha
-from .ratpoly import RatLike, RatPoly, count_real_roots, is_real_rooted, rat, rat_str
+from .laguerre import check_eigen_action, operator_coefficients
+from .ratpoly import RatPoly, count_real_roots, is_real_rooted, rat_str
 from .reporting import CheckReport
 from .sequences import example311_spec, make_sequence
 
@@ -203,41 +203,20 @@ def geom_family_demo() -> CheckReport:
     return CheckReport.tally("geom-factorial-family", outcomes, notes)
 
 
-def counterexample_demo(alpha: RatLike, a_values, deg_max: int = 6) -> list:
-    """Probe the sequence (n + a) on the Laguerre basis for each a.
-
-    For every requested a the operator's three coefficient polynomials are
-    certified real-rooted (they always are), then the falsification search
-    runs over the witness corpus.  Values of a outside [0, alpha + 1] should
-    produce a witness; values inside should come back inconclusive.  Returns
-    a JSON-ready list of {a, coefficients_real_rooted} joined to each
-    verdict's `to_json_dict()` without its `reason`.
-    """
-    a_param = validate_laguerre_alpha(alpha)
-    results = []
-    for a in a_values:
-        a = rat(a)
-        coeffs_ok = all(is_real_rooted(q) for q in operator_coefficients(a_param, a))
-        verdict = falsify_sequence(GammaSeq.linear(a), LaguerreBasis(a_param), deg_max)
-        entry = verdict.to_json_dict()
-        del entry["reason"]
-        results.append({"a": rat_str(a), "coefficients_real_rooted": coeffs_ok, **entry})
-    return results
-
-
 def laguerre_demo() -> CheckReport:
-    """Eigen structure and the membership boundary on the Laguerre basis."""
+    """Eigen structure and the membership boundary on the Laguerre basis: each (Q_0, Q_1, Q_2) is
+    real-rooted, yet the search should falsify (n + a) exactly when a lies outside [0, alpha + 1]."""
     alpha = Fraction(1)
     reports = [check_eigen_action(alpha, a, 10) for a in (Fraction(-1), Fraction(0), Fraction(3))]
-    a_values = (-1, 0, 1, 2, 3)
-    entries = counterexample_demo(alpha, a_values, deg_max=6)
 
     def outcomes():
         yield from (failure for report in reports for failure in report.failures or [None])
-        for a, entry in zip(a_values, entries):
-            yield None if entry["coefficients_real_rooted"] else f"operator coefficients at a={a} must be real-rooted"
+        for a in (-1, 0, 1, 2, 3):
+            real = all(is_real_rooted(q) for q in operator_coefficients(alpha, a))
+            yield None if real else f"operator coefficients at a={a} must be real-rooted"
+            status = falsify_sequence(GammaSeq.linear(a), LaguerreBasis(alpha), 6).status
             expected, where = (INCONCLUSIVE, "in") if 0 <= a <= alpha + 1 else (FALSIFIED, "outside")
-            yield None if entry["status"] == expected else f"a={a} lies {where} [0, alpha+1] but was {entry['status']}"
+            yield None if status == expected else f"a={a} lies {where} [0, alpha+1] but was {status}"
 
     return CheckReport.tally("laguerre-boundary", outcomes())
 

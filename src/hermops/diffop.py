@@ -177,8 +177,6 @@ def check_standard_basis_limit(seq: GammaSeq, k_max: int) -> CheckReport:
     k_max is built per node, since Q_k does not depend on the truncation, and
     each alpha-degree is read off the samples' divided differences.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     node_count = max(5, k_max // 2 + 2)
     nodes = [Fraction(0)] + [Fraction(1, 2**j) for j in range(node_count - 1)]
     operators = [build_operator(node, seq, k_max) for node in nodes]

@@ -14,7 +14,7 @@ coefficients are real-rooted polynomials.  Whether (n + a) actually maps
 real-rooted polynomials to real-rooted polynomials on this basis depends on
 a: it does exactly when 0 <= a <= alpha + 1, which makes this operator the
 standard counterexample to reading reality of the coefficients as
-sufficiency; `demos.counterexample_demo` exercises both sides of that
+sufficiency; `demos.laguerre_demo` exercises both sides of that
 boundary.
 
 L_n has degree n, so `to_laguerre_basis` and `from_laguerre_basis` are the

@@ -41,15 +41,16 @@ DEFAULT_KMAX_CAP = 2000
 
 
 def check_range(name: str, value: int) -> None:
-    """A size whose cost grows with it must lie in 0..HERMOPS_KMAX_CAP (default DEFAULT_KMAX_CAP)."""
+    """A size whose cost grows with it must lie in 0..HERMOPS_KMAX_CAP (default DEFAULT_KMAX_CAP).
+    A cap with more digits than the size exceeds it unread, so a cap of any length is compared exactly."""
     text = os.environ.get("HERMOPS_KMAX_CAP", str(DEFAULT_KMAX_CAP)).strip()
-    cap = int(text) if text.isascii() and text.isdigit() else 0
-    if cap < 1:
+    digits = text.lstrip("0") if text.isascii() and text.isdigit() else ""
+    if not digits:
         raise ValueError(f"HERMOPS_KMAX_CAP must be a positive integer, got {brief(text)}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
-    if value > cap:
-        raise ValueError(f"{name} {value} exceeds the configured cap {cap} (HERMOPS_KMAX_CAP)")
+    if len(digits) <= len(str(value)) and value > int(digits):
+        raise ValueError(f"{name} {value} exceeds the configured cap {digits} (HERMOPS_KMAX_CAP)")
 
 
 def example311_spec() -> FactoredSpec:

@@ -110,6 +110,15 @@ def closed_form_differences(phi: FactoredSpec, k_max: int, p: int) -> list:
     return [Fraction(exp_poly_head(ints, s - t, t, k), phi._den * t ** (p + k)) for k in range(k_max + 1)]
 
 
+def exp_bessel_gamma(sigma: RatLike, b: RatLike, r: RatLike, k: int) -> Fraction:
+    """gamma_k = k! * [x^k] e^(sigma*x) * 0F1(;b;r*x), the Cauchy product of the two Taylor series:
+    [x^m] e^(sigma*x) = sigma^m/m! and [x^n] 0F1(;b;r*x) = r^n/((b)_n * n!), (b)_n = b*(b+1)*...*(b+n-1)."""
+    sigma, b, r = rat(sigma), rat(b), rat(r)
+    exp = [sigma**m / math.factorial(m) for m in range(k + 1)]
+    hyp = [r**n / (math.prod(b + j for j in range(n)) * math.factorial(n)) for n in range(k + 1)]
+    return math.factorial(k) * sum(exp[k - n] * hyp[n] for n in range(k + 1))
+
+
 def jensen_reversed(seq: GammaSeq, n: int) -> RatPoly:
     """The reversed Jensen polynomial sum_k C(n,k) * gamma_k * x^(n-k).
 

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hermops
@@ -29,7 +29,7 @@ from hermops.classify import (
     ratio_limit_check,
 )
 from hermops.diffop import build_operator
-from hermops.jensen import DifferenceTable, FactoredSpec, GammaSeq, ratio_sequence
+from hermops.jensen import DifferenceTable, FactoredSpec, GammaSeq, finite_difference, ratio_sequence
 from hermops.hermite import from_hermite_basis, to_hermite_basis
 from hermops.laguerre import from_laguerre_basis, to_laguerre_basis
 from hermops.ratpoly import (
@@ -43,9 +43,9 @@ from hermops.ratpoly import (
     expand_in_basis,
     is_real_rooted,
 )
-from hermops.sequences import example311_spec, make_sequence
+from hermops.sequences import BESSEL_J0_ODE, EXP_HALF_COSH_ODE, example311_spec, make_sequence
 
-from oracles import reference_corpus_degree, reference_falsify, reference_ratio_limit_check
+from oracles import exp_bessel_gamma, reference_corpus_degree, reference_falsify, reference_ratio_limit_check
 
 F = Fraction
 
@@ -164,6 +164,15 @@ def test_sigma_below_one_ratio_window_refutes_reality(sigma, zeros, m, alpha):
     _assert_window_refutes_reality(alpha, GammaSeq.from_lpplus(spec), 0, k0, 2)
 
 
+def _ratio_window(seq, sigma, p, k_max=60):
+    """The first k0 below k_max whose ratios at k0 - 1..k0 + 1 are each within 1 - sigma of sigma - 1 or
+    undefined, one of them defined."""
+    rows = ratio_sequence(seq, k_max, p)
+    near = [rho is None or abs(rho - (sigma - 1)) < 1 - sigma for _, rho in rows]
+    defined = [rho is not None for _, rho in rows]
+    return next(k for k in range(1, k_max - 1) if all(near[k - 1 : k + 2]) and any(defined[k - 1 : k + 2]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(below_one, theorem_zeros, st.integers(0, 1), window_alphas, st.integers(1, 4))
 def test_sigma_below_one_ratio_window_refutes_reality_after_a_shift(sigma, zeros, m, alpha, p):
@@ -171,11 +180,62 @@ def test_sigma_below_one_ratio_window_refutes_reality_after_a_shift(sigma, zeros
     # unless phi is a polynomial (sigma = 0) of degree below p and phi^(p) = 0.
     assume(sigma > 0 or p <= m + len(zeros))
     seq = GammaSeq.from_lpplus(FactoredSpec(c=F(3, 2), m=m, sigma=sigma, zeros=tuple(zeros)))
-    rows = ratio_sequence(seq, 60, p)
-    near = [rho is None or abs(rho - (sigma - 1)) < 1 - sigma for _, rho in rows]
-    defined = [rho is not None for _, rho in rows]
-    k0 = next(k for k in range(1, 59) if all(near[k - 1 : k + 2]) and any(defined[k - 1 : k + 2]))
-    _assert_window_refutes_reality(alpha, seq, p, k0, 2)
+    _assert_window_refutes_reality(alpha, seq, p, _ratio_window(seq, sigma, p), 2)
+
+
+# The extension to infinitely many zeros, through the ODE route: y = e^(sigma*x) * 0F1(;b;r*x) with b, r > 0 is
+# e^(sigma*x) times a Bessel-type entire function of genus 0 whose zeros are all negative, and it solves
+# x*y'' + (b - 2*sigma*x)*y' + (sigma^2*x - b*sigma - r)*y = 0.  The draws are fixed here, not tuned to the outcome.
+bessel_b = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+bessel_r = st.fractions(min_value=F(1, 7), max_value=4, max_denominator=7)
+
+
+def _exp_bessel_ode(sigma, b, r):
+    """That ODE cleared to integers, in `GammaSeq.from_ode`'s form (q2, (r0, r1), (s0, s1))."""
+    coeffs = (F(1), b, -2 * sigma, -b * sigma - r, sigma**2)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    q2, r0, r1, s0, s1 = (int(c * scale) for c in coeffs)
+    return q2, (r0, r1), (s0, s1)
+
+
+def _exp_bessel_seq(sigma, b, r):
+    return GammaSeq.from_ode(_exp_bessel_ode(sigma, b, r), name=f"exp-bessel({sigma},{b},{r})")
+
+
+def test_exp_bessel_family_holds_both_named_series():
+    for (sigma, b, r), ode, name in (
+        ((F(0), F(1), F(1)), BESSEL_J0_ODE, "besselJ0"),
+        ((F(1, 2), F(1, 2), F(1, 2)), EXP_HALF_COSH_ODE, "exp-half-cosh"),
+    ):
+        assert _exp_bessel_ode(sigma, b, r) == ode
+        assert [exp_bessel_gamma(sigma, b, r, k) for k in range(31)] == make_sequence(name).values(30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sigma(0, 3), bessel_b, bessel_r, st.integers(0, 4))
+def test_exp_bessel_gammas_and_differences_match_the_oracles(sigma, b, r, p):
+    seq = _exp_bessel_seq(sigma, b, r)
+    assert seq.values(24) == [exp_bessel_gamma(sigma, b, r, k) for k in range(25)]
+    table = DifferenceTable(seq, 20, p)
+    assert [table[k] for k in range(21)] == [finite_difference(seq, k, p) for k in range(21)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(_sigma(1, 3), bessel_b, bessel_r, window_alphas, st.integers(1, 4))
+def test_exp_bessel_sigma_at_least_one_makes_every_coefficient_real_rooted(sigma, b, r, alpha, p):
+    seq = _exp_bessel_seq(sigma, b, r)
+    assert all(coefficient_reality_table(alpha, seq, 30))
+    assert all(coefficient_reality_table(alpha, seq, 30, p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(below_one, bessel_b, bessel_r, window_alphas, st.integers(0, 4))
+@example(F(6, 7), F(2), F(4), F(1), 3)
+def test_exp_bessel_sigma_below_one_ratio_window_refutes_reality(sigma, b, r, alpha, p):
+    # e^(-x) * y^(p) = e^((sigma - 1)*x) * (a sum of 0F1 terms of order 1/2), so d_(k,p)/d_(k-1,p) tends to sigma - 1,
+    # the later the larger r/(1 - sigma) is: the window starts at k0 = 60 for (sigma, b, r, p) = (6/7, 2, 4, 3).
+    seq = _exp_bessel_seq(sigma, b, r)
+    _assert_window_refutes_reality(alpha, seq, p, _ratio_window(seq, sigma, p, 100), 2)
 
 
 def test_reality_table_constant_sequence():

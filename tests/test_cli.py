@@ -517,6 +517,21 @@ def test_error_bad_kmax_cap(capsys, monkeypatch, cap):
     assert "HERMOPS_KMAX_CAP" in message and repr(cap) in message
 
 
+@pytest.mark.parametrize(
+    "cap, kmax, exceeds",
+    [("9" * 5000, "3", False), ("0" * 5000 + "5", "5", False), ("0" * 5000 + "5", "6", True)],
+    ids=["5000-nines", "zeros-then-5-at-cap", "zeros-then-5-over-cap"],
+)
+def test_a_cap_of_any_length_is_compared_exactly(capsys, monkeypatch, cap, kmax, exceeds):
+    # int() refuses strings of more than 4,300 digits; the cap is compared by its digits instead.
+    monkeypatch.setenv("HERMOPS_KMAX_CAP", cap)
+    code, out, err = run_cli(capsys, "ratios", "--seq", "const1", "--kmax", kmax)
+    if exceeds:
+        assert _assert_one_json_error_line(code, out, err) == "kmax 6 exceeds the configured cap 5 (HERMOPS_KMAX_CAP)"
+    else:
+        assert (code, err) == (0, "")
+
+
 def test_ratios_beyond_float_range(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"gammas": ["1", "1" + "0" * 400]}))
@@ -758,6 +773,28 @@ def test_usage_error_is_one_json_line(capsys, argv, message):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"].startswith(message)
+
+
+LONG_ARGUMENT = "x" * 50000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ratios", "--seq", "const1", "--kmax", LONG_ARGUMENT], "hermops ratios: argument --kmax: invalid int value: "),
+        (
+            ["qpoly", "--seq", "const1", "--alpha", "1", "--kmax", "3", "--format", LONG_ARGUMENT],
+            "hermops qpoly: argument --format: invalid choice: ",
+        ),
+        ([LONG_ARGUMENT], "hermops: argument command: invalid choice: "),
+        (["ratios", "--seq", "const1", "--kmax", "3", LONG_ARGUMENT], "hermops: unrecognized arguments: "),
+    ],
+    ids=["bad-int", "bad-format", "unknown-subcommand", "unrecognized"],
+)
+def test_usage_error_cuts_the_argument_it_echoes(capsys, argv, message):
+    error = _assert_one_json_error_line(*run_cli(capsys, *argv))
+    assert error.startswith(message + "'xxxxxxxxxxxxxxxxxxxx'...")
+    assert len(error) < 200
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["ratios", "--help"]])

@@ -6,6 +6,8 @@ from math import comb, factorial
 
 import pytest
 
+from hermops.classify import LaguerreBasis, falsify_sequence
+from hermops.jensen import GammaSeq
 from hermops.laguerre import (
     check_eigen_action,
     from_laguerre_basis,
@@ -15,8 +17,7 @@ from hermops.laguerre import (
     to_laguerre_basis,
     validate_laguerre_alpha,
 )
-from hermops.demos import counterexample_demo
-from hermops.ratpoly import ONE, X, RatPoly, is_real_rooted
+from hermops.ratpoly import ONE, X, RatPoly, is_real_rooted, rat_str
 
 F = Fraction
 
@@ -91,7 +92,13 @@ def test_expansion_of_laguerre_poly_is_unit_vector():
 
 
 def test_counterexample_demo_statuses():
-    entries = counterexample_demo(F(1), (F(-1), F(0), F(1), F(2), F(3)), deg_max=6)
+    # The boundary demo's verdicts, each joined to the reality of (Q_0, Q_1, Q_2) as a JSON entry without its reason.
+    entries = []
+    for a in (F(-1), F(0), F(1), F(2), F(3)):
+        entry = falsify_sequence(GammaSeq.linear(a), LaguerreBasis(F(1)), 6).to_json_dict()
+        del entry["reason"]
+        real = all(is_real_rooted(q) for q in operator_coefficients(F(1), a))
+        entries.append({"a": rat_str(a), "coefficients_real_rooted": real, **entry})
     by_a = {entry["a"]: entry for entry in entries}
     assert by_a["-1/1"]["status"] == "falsified"
     assert by_a["3/1"]["status"] == "falsified"
